@@ -1,5 +1,6 @@
 """Encoder, decoder, and single-duplication corrector."""
 
+import hashlib
 import random
 
 import pytest
@@ -67,6 +68,45 @@ def test_encode_matches_reference(q, n):
         assert is_dup_free(y, params.K)
         assert codec.decode(y, params) == x
         assert ref_decode(y, q, n) == x
+
+
+def _runs_message(q: int, n: int, seed: int) -> tuple[int, ...]:
+    """Seeded runs of length 2K, one random symbol per run."""
+    K = derive_params(q, n).K
+    rng = random.Random(seed)
+    out: list[int] = []
+    while len(out) < n:
+        out += [rng.randrange(q)] * (2 * K)
+    return tuple(out[:n])
+
+
+@pytest.mark.parametrize("q,n", [(4, 300), (2, 256), (3, 200)])
+@pytest.mark.parametrize("family", ["zeros", "runs"])
+def test_encode_matches_reference_over_many_iterations(q, n, family):
+    """Messages that force several encoder iterations, so every filler the
+    window index picks is checked against the Counter-based reference."""
+    params = derive_params(q, n)
+    x = (0,) * n if family == "zeros" else _runs_message(q, n, q * n)
+    y, trace = codec.encode_with_trace(x, params)
+    assert len(trace) >= 2
+    assert y == ref_encode(x, q, n)
+
+
+@pytest.mark.parametrize(
+    "q,n,family,digest",
+    [
+        (4, 1 << 12, "zeros", "d16d48d61572faf2e76c8c1f101531cf20a411f6d24e4706679ceefd93782fb5"),
+        (4, 1 << 14, "zeros", "816b407071872ff7a835de2c42596914f22a8760e50a726382dfa2bb65aef94a"),
+        # L = 3 with q**L above DENSE_LEAF_LIMIT: the sparse window store
+        (200, 40001, "zeros", "94f350055c9f80c6cd2d8bdd99b0444c749e358f727abef8d87134631a9f76b5"),
+        (4, 1 << 11, "runs", "46759b53bb32cc22394e5960fae974254ab0799c4a5561a1a7e0ad45cf5f43fa"),
+    ],
+)
+def test_encode_output_is_pinned(q, n, family, digest):
+    """Codewords are part of the contract: these digests must not move."""
+    params = derive_params(q, n)
+    x = (0,) * n if family == "zeros" else _runs_message(q, n, 11)
+    assert hashlib.sha256(bytes(codec.encode(x, params))).hexdigest() == digest
 
 
 @pytest.mark.parametrize("q,n", [(16, 16), (2, 64), (4, 100)])
