@@ -1,21 +1,39 @@
 """Counter trie over the length-L windows of a tracked word.
 
-The trie is a complete q-ary tree of depth L. Each leaf counts how often
-its L-word occurs as a window of the tracked word; each internal counter
-is the sum of its children, so the root counter is the total number of
-windows (len(word) - L + 1, or 0 for short words). Nodes are addressed
-heap-style: root is 0 and child c of node v is v*q + 1 + c. Small tries
-use a flat list, large ones a sparse dict with missing entries read as 0.
+A window is held as one integer, its base-q code c (the first symbol is
+the most significant digit). The trie is a complete q-ary tree of depth
+L: the node of c at depth d counts the windows whose first d symbols
+agree with c's, so the leaves count single L-words and the root counter
+is the total number of windows (len(word) - L + 1, or 0 for short
+words). Nodes are addressed heap-style: root is 0, child x of node v is
+v*q + 1 + x, and the node of c at depth d is
+
+    (q**d - 1) // (q - 1) + c // q**(L - d).
+
+build counts every window with numpy; edits walk the touched segment
+with a rolling code and bump the L + 1 ancestors of each window. Small
+tries use a flat list, large ones a sparse dict that stores no zeros.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .core import CodeParams, InternalDefectError, Word
 
 #: Tries with at most this many leaves get dense list storage.
 DENSE_LEAF_LIMIT = 1 << 22
+
+
+class _SparseCounts(dict):
+    """Node -> counter for large tries; a node that is not stored reads as 0."""
+
+    __slots__ = ()
+
+    def __missing__(self, node: int) -> int:
+        return 0
 
 
 class WindowIndex:
@@ -25,86 +43,135 @@ class WindowIndex:
         self._pow = [q**e for e in range(L + 1)]
         leaves = self._pow[L]
         self._first_leaf = (leaves - 1) // (q - 1)
-        total_nodes = self._first_leaf + leaves
+        # (first node of depth d, divisor taking a code to its depth-d prefix)
+        self._levels = [((self._pow[d] - 1) // (q - 1), self._pow[L - d]) for d in range(L + 1)]
         self._dense = leaves <= DENSE_LEAF_LIMIT
         if self._dense:
-            self._counts: list[int] | dict[int, int] = [0] * total_nodes
+            self._counts: list[int] | _SparseCounts = [0] * (self._first_leaf + leaves)
         else:
-            self._counts = {}
+            self._counts = _SparseCounts()
 
     @classmethod
     def build(cls, word: Sequence[int], params: CodeParams) -> "WindowIndex":
-        """Index every length-L window of word. O(len * L)."""
+        """Index every length-L window of word.
+
+        L numpy multiply-adds give every window's code. The dense store
+        takes its leaves from one bincount and each level above as the sum
+        of q siblings; the sparse store counts distinct prefixes per level.
+        """
         ix = cls(params)
-        L = params.L
-        for s in range(len(word) - L + 1):
-            ix.add_window(word[s : s + L])
+        q, L = params.q, params.L
+        try:
+            arr = np.asarray(word, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"window symbol outside [0, {q})") from None
+        if len(arr):
+            ix._check_range(int(arr.min()), int(arr.max()))
+        windows = len(arr) - L + 1
+        if windows <= 0:
+            return ix
+        if not ix._dense and ix._first_leaf + ix._pow[L] > np.iinfo(np.int64).max:
+            arr = arr.astype(object)
+        codes = arr[:windows].copy()
+        for j in range(1, L):
+            codes *= q
+            codes += arr[j : j + windows]
+        del arr
+        if ix._dense:
+            level = np.bincount(codes, minlength=ix._pow[L])
+            del codes
+            for off, _ in reversed(ix._levels):
+                ix._counts[off : off + len(level)] = level.tolist()
+                if off:
+                    level = level.reshape(-1, q).sum(axis=1)
+        else:
+            keys, tally = np.unique(codes, return_counts=True)
+            del codes
+            for off, _ in reversed(ix._levels):
+                ix._counts.update(zip((keys + off).tolist(), tally.tolist()))
+                keys, starts = np.unique(keys // q, return_index=True)
+                tally = np.add.reduceat(tally, starts)
         return ix
 
-    # -- raw counter access -------------------------------------------------
+    # -- symbols and codes ----------------------------------------------------
 
-    def _get(self, node: int) -> int:
-        if self._dense:
-            return self._counts[node]
-        return self._counts.get(node, 0)
+    def _check_range(self, lo: int, hi: int) -> None:
+        q = self.params.q
+        if lo < 0:
+            raise ValueError(f"window symbol {lo} outside [0, {q})")
+        if hi >= q:
+            raise ValueError(f"window symbol {hi} outside [0, {q})")
 
-    def _bump(self, node: int, delta: int) -> None:
-        if self._dense:
-            self._counts[node] += delta
-        else:
-            v = self._counts.get(node, 0) + delta
-            if v:
-                self._counts[node] = v
-            else:
-                self._counts.pop(node, None)
+    def _symbols(self, seq: Sequence[int]) -> list[int]:
+        """seq as a list of ints, checked against the alphabet in one pass."""
+        out = list(map(int, seq))
+        if out:
+            self._check_range(min(out), max(out))
+        return out
 
-    def _path(self, window: Sequence[int]) -> list[int]:
-        q, L = self.params.q, self.params.L
+    def _window(self, window: Sequence[int]) -> list[int]:
+        L = self.params.L
         if len(window) != L:
             raise ValueError(f"window must have length {L}, got {len(window)}")
-        nodes = [0]
-        v = 0
-        for c in window:
-            c = int(c)
-            if c < 0 or c >= q:
-                raise ValueError(f"window symbol {c} outside [0, {q})")
-            v = v * q + 1 + c
-            nodes.append(v)
-        return nodes
+        return self._symbols(window)
+
+    def _walk(self, seg: list[int], delta: int) -> None:
+        """Add (delta=1) or remove (delta=-1) every length-L window of seg.
+
+        seg must be range-checked already. A removal that meets a window
+        with count zero puts back the windows it took and raises ValueError.
+        """
+        q, L = self.params.q, self.params.L
+        top = self._pow[L]
+        leaf0 = self._first_leaf
+        levels = self._levels
+        counts = self._counts
+        prune = delta < 0 and not self._dense
+        code = 0
+        for x in seg[: L - 1]:
+            code = code * q + x
+        for k, x in enumerate(seg[L - 1 :]):
+            code = (code * q + x) % top
+            if delta < 0 and counts[leaf0 + code] <= 0:
+                self._walk(seg[: k + L - 1], 1)
+                raise ValueError(f"window {tuple(seg[k : k + L])} has zero count, cannot remove")
+            if prune:
+                for off, div in levels:
+                    node = off + code // div
+                    if counts[node] == 1:
+                        del counts[node]
+                    else:
+                        counts[node] -= 1
+            else:
+                for off, div in levels:
+                    counts[off + code // div] += delta
 
     # -- multiset updates ---------------------------------------------------
 
     @property
     def root_count(self) -> int:
-        return self._get(0)
+        return self._counts[0]
 
     def window_count(self, window: Sequence[int]) -> int:
-        return self._get(self._path(window)[-1])
+        code = 0
+        for x in self._window(window):
+            code = code * self.params.q + x
+        return self._counts[self._first_leaf + code]
 
     def add_window(self, window: Sequence[int]) -> None:
-        for node in self._path(window):
-            self._bump(node, 1)
+        self._walk(self._window(window), 1)
 
     def remove_window(self, window: Sequence[int]) -> None:
-        path = self._path(window)
-        if self._get(path[-1]) <= 0:
-            raise ValueError(f"window {tuple(window)} has zero count, cannot remove")
-        for node in path:
-            self._bump(node, -1)
+        self._walk(self._window(window), -1)
 
     # -- incremental edits mirroring word edits ------------------------------
 
     def apply_append(self, w_before: Sequence[int], suffix: Sequence[int]) -> None:
         """Account for suffix being appended to the tracked word w_before."""
-        L = self.params.L
-        m = len(w_before)
-        if not suffix:
+        if not len(suffix):
             return
-        base = max(0, m - L + 1)
-        tail = list(w_before[base:]) + [int(s) for s in suffix]
-        for s in range(base, m + len(suffix) - L + 1):
-            j = s - base
-            self.add_window(tail[j : j + L])
+        base = max(0, len(w_before) - self.params.L + 1)
+        self._walk(self._symbols([*w_before[base:], *suffix]), 1)
 
     def apply_delete(self, w_before: Sequence[int], a: int, b: int) -> None:
         """Account for positions [a, b) being cut out of w_before."""
@@ -114,15 +181,11 @@ class WindowIndex:
             raise ValueError(f"range [{a}, {b}) invalid for word of length {m}")
         if a == b:
             return
-        for s in range(max(0, a - L + 1), min(b - 1, m - L) + 1):
-            self.remove_window(w_before[s : s + L])
-        # Windows spanning the new junction at position a.
         base = max(0, a - L + 1)
-        joint = list(w_before[base:a]) + list(w_before[b : b + L - 1])
-        after_len = m - (b - a)
-        for s in range(base, min(a - 1, after_len - L) + 1):
-            j = s - base
-            self.add_window(joint[j : j + L])
+        seg = self._symbols(w_before[base : min(b + L - 1, m)])
+        self._walk(seg, -1)
+        # Windows spanning the new junction at position a.
+        self._walk(seg[: a - base] + seg[b - base :], 1)
 
     # -- absent-window search -------------------------------------------------
 
@@ -134,16 +197,17 @@ class WindowIndex:
         counter stays below q**L, and the leaf it reaches counts zero.
         """
         q, L = self.params.q, self.params.L
-        if self.root_count >= self._pow[L]:
+        counts = self._counts
+        if counts[0] >= self._pow[L]:
             raise ValueError("index holds q**L windows or more; every L-word occurs")
         v = 0
         digits = []
         for depth in range(L):
             threshold = self._pow[L - depth - 1]
+            first = v * q + 1
             for c in range(q):
-                child = v * q + 1 + c
-                if self._get(child) < threshold:
-                    v = child
+                if counts[first + c] < threshold:
+                    v = first + c
                     digits.append(c)
                     break
             else:
@@ -160,20 +224,18 @@ class WindowIndex:
                 for node, (mine, theirs) in enumerate(zip(self._counts, fresh._counts)):
                     if mine != theirs:
                         raise ValueError(f"node {node}: stored {mine}, rebuilt {theirs}")
-        else:
-            mine_d = self._as_dict()
-            fresh_d = fresh._as_dict()
-            if mine_d != fresh_d:
-                raise ValueError("sparse counters disagree with a rebuilt index")
+        elif self._as_dict() != fresh._as_dict():
+            raise ValueError("sparse counters disagree with a rebuilt index")
         q = self.params.q
+        counts = self._counts
         if self._dense:
             internal = range(self._first_leaf)
         else:
-            internal = [node for node in self._as_dict() if node < self._first_leaf]
+            internal = [node for node in counts if node < self._first_leaf]
         for node in internal:
-            total = sum(self._get(node * q + 1 + c) for c in range(q))
-            if self._get(node) != total:
-                raise ValueError(f"node {node}: counter {self._get(node)} != child sum {total}")
+            total = sum(counts[node * q + 1 + c] for c in range(q))
+            if counts[node] != total:
+                raise ValueError(f"node {node}: counter {counts[node]} != child sum {total}")
 
     def _as_dict(self) -> dict[int, int]:
         if self._dense:

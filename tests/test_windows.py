@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from dupcode.core import CodeParams
@@ -118,4 +119,74 @@ def test_delete_of_empty_range_is_identity():
     idx.apply_delete(word, 3, 3)
     after = {w: idx.window_count(w) for w in [(0, 0), (0, 1), (1, 0), (1, 1)]}
     assert before == after
+    idx.audit(word)
+
+
+@pytest.mark.parametrize("q,L", [(2, 5), (4, 3), (200, 3)])
+def test_build_matches_tally(q, L):
+    p = _params(q, L)
+    rng = random.Random(q + L)
+    for length in (0, L - 1, L, L + 1, 60, 400):
+        word = [rng.randrange(q) for _ in range(length)]
+        idx = WindowIndex.build(word, p)
+        assert idx._dense == (q**L <= DENSE_LEAF_LIMIT)
+        tally = window_tally(word, L)
+        assert idx.root_count == sum(tally.values()) == max(0, length - L + 1)
+        for w, c in tally.items():
+            assert idx.window_count(w) == c
+        idx.audit(word)  # child sums hold, so no leaf outside the tally counts
+
+
+def _as_list(word):
+    return list(word)
+
+
+@pytest.mark.parametrize("convert", [_as_list, tuple, np.array], ids=["list", "tuple", "ndarray"])
+def test_input_sequence_types(convert):
+    p = _params(3, 2)
+    word = [0, 1, 2, 2, 1, 0, 0]
+    idx = WindowIndex.build(convert(word), p)
+    idx.audit(word)
+    idx.apply_append(convert(word), convert([2, 0]))
+    word += [2, 0]
+    idx.audit(word)
+    idx.apply_delete(convert(word), 2, 5)
+    del word[2:5]
+    idx.audit(word)
+    assert idx.window_count(convert([0, 0])) == window_tally(word, 2)[(0, 0)]
+
+
+@pytest.mark.parametrize("q,L", [(3, 2), (200, 3)])
+@pytest.mark.parametrize("bad", [-1, "q"])
+def test_out_of_range_symbol_leaves_index_unchanged(q, L, bad):
+    p = _params(q, L)
+    bad = q if bad == "q" else bad
+    word = [0, 1, 2, 1, 0, 2, 2, 1]
+    idx = WindowIndex.build(word, p)
+    with pytest.raises(ValueError):
+        WindowIndex.build(word[:3] + [bad] + word[3:], p)
+    with pytest.raises(ValueError):
+        idx.apply_append(word, [1, bad])
+    idx.audit(word)
+    # the bad symbol is the last one the cut touches, so a per-window check
+    # would already have removed the windows before it
+    at = 3 + L - 2
+    broken = word[:at] + [bad] + word[at + 1 :]
+    with pytest.raises(ValueError):
+        idx.apply_delete(broken, 1, 3)
+    idx.audit(word)
+
+
+@pytest.mark.parametrize("q,L", [(2, 3), (200, 3)])
+def test_delete_against_a_different_word_raises(q, L):
+    p = _params(q, L)
+    word = [0] * 12
+    idx = WindowIndex.build(word, p)
+    other = [0] * 6 + [1] * 6
+    with pytest.raises(ValueError):
+        idx.apply_delete(other, 4, 8)
+    # the windows removed before the mismatch was met are put back
+    idx.audit(word)
+    with pytest.raises(ValueError):
+        idx.remove_window((1,) * L)
     idx.audit(word)
