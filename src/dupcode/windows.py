@@ -89,8 +89,9 @@ class WindowIndex:
             del codes
             for off, _ in reversed(ix._levels):
                 ix._counts.update(zip((keys + off).tolist(), tally.tolist()))
-                keys, starts = np.unique(keys // q, return_index=True)
-                tally = np.add.reduceat(tally, starts)
+                if off:
+                    keys, starts = np.unique(keys // q, return_index=True)
+                    tally = np.add.reduceat(tally, starts)
         return ix
 
     # -- symbols and codes ----------------------------------------------------

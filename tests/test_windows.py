@@ -137,11 +137,7 @@ def test_build_matches_tally(q, L):
         idx.audit(word)  # child sums hold, so no leaf outside the tally counts
 
 
-def _as_list(word):
-    return list(word)
-
-
-@pytest.mark.parametrize("convert", [_as_list, tuple, np.array], ids=["list", "tuple", "ndarray"])
+@pytest.mark.parametrize("convert", [list, tuple, np.array], ids=["list", "tuple", "ndarray"])
 def test_input_sequence_types(convert):
     p = _params(3, 2)
     word = [0, 1, 2, 2, 1, 0, 0]
