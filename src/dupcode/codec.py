@@ -55,51 +55,6 @@ class BlockRecord:
     word_after: Word
 
 
-class _ArrayState:
-    """Flat list word state; splices are C-level memmoves."""
-
-    __slots__ = ("_w",)
-
-    def __init__(self, symbols: Sequence[int]):
-        self._w = list(symbols)
-
-    def __len__(self) -> int:
-        return len(self._w)
-
-    def view(self) -> Sequence[int]:
-        return self._w
-
-    def delete_range(self, a: int, b: int) -> None:
-        del self._w[a:b]
-
-    def extend(self, seq: Sequence[int]) -> None:
-        self._w.extend(seq)
-
-
-class _TreeState:
-    """EditableWord-backed state for differential testing of the encoder."""
-
-    __slots__ = ("_t",)
-
-    def __init__(self, symbols: Sequence[int]):
-        self._t = EditableWord.from_word(symbols)
-
-    def __len__(self) -> int:
-        return len(self._t)
-
-    def view(self) -> Sequence[int]:
-        return self._t.to_word()
-
-    def delete_range(self, a: int, b: int) -> None:
-        self._t.delete_range(a, b)
-
-    def extend(self, seq: Sequence[int]) -> None:
-        self._t.insert(len(self._t), seq)
-
-    def audit(self) -> None:
-        self._t.audit()
-
-
 def _pick_absent(index: WindowIndex, params: CodeParams) -> Word:
     if index.root_count >= params.q**params.L:
         raise InternalDefectError("no absent window available; encoder precondition broken")
@@ -109,7 +64,6 @@ def _pick_absent(index: WindowIndex, params: CodeParams) -> Word:
 def _encode(
     x: Sequence[int],
     params: CodeParams,
-    backend: str,
     self_check: bool,
     trace: list[BlockRecord] | None,
 ) -> Word:
@@ -118,24 +72,18 @@ def _encode(
     if len(xw) != n:
         raise MalformedWordError(f"message must have length {n}, got {len(xw)}")
 
-    start = list(xw) + [0]
-    dup = find_leftmost_long(start, K)
+    w = list(xw) + [0]  # a list, so splices are C-level memmoves
+    dup = find_leftmost_long(w, K)
     if dup is None:
-        return tuple(start)
+        return tuple(w)
 
-    if backend == "array":
-        state: _ArrayState | _TreeState = _ArrayState(start)
-    elif backend == "tree":
-        state = _TreeState(start)
-    else:
-        raise ValueError(f"unknown encoder backend {backend!r}")
-    index = WindowIndex.build(start, params)
+    index = WindowIndex.build(w, params)
     d_len = n + 1  # length of the not-yet-rewritten prefix
     max_iters = (n + 1) // K + 1
 
     def put(seq: Sequence[int]) -> None:
-        index.apply_append(state.view(), seq)
-        state.extend(seq)
+        index.apply_append(w, seq)
+        w.extend(seq)
 
     iters = 0
     while dup is not None:
@@ -150,8 +98,8 @@ def _encode(
         if r < 2 or 2 * L + r * L + t + 1 != l:
             raise InternalDefectError(f"block arithmetic failed for l={l}, L={L}")
 
-        index.apply_delete(state.view(), i, i + l)
-        state.delete_range(i, i + l)
+        index.apply_delete(w, i, i + l)
+        del w[i : i + l]
         d_len -= l
 
         fillers: list[Word] = []
@@ -160,7 +108,7 @@ def _encode(
         def put_filler() -> None:
             word = _pick_absent(index, params)
             if trace is not None:
-                prefixes.append(tuple(state.view()))
+                prefixes.append(tuple(w))
             fillers.append(word)
             put(word)
 
@@ -173,12 +121,10 @@ def _encode(
         put(to_digits(l, params))
         put((1,))
 
-        if len(state) != n + 1:
-            raise InternalDefectError(f"length invariant broken: {len(state)} != {n + 1}")
+        if len(w) != n + 1:
+            raise InternalDefectError(f"length invariant broken: {len(w)} != {n + 1}")
         if self_check:
-            index.audit(state.view())
-            if isinstance(state, _TreeState):
-                state.audit()
+            index.audit(w)
         if trace is not None:
             trace.append(
                 BlockRecord(
@@ -188,42 +134,47 @@ def _encode(
                     t=t,
                     fillers=tuple(fillers),
                     filler_prefixes=tuple(prefixes),
-                    word_after=tuple(state.view()),
+                    word_after=tuple(w),
                 )
             )
-        dup = find_leftmost_long(state.view(), K)
-    return tuple(state.view())
+        dup = find_leftmost_long(w, K)
+    return tuple(w)
 
 
 def encode(
     x: Sequence[int],
     params: CodeParams,
     *,
-    backend: str = "array",
     self_check: bool = False,
 ) -> Word:
     """Encode an n-symbol message into a duplication-free (n+1)-codeword.
 
-    self_check=True re-verifies the window index and tree invariants after
+    self_check=True re-verifies the window index against the word after
     every iteration (slow; meant for differential testing).
     """
-    return _encode(x, params, backend=backend, self_check=self_check, trace=None)
+    return _encode(x, params, self_check=self_check, trace=None)
 
 
-def encode_with_trace(
-    x: Sequence[int], params: CodeParams, *, backend: str = "array"
-) -> tuple[Word, list[BlockRecord]]:
+def encode_with_trace(x: Sequence[int], params: CodeParams) -> tuple[Word, list[BlockRecord]]:
     """Encode with per-iteration records and self-checks enabled."""
     trace: list[BlockRecord] = []
-    y = _encode(x, params, backend=backend, self_check=True, trace=trace)
+    y = _encode(x, params, self_check=True, trace=trace)
     return y, trace
 
 
 def decode(y: Sequence[int], params: CodeParams) -> Word:
     """Invert encode. Raises MalformedCodewordError when y cannot be a codeword.
 
-    Blocks are consumed right to left on an EditableWord, so each of the
-    s <= (n+1)/K reinsertions costs O(l + log n) rather than a full copy.
+    Blocks are consumed right to left on an EditableWord gap buffer. Block
+    k deletes its l_k symbols at the tail and re-inserts l_k symbols at
+    i_k + l_k, which leaves the cursor at i_k + 2*l_k; the block costs
+    O(l_k) plus the cursor's travel. On a codeword that travel is O(n) in
+    total: once the encoder cut at offset i_{k-1}, every new leftmost
+    square crosses that offset, so i_k > i_{k-1} - 2*l_k. Each rightward
+    move is then shorter than l_k, the leftward moves exceed the rightward
+    ones by at most the n + 1 symbols the cursor starts from, and the
+    half-lengths sum to at most n + 1, so the cursor travels at most
+    3(n + 1) symbols.
     """
     q, n, L, K = params.q, params.n, params.L, params.K
     yw = check_word(y, q)
@@ -232,31 +183,31 @@ def decode(y: Sequence[int], params: CodeParams) -> Word:
     if yw[-1] == 0:
         return yw[:-1]
 
-    tree = EditableWord.from_word(yw)
+    buf = EditableWord.from_word(yw)
     for _ in range((n + 1) // K + 1):
-        m = len(tree)
-        flag = tree.get(m - 1)
+        m = len(buf)
+        flag = buf.get(m - 1)
         if flag == 0:
-            tree.delete_range(m - 1, m)
-            return tree.to_word()
+            buf.delete_range(m - 1, m)
+            return buf.to_word()
         if flag != 1:
             raise MalformedCodewordError(f"trailing flag must be 0 or 1, got {flag}")
         if m - 1 < L:
             raise MalformedCodewordError("too few symbols for a length block")
-        l = from_digits(tree.slice(m - 1 - L, m - 1), params)
+        l = from_digits(buf.slice(m - 1 - L, m - 1), params)
         if l < K:
             raise MalformedCodewordError(f"block half-length {l} is below the threshold {K}")
         if l > m:
             raise MalformedCodewordError(f"block half-length {l} exceeds the word length {m}")
-        i = from_digits(tree.slice(m - l, m - l + L), params)
-        tree.delete_range(m - l, m)
+        i = from_digits(buf.slice(m - l, m - l + L), params)
+        buf.delete_range(m - l, m)
         rem = m - l
         if i + l > rem:
             raise MalformedCodewordError(
                 f"reinsertion (i={i}, l={l}) does not fit in {rem} symbols"
             )
-        seg = tree.slice(i, i + l)
-        tree.insert(i + l, seg)
+        seg = buf.slice(i, i + l)
+        buf.insert(i + l, seg)
     raise MalformedCodewordError("block structure does not terminate")
 
 

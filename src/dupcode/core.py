@@ -88,6 +88,18 @@ def derive_params(q: int, n: int) -> CodeParams:
 
 def check_word(symbols: Iterable[int], q: int) -> Word:
     """Validate symbols against the alphabet and return them as a Word."""
+    if isinstance(symbols, (tuple, list)) and isinstance(q, int):
+        # Fast path: bytes() checks 0..255 in C and translate() deletes the
+        # symbols below q, so a word in range leaves nothing behind. Any
+        # failure falls through to the loop below, which reports it exactly
+        # as before. Buffers such as numpy arrays never come here: bytes()
+        # would read their raw memory.
+        try:
+            packed = bytes(symbols)
+        except Exception:
+            packed = None
+        if packed is not None and not packed.translate(None, bytes(range(min(max(q, 0), 256)))):
+            return tuple(packed)
     word = tuple(int(s) for s in symbols)
     for pos, s in enumerate(word):
         if s < 0 or s >= q:

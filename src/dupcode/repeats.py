@@ -51,10 +51,15 @@ def _powers(mod: int, base: int, length: int) -> np.ndarray:
             size = max(size, 2 * len(cached))
         out = np.empty(size, dtype=np.int64)
         out[0] = 1
-        acc = 1
-        for t in range(1, size):
-            acc = (acc * base) % mod
-            out[t] = acc
+        done = 1
+        while done < size:
+            # out[done + t] = base**t * base**done; both factors are below
+            # mod < 2**31, so the product fits int64. In place: no temporaries.
+            step = min(done, size - done)
+            chunk = out[done : done + step]
+            np.multiply(out[:step], pow(base, done, mod), out=chunk)
+            chunk %= mod
+            done += step
         _pow_cache[(mod, base)] = out
         cached = out
     return cached

@@ -1,10 +1,21 @@
-"""A word stored as a height-balanced order-statistic tree.
+"""A word stored as a gap buffer of two bytearrays.
 
-Every node holds one symbol plus its subtree height and size, so position
-lookups, range deletions, splits and joins all run in O(log n). The
-in-order traversal of the tree is always the represented word. Any
-balanced order-statistic sequence would satisfy the same contract; this
-one is an AVL variant with join-based split/merge.
+The word is split at a cursor: `_left` holds the symbols before it and
+`_right` the symbols after it in reverse order, so the word's last symbol
+is `_right[0]`. Both ends of the gap are ends of a bytearray, so an edit at
+the cursor costs only the symbols it writes, and moving the cursor by d
+costs one C-level copy of d bytes. Deleting the word's tail is a front
+delete on `_right`, which bytearray does without moving the rest.
+
+Reads (`get`, `slice`, `to_word`) never move the cursor. `insert` moves it
+to the insertion point and leaves it after the inserted symbols, and a
+`delete_range` that straddles the cursor moves it to the range's start.
+Edits near the previous edit are therefore cheap; `codec.decode` relies
+on that.
+
+Symbols are stored as bytes, which covers every alphabet the package
+supports (`core.MAX_ALPHABET` is 256). A symbol outside 0..255 raises
+ValueError and leaves the word unchanged.
 
 Positions are 0-based and ranges half-open, matching the rest of the
 package.
@@ -15,255 +26,128 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 
-class _Node:
-    __slots__ = ("sym", "height", "size", "left", "right")
-
-    def __init__(self, sym: int):
-        self.sym = sym
-        self.height = 1
-        self.size = 1
-        self.left: _Node | None = None
-        self.right: _Node | None = None
-
-
-def _h(t: _Node | None) -> int:
-    return t.height if t is not None else 0
-
-
-def _sz(t: _Node | None) -> int:
-    return t.size if t is not None else 0
-
-
-def _update(t: _Node) -> None:
-    t.height = 1 + max(_h(t.left), _h(t.right))
-    t.size = 1 + _sz(t.left) + _sz(t.right)
-
-
-def _rot_right(t: _Node) -> _Node:
-    l = t.left
-    t.left = l.right
-    l.right = t
-    _update(t)
-    _update(l)
-    return l
-
-
-def _rot_left(t: _Node) -> _Node:
-    r = t.right
-    t.right = r.left
-    r.left = t
-    _update(t)
-    _update(r)
-    return r
-
-
-def _balance(t: _Node) -> _Node:
-    # Restores the AVL property when one subtree got taller by <= 1 level.
-    _update(t)
-    bf = _h(t.left) - _h(t.right)
-    if bf > 1:
-        if _h(t.left.left) < _h(t.left.right):
-            t.left = _rot_left(t.left)
-        return _rot_right(t)
-    if bf < -1:
-        if _h(t.right.right) < _h(t.right.left):
-            t.right = _rot_right(t.right)
-        return _rot_left(t)
-    return t
-
-
-def _join3(l: _Node | None, sym: int, r: _Node | None) -> _Node:
-    # Concatenate l, sym, r regardless of the height gap between l and r.
-    if _h(l) > _h(r) + 1:
-        l.right = _join3(l.right, sym, r)
-        return _balance(l)
-    if _h(r) > _h(l) + 1:
-        r.left = _join3(l, sym, r.left)
-        return _balance(r)
-    node = _Node(sym)
-    node.left = l
-    node.right = r
-    _update(node)
-    return node
-
-
-def _split_last(t: _Node) -> tuple[_Node | None, int]:
-    if t.right is None:
-        return t.left, t.sym
-    t.right, sym = _split_last(t.right)
-    return _balance(t), sym
-
-
-def _join2(l: _Node | None, r: _Node | None) -> _Node | None:
-    if l is None:
-        return r
-    if r is None:
-        return l
-    l2, sym = _split_last(l)
-    return _join3(l2, sym, r)
-
-
-def _split(t: _Node | None, k: int) -> tuple[_Node | None, _Node | None]:
-    # First k symbols end up in the left result.
-    if t is None:
-        return None, None
-    ls = _sz(t.left)
-    if k <= ls:
-        a, b = _split(t.left, k)
-        return a, _join3(b, t.sym, t.right)
-    a, b = _split(t.right, k - ls - 1)
-    return _join3(t.left, t.sym, a), b
-
-
-def _build(symbols: Sequence[int], lo: int, hi: int) -> _Node | None:
-    if lo >= hi:
-        return None
-    mid = (lo + hi) // 2
-    node = _Node(int(symbols[mid]))
-    node.left = _build(symbols, lo, mid)
-    node.right = _build(symbols, mid + 1, hi)
-    _update(node)
-    return node
-
-
-def _collect(t: _Node | None, lo: int, hi: int, out: list[int]) -> None:
-    # Append symbols at subtree-relative positions [lo, hi) to out.
-    if t is None or lo >= hi:
-        return
-    ls = _sz(t.left)
-    if lo < ls:
-        _collect(t.left, lo, min(hi, ls), out)
-    if lo <= ls < hi:
-        out.append(t.sym)
-    if hi > ls + 1:
-        _collect(t.right, max(0, lo - ls - 1), hi - ls - 1, out)
+def _pack(symbols: Sequence[int]) -> bytearray:
+    if not isinstance(symbols, (bytes, bytearray, tuple, list)):
+        symbols = list(symbols)  # bytearray() would read a buffer's raw memory
+    try:
+        return bytearray(symbols)
+    except ValueError:
+        raise ValueError("symbols must lie in 0..255") from None
 
 
 class EditableWord:
-    """Mutable word with O(log n) point access, splice and split/join.
+    """Mutable word with O(1) point access and splices at a moving cursor.
 
-    split() and join() consume their operands: the returned trees share
-    nodes with the inputs, which are blanked to avoid aliasing bugs.
+    split() and join() consume their operands: the returned words take over
+    the operands' buffers, and the operands are left empty.
     """
 
-    __slots__ = ("_root",)
+    __slots__ = ("_left", "_right")
 
     def __init__(self) -> None:
-        self._root: _Node | None = None
+        self._left = bytearray()
+        self._right = bytearray()
 
     @classmethod
     def from_word(cls, symbols: Sequence[int]) -> "EditableWord":
-        """Build in O(len) by midpoint recursion; result is perfectly balanced."""
+        """Build in O(len), with the cursor at the end."""
         t = cls()
-        t._root = _build(list(symbols), 0, len(symbols))
+        t._left = _pack(symbols)
         return t
 
     def __len__(self) -> int:
-        return _sz(self._root)
+        return len(self._left) + len(self._right)
 
-    @property
-    def height(self) -> int:
-        return _h(self._root)
+    def _seek(self, p: int) -> None:
+        left, right = self._left, self._right
+        nl = len(left)
+        if p < nl:
+            right += left[p:][::-1]
+            del left[p:]
+        elif p > nl:
+            d = p - nl
+            left += right[-d:][::-1]
+            del right[-d:]
 
     def get(self, i: int) -> int:
         """Symbol at position i (0-based)."""
-        if i < 0 or i >= len(self):
-            raise IndexError(f"position {i} out of range for word of length {len(self)}")
-        t = self._root
-        while True:
-            ls = _sz(t.left)
-            if i < ls:
-                t = t.left
-            elif i == ls:
-                return t.sym
-            else:
-                i -= ls + 1
-                t = t.right
+        m = len(self)
+        if i < 0 or i >= m:
+            raise IndexError(f"position {i} out of range for word of length {m}")
+        nl = len(self._left)
+        return self._left[i] if i < nl else self._right[m - 1 - i]
 
     def insert(self, i: int, symbols: Sequence[int]) -> None:
         """Splice symbols in at offset i (0 <= i <= len)."""
         if i < 0 or i > len(self):
             raise IndexError(f"insert offset {i} out of range for length {len(self)}")
-        if not symbols:
-            return
-        sub = _build(list(symbols), 0, len(symbols))
-        a, b = _split(self._root, i)
-        self._root = _join2(_join2(a, sub), b)
+        data = _pack(symbols)
+        if data:
+            self._seek(i)
+            self._left += data
 
     def delete_range(self, a: int, b: int) -> tuple[int, ...]:
         """Remove positions [a, b) and return the removed symbols."""
-        if not (0 <= a <= b <= len(self)):
-            raise IndexError(f"range [{a}, {b}) invalid for word of length {len(self)}")
-        left, rest = _split(self._root, a)
-        mid, right = _split(rest, b - a)
-        self._root = _join2(left, right)
-        out: list[int] = []
-        _collect(mid, 0, _sz(mid), out)
-        return tuple(out)
+        m = len(self)
+        if not (0 <= a <= b <= m):
+            raise IndexError(f"range [{a}, {b}) invalid for word of length {m}")
+        left, right = self._left, self._right
+        if b <= len(left):
+            out = left[a:b]
+            del left[a:b]
+            return tuple(out)
+        if a < len(left):
+            self._seek(a)
+        out = right[m - b : m - a]
+        del right[m - b : m - a]
+        return tuple(out[::-1])
 
     def slice(self, a: int, b: int) -> tuple[int, ...]:
-        """Read positions [a, b) without mutating; O(height + (b - a))."""
-        if not (0 <= a <= b <= len(self)):
-            raise IndexError(f"range [{a}, {b}) invalid for word of length {len(self)}")
-        out: list[int] = []
-        _collect(self._root, a, b, out)
-        return tuple(out)
+        """Read positions [a, b) without mutating; O(b - a)."""
+        m = len(self)
+        if not (0 <= a <= b <= m):
+            raise IndexError(f"range [{a}, {b}) invalid for word of length {m}")
+        left, right = self._left, self._right
+        nl = len(left)
+        if b <= nl:
+            return tuple(left[a:b])
+        tail = right[m - b : m - max(a, nl)][::-1]
+        return tuple(left[a:nl] + tail) if a < nl else tuple(tail)
 
     def split(self, k: int) -> tuple["EditableWord", "EditableWord"]:
         """Split into the first k symbols and the rest. Consumes self."""
         if k < 0 or k > len(self):
             raise IndexError(f"split point {k} out of range for length {len(self)}")
-        a, b = _split(self._root, k)
-        self._root = None
+        self._seek(k)
         left, right = EditableWord(), EditableWord()
-        left._root = a
-        right._root = b
+        left._left, right._right = self._left, self._right
+        self._left, self._right = bytearray(), bytearray()
         return left, right
 
     @staticmethod
     def join(left: "EditableWord", right: "EditableWord") -> "EditableWord":
         """Concatenate two words. Consumes both operands."""
+        if left is right:
+            raise ValueError("cannot join a word to itself")
+        left._seek(len(left))
+        right._seek(0)
         t = EditableWord()
-        t._root = _join2(left._root, right._root)
-        left._root = None
-        right._root = None
+        t._left, t._right = left._left, right._right
+        left._left, right._right = bytearray(), bytearray()
         return t
 
     def to_word(self) -> tuple[int, ...]:
-        out: list[int] = []
-        stack: list[_Node] = []
-        t = self._root
-        while stack or t is not None:
-            while t is not None:
-                stack.append(t)
-                t = t.left
-            t = stack.pop()
-            out.append(t.sym)
-            t = t.right
-        return tuple(out)
+        return tuple(self._left + self._right[::-1])
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.to_word())
 
     def audit(self) -> None:
-        """Recompute heights and sizes bottom-up and check the AVL property.
+        """Check that both halves of the gap are byte buffers.
 
-        Raises ValueError on the first stored value that disagrees with the
-        recomputation, or on a sibling height gap above 1.
+        A gap buffer stores no derived state (no sizes or heights) that
+        could disagree with its contents, so this is the whole invariant.
+        Raises ValueError if it does not hold.
         """
-
-        def walk(t: _Node | None) -> tuple[int, int]:
-            if t is None:
-                return 0, 0
-            lh, ls = walk(t.left)
-            rh, rs = walk(t.right)
-            if abs(lh - rh) > 1:
-                raise ValueError(f"balance violated: sibling heights {lh} and {rh}")
-            h, s = 1 + max(lh, rh), 1 + ls + rs
-            if t.height != h:
-                raise ValueError(f"stored height {t.height} != recomputed {h}")
-            if t.size != s:
-                raise ValueError(f"stored size {t.size} != recomputed {s}")
-            return h, s
-
-        walk(self._root)
+        if type(self._left) is not bytearray or type(self._right) is not bytearray:
+            raise ValueError("gap buffer halves must be bytearrays")

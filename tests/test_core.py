@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -82,6 +83,52 @@ def test_check_word_rejects_out_of_range():
         check_word((0, 4), 4)
     with pytest.raises(MalformedWordError):
         check_word((-1,), 4)
+
+
+def _outside(s: int, pos: int, q: int) -> str:
+    return f"symbol {s} at position {pos} is outside the alphabet [0, {q})"
+
+
+@pytest.mark.parametrize(
+    "symbols,q,message",
+    [
+        ((4, 0, 1), 4, _outside(4, 0, 4)),  # first
+        ((0, 1, 9, 2, 3), 4, _outside(9, 2, 4)),  # middle
+        ((0, 1, 2, 3, 4), 4, _outside(4, 4, 4)),  # last
+        ([0, -1, 7], 4, _outside(-1, 1, 4)),  # negative, first of two bad
+        ((1, 0, 1, 2, 3), 2, _outside(2, 3, 2)),
+        ((0, 255, 256), 256, _outside(256, 2, 256)),
+        ([300, -5], 256, _outside(300, 0, 256)),
+        ((0, -1), 256, _outside(-1, 1, 256)),
+        ((np.int64(1), np.int64(5)), 4, _outside(5, 1, 4)),
+        (np.array([0, 3, 7, 1]), 4, _outside(7, 2, 4)),
+        (np.array([0, 256], dtype=np.int64), 256, _outside(256, 1, 256)),
+    ],
+)
+def test_check_word_reports_the_first_bad_symbol(symbols, q, message):
+    with pytest.raises(MalformedWordError) as exc:
+        check_word(symbols, q)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "symbols,q,expect",
+    [
+        ((), 4, ()),
+        ([], 4, ()),
+        ((3, 0, 2), 4, (3, 0, 2)),
+        ([0, 255, 17], 256, (0, 255, 17)),
+        ((np.int64(2), np.uint8(1)), 4, (2, 1)),
+        (np.array([1, 0, 3], dtype=np.int64), 4, (1, 0, 3)),
+        (np.array([255, 1], dtype=np.uint8), 256, (255, 1)),
+        (iter((1, 1, 0)), 2, (1, 1, 0)),
+        ((0, 300, 999), 1000, (0, 300, 999)),
+    ],
+)
+def test_check_word_returns_a_tuple_of_ints(symbols, q, expect):
+    word = check_word(symbols, q)
+    assert type(word) is tuple and word == expect
+    assert all(type(s) is int for s in word)
 
 
 def test_digit_block_anchor():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dupcode import repeats
 from dupcode.repeats import Duplication, _scan_hashed, _scan_small, find_leftmost_long, is_dup_free
 
 from oracles import naive_leftmost, scan_by_length_leftmost
@@ -34,6 +35,24 @@ def test_frozen_examples(word, K, expect):
     w = tuple(int(c) for c in word)
     assert _as_tuple(find_leftmost_long(w, K)) == expect
     assert naive_leftmost(w, K) == expect
+
+
+@pytest.mark.parametrize(
+    "mod,base",
+    [
+        (repeats._MOD1, repeats._BASE1),
+        (repeats._MOD2, repeats._BASE2),
+        (repeats._MOD1, pow(repeats._BASE1, -1, repeats._MOD1)),
+        (repeats._MOD2, pow(repeats._BASE2, -1, repeats._MOD2)),
+    ],
+)
+def test_power_tables_hold_every_power(monkeypatch, mod, base):
+    monkeypatch.setattr(repeats, "_pow_cache", {})
+    # 1 fills the cache, 1024 reads it, 1025 and 5000 make it grow
+    for length in (1, 1024, 1025, 5000):
+        table = repeats._powers(mod, base, length)
+        assert table.dtype == np.int64 and len(table) >= length
+        assert table.tolist() == [pow(base, t, mod) for t in range(len(table))]
 
 
 def test_duplication_validates():

@@ -1,8 +1,8 @@
-"""EditableWord against a plain-list model, plus structural audits."""
+"""EditableWord against a plain-list model, plus its byte and cursor contracts."""
 
-import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -60,13 +60,67 @@ def test_index_bounds_checked():
         w.delete_range(1, 4)
 
 
-def test_height_stays_logarithmic():
-    w = EditableWord.from_word(())
-    for i in range(4096):
-        w.insert(len(w), (i % 7,))
+@pytest.mark.parametrize("bad", [256, -1])
+def test_out_of_range_symbol_leaves_word_unchanged(bad):
+    w = EditableWord.from_word((1, 2, 3, 4))
+    w.insert(2, (9,))  # cursor now mid-word
+    with pytest.raises(ValueError):
+        w.insert(1, (5, bad))
+    with pytest.raises(ValueError):
+        w.insert(5, (bad,))
+    assert w.to_word() == (1, 2, 9, 3, 4)
     w.audit()
-    # AVL height bound: 1.44 * log2(n + 2)
-    assert w.height <= int(1.45 * math.log2(4096 + 2)) + 1
+    with pytest.raises(ValueError):
+        EditableWord.from_word((0, bad))
+
+
+def test_accepts_any_symbol_sequence():
+    assert EditableWord.from_word(range(3)).to_word() == (0, 1, 2)
+    assert EditableWord.from_word(bytes((255, 7))).to_word() == (255, 7)
+    # an ndarray is read symbol by symbol, never as raw memory
+    w = EditableWord.from_word(np.array([3, 1], dtype=np.int64))
+    w.insert(1, np.array([2], dtype=np.int64))
+    assert w.to_word() == (3, 2, 1)
+
+
+def test_split_and_join_consume_their_operands():
+    w = EditableWord.from_word(tuple(range(10)))
+    w.insert(7, (42,))
+    left, right = w.split(3)
+    assert len(w) == 0 and w.to_word() == ()
+    assert left.to_word() == (0, 1, 2)
+    assert right.to_word() == (3, 4, 5, 6, 42, 7, 8, 9)
+    right.insert(0, (41,))
+    back = EditableWord.join(left, right)
+    assert len(left) == 0 and left.to_word() == ()
+    assert len(right) == 0 and right.to_word() == ()
+    assert back.to_word() == (0, 1, 2, 41, 3, 4, 5, 6, 42, 7, 8, 9)
+    with pytest.raises(ValueError):
+        EditableWord.join(back, back)
+
+
+def test_reads_on_both_sides_of_the_cursor():
+    model = list(range(0, 120, 3))
+    w = EditableWord.from_word(model)
+    # inserts move the cursor left and right; deletes land before, after
+    # and across it
+    edits = [("ins", 0), ("ins", 17), ("del", 30, 34), ("ins", 38), ("del", 2, 5),
+             ("ins", 9), ("del", 6, 20), ("ins", 20), ("del", 0, 3)]
+    for edit in edits:
+        if edit[0] == "ins":
+            w.insert(edit[1], (200, 201))
+            model[edit[1] : edit[1]] = [200, 201]
+        else:
+            _, a, b = edit
+            assert w.delete_range(a, b) == tuple(model[a:b])
+            del model[a:b]
+        m = len(model)
+        assert len(w) == m
+        assert [w.get(i) for i in range(m)] == model
+        for a in range(m + 1):
+            for b in range(a, m + 1, 5):
+                assert w.slice(a, b) == tuple(model[a:b])
+        assert w.to_word() == tuple(model)
 
 
 def _random_ops(seed: int, rounds: int, audit_every: int) -> None:
