@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    MAX_ALPHABET,
     CodeParams,
     InternalDefectError,
     MalformedCodewordError,
@@ -55,10 +56,13 @@ class BlockRecord:
     word_after: Word
 
 
-def _pick_absent(index: WindowIndex, params: CodeParams) -> Word:
-    if index.root_count >= params.q**params.L:
-        raise InternalDefectError("no absent window available; encoder precondition broken")
-    return index.find_absent()
+def _pick_absent(index: WindowIndex) -> Word:
+    try:
+        return index.find_absent()
+    except ValueError:
+        raise InternalDefectError(
+            "no absent window available; encoder precondition broken"
+        ) from None
 
 
 def _encode(
@@ -68,11 +72,16 @@ def _encode(
     trace: list[BlockRecord] | None,
 ) -> Word:
     q, n, L, K = params.q, params.n, params.L, params.K
+    if q > MAX_ALPHABET:
+        raise ValueError(f"alphabet size q must be <= {MAX_ALPHABET}, got {q}")
     xw = check_word(x, q)
     if len(xw) != n:
         raise MalformedWordError(f"message must have length {n}, got {len(xw)}")
 
-    w = list(xw) + [0]  # a list, so splices are C-level memmoves
+    # A bytearray: a splice moves bytes, not pointers, and the square search
+    # copies it into numpy as a buffer.
+    w = bytearray(xw)
+    w.append(0)
     dup = find_leftmost_long(w, K)
     if dup is None:
         return tuple(w)
@@ -106,7 +115,7 @@ def _encode(
         prefixes: list[Word] = []
 
         def put_filler() -> None:
-            word = _pick_absent(index, params)
+            word = _pick_absent(index)
             if trace is not None:
                 prefixes.append(tuple(w))
             fillers.append(word)
@@ -118,8 +127,7 @@ def _encode(
         if t:
             put((0,) * t)
         put_filler()
-        put(to_digits(l, params))
-        put((1,))
+        put(to_digits(l, params) + (1,))
 
         if len(w) != n + 1:
             raise InternalDefectError(f"length invariant broken: {len(w)} != {n + 1}")

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 Word = tuple[int, ...]
 
 #: Largest supported alphabet. Keeps hashing arithmetic in 64-bit range.
@@ -17,6 +19,10 @@ MAX_ALPHABET = 256
 
 _CHAR_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 _CHAR_VALUE = {c: v for v, c in enumerate(_CHAR_ALPHABET)}
+# ASCII byte -> symbol (upper case as lower case); 0xFF marks every other byte.
+_PARSE_TABLE = bytes(_CHAR_VALUE.get(chr(b).lower(), 0xFF) for b in range(128)).ljust(256, b"\xff")
+# symbol -> its character; only symbols below 36 are ever looked up.
+_FORMAT_TABLE = _CHAR_ALPHABET.encode("ascii").ljust(256, b"?")
 
 
 class DupcodeError(Exception):
@@ -109,6 +115,17 @@ def check_word(symbols: Iterable[int], q: int) -> Word:
     return word
 
 
+def as_int64_array(symbols: Sequence[int]) -> np.ndarray:
+    """A fresh int64 array of symbols; bytes-like words are copied as buffers.
+
+    The copy keeps no view of a bytearray, so the bytearray can still be
+    resized after the call.
+    """
+    if isinstance(symbols, (bytes, bytearray)):
+        return np.frombuffer(symbols, dtype=np.uint8).astype(np.int64)
+    return np.asarray(symbols, dtype=np.int64)
+
+
 def parse_word(text: str, q: int) -> Word:
     """Parse the textual word format.
 
@@ -120,6 +137,15 @@ def parse_word(text: str, q: int) -> Word:
     if text == "":
         raise MalformedWordError("empty word")
     if q <= 36:
+        # Fast path: one translate maps every character, and max() rejects
+        # both non-alphabet bytes (0xFF) and symbols >= q. Any failure falls
+        # through to the loop below, which reports it exactly as before.
+        try:
+            packed = text.encode("ascii").translate(_PARSE_TABLE)
+        except UnicodeEncodeError:
+            packed = None
+        if packed is not None and max(packed) < q:
+            return tuple(packed)
         symbols = []
         for pos, ch in enumerate(text):
             v = _CHAR_VALUE.get(ch.lower())
@@ -138,7 +164,7 @@ def format_word(word: Sequence[int], q: int) -> str:
     """Render a word in the textual format accepted by parse_word."""
     w = check_word(word, q)
     if q <= 36:
-        return "".join(_CHAR_ALPHABET[s] for s in w)
+        return bytes(w).translate(_FORMAT_TABLE).decode("ascii")
     return ",".join(str(s) for s in w)
 
 

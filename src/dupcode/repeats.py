@@ -21,6 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import as_int64_array
+
 _SMALL_CUTOFF = 96
 
 # Two independent moduli below 2**31 keep every intermediate product and
@@ -137,11 +139,15 @@ def find_leftmost_long(w: Sequence[int], K: int) -> Duplication | None:
     if m < 2 * K:
         return None
     first = w[0]
-    if all(w[t] == first for t in range(1, 2 * K)):
+    if isinstance(w, (bytes, bytearray, list, tuple)):
+        uniform = w[: 2 * K].count(first) == 2 * K
+    else:
+        uniform = all(w[t] == first for t in range(1, 2 * K))
+    if uniform:
         return Duplication(0, K)
     if m <= _SMALL_CUTOFF:
         return _scan_small(w, K)
-    return _scan_hashed(np.asarray(w, dtype=np.int64), K)
+    return _scan_hashed(as_int64_array(w), K)
 
 
 def is_dup_free(w: Sequence[int], K: int) -> bool:

@@ -10,9 +10,11 @@ v*q + 1 + x, and the node of c at depth d is
 
     (q**d - 1) // (q - 1) + c // q**(L - d).
 
-build counts every window with numpy; edits walk the touched segment
-with a rolling code and bump the L + 1 ancestors of each window. Small
-tries use a flat list, large ones a sparse dict that stores no zeros.
+build counts every window with numpy. An edit rolls the window code
+along the touched segment in Python, then applies the L + 1 ancestors of
+all its windows as one node vector: a single np.add.at on the dense
+store, one update per distinct node on the sparse one. Small tries use a
+flat int64 array, large ones a sparse dict that stores no zeros.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CodeParams, InternalDefectError, Word
+from .core import CodeParams, InternalDefectError, Word, as_int64_array
 
-#: Tries with at most this many leaves get dense list storage.
+#: Tries with at most this many leaves get a dense int64 array.
 DENSE_LEAF_LIMIT = 1 << 22
 
 
@@ -45,9 +47,14 @@ class WindowIndex:
         self._first_leaf = (leaves - 1) // (q - 1)
         # (first node of depth d, divisor taking a code to its depth-d prefix)
         self._levels = [((self._pow[d] - 1) // (q - 1), self._pow[L - d]) for d in range(L + 1)]
+        # Codes and node addresses past int64 stay Python ints (object arrays).
+        self._dtype = np.int64 if self._first_leaf + leaves <= np.iinfo(np.int64).max else object
+        offs, divs = zip(*self._levels)
+        self._offs = np.array(offs, dtype=self._dtype)[:, None]
+        self._divs = np.array(divs, dtype=self._dtype)[:, None]
         self._dense = leaves <= DENSE_LEAF_LIMIT
         if self._dense:
-            self._counts: list[int] | _SparseCounts = [0] * (self._first_leaf + leaves)
+            self._counts: np.ndarray | _SparseCounts = np.zeros(self._first_leaf + leaves, np.int64)
         else:
             self._counts = _SparseCounts()
 
@@ -62,7 +69,7 @@ class WindowIndex:
         ix = cls(params)
         q, L = params.q, params.L
         try:
-            arr = np.asarray(word, dtype=np.int64)
+            arr = as_int64_array(word)
         except OverflowError:
             raise ValueError(f"window symbol outside [0, {q})") from None
         if len(arr):
@@ -70,9 +77,7 @@ class WindowIndex:
         windows = len(arr) - L + 1
         if windows <= 0:
             return ix
-        if not ix._dense and ix._first_leaf + ix._pow[L] > np.iinfo(np.int64).max:
-            arr = arr.astype(object)
-        codes = arr[:windows].copy()
+        codes = arr[:windows].astype(ix._dtype)
         for j in range(1, L):
             codes *= q
             codes += arr[j : j + windows]
@@ -81,7 +86,7 @@ class WindowIndex:
             level = np.bincount(codes, minlength=ix._pow[L])
             del codes
             for off, _ in reversed(ix._levels):
-                ix._counts[off : off + len(level)] = level.tolist()
+                ix._counts[off : off + len(level)] = level
                 if off:
                     level = level.reshape(-1, q).sum(axis=1)
         else:
@@ -105,6 +110,11 @@ class WindowIndex:
 
     def _symbols(self, seq: Sequence[int]) -> list[int]:
         """seq as a list of ints, checked against the alphabet in one pass."""
+        if isinstance(seq, (bytes, bytearray)):
+            out = list(seq)
+            if out:
+                self._check_range(0, max(seq))
+            return out
         out = list(map(int, seq))
         if out:
             self._check_range(min(out), max(out))
@@ -119,45 +129,67 @@ class WindowIndex:
     def _walk(self, seg: list[int], delta: int) -> None:
         """Add (delta=1) or remove (delta=-1) every length-L window of seg.
 
-        seg must be range-checked already. A removal that meets a window
-        with count zero puts back the windows it took and raises ValueError.
+        seg must be range-checked already. A removal that would take a
+        window below count zero leaves the index as it was and raises
+        ValueError.
         """
         q, L = self.params.q, self.params.L
+        if len(seg) < L:
+            return
         top = self._pow[L]
-        leaf0 = self._first_leaf
-        levels = self._levels
-        counts = self._counts
-        prune = delta < 0 and not self._dense
         code = 0
         for x in seg[: L - 1]:
             code = code * q + x
-        for k, x in enumerate(seg[L - 1 :]):
-            code = (code * q + x) % top
-            if delta < 0 and counts[leaf0 + code] <= 0:
-                self._walk(seg[: k + L - 1], 1)
-                raise ValueError(f"window {tuple(seg[k : k + L])} has zero count, cannot remove")
-            if prune:
-                for off, div in levels:
-                    node = off + code // div
-                    if counts[node] == 1:
-                        del counts[node]
-                    else:
-                        counts[node] -= 1
+        codes = [code := (code * q + x) % top for x in seg[L - 1 :]]
+        # Row d holds the depth-d ancestor of every window; the last row
+        # holds the leaves.
+        nodes = self._offs + np.array(codes, dtype=self._dtype) // self._divs
+        counts = self._counts
+        if self._dense:
+            # Subtract, then look for a negative leaf: that also catches a
+            # window repeated inside seg more often than it is stored,
+            # which checking each leaf once beforehand would miss.
+            np.add.at(counts, nodes, delta)
+            if delta < 0 and counts[nodes[-1]].min() < 0:
+                np.add.at(counts, nodes, -delta)
+                self._refuse_removal(seg, codes)
+            return
+        # Each distinct node once, with its multiplicity; a removal checks
+        # every leaf's multiplicity before any counter moves.
+        keys, times = np.unique(nodes, return_counts=True)
+        keys, times = keys.tolist(), times.tolist()
+        leaf0 = self._first_leaf
+        if delta < 0 and any(counts[node] < k for node, k in zip(keys, times) if node >= leaf0):
+            self._refuse_removal(seg, codes)
+        for node, k in zip(keys, times):
+            left = counts[node] + delta * k
+            if left:
+                counts[node] = left
             else:
-                for off, div in levels:
-                    counts[off + code // div] += delta
+                del counts[node]
+
+    def _refuse_removal(self, seg: list[int], codes: list[int]) -> None:
+        """Raise the ValueError for the first window of seg that removing
+        the windows one by one would find at count zero."""
+        L = self.params.L
+        taken: dict[int, int] = {}
+        for k, code in enumerate(codes):
+            taken[code] = taken.get(code, 0) + 1
+            if taken[code] > self._counts[self._first_leaf + code]:
+                break
+        raise ValueError(f"window {tuple(seg[k : k + L])} has zero count, cannot remove")
 
     # -- multiset updates ---------------------------------------------------
 
     @property
     def root_count(self) -> int:
-        return self._counts[0]
+        return int(self._counts[0])
 
     def window_count(self, window: Sequence[int]) -> int:
         code = 0
         for x in self._window(window):
             code = code * self.params.q + x
-        return self._counts[self._first_leaf + code]
+        return int(self._counts[self._first_leaf + code])
 
     def add_window(self, window: Sequence[int]) -> None:
         self._walk(self._window(window), 1)
@@ -198,7 +230,8 @@ class WindowIndex:
         counter stays below q**L, and the leaf it reaches counts zero.
         """
         q, L = self.params.q, self.params.L
-        counts = self._counts
+        # A memoryview reads single counters as Python ints, at list speed.
+        counts = memoryview(self._counts) if self._dense else self._counts
         if counts[0] >= self._pow[L]:
             raise ValueError("index holds q**L windows or more; every L-word occurs")
         v = 0
@@ -220,25 +253,24 @@ class WindowIndex:
     def audit(self, word: Sequence[int]) -> None:
         """Check counters against a fresh index of word. Raises ValueError."""
         fresh = WindowIndex.build(word, self.params)
-        if self._dense and fresh._dense:
-            if self._counts != fresh._counts:
-                for node, (mine, theirs) in enumerate(zip(self._counts, fresh._counts)):
-                    if mine != theirs:
-                        raise ValueError(f"node {node}: stored {mine}, rebuilt {theirs}")
-        elif self._as_dict() != fresh._as_dict():
-            raise ValueError("sparse counters disagree with a rebuilt index")
         q = self.params.q
         counts = self._counts
         if self._dense:
-            internal = range(self._first_leaf)
-        else:
-            internal = [node for node in counts if node < self._first_leaf]
-        for node in internal:
+            wrong = np.flatnonzero(counts != fresh._counts)
+            if len(wrong):
+                node = int(wrong[0])
+                raise ValueError(f"node {node}: stored {counts[node]}, rebuilt {fresh._counts[node]}")
+            for (off, _), (below, _) in zip(self._levels, self._levels[1:]):
+                # depth-d nodes are off..below-1; their children start at below
+                sums = counts[below : below + (below - off) * q].reshape(-1, q).sum(axis=1)
+                wrong = np.flatnonzero(counts[off:below] != sums)
+                if len(wrong):
+                    node = off + int(wrong[0])
+                    raise ValueError(f"node {node}: counter {counts[node]} != child sum {sums[wrong[0]]}")
+            return
+        if counts != fresh._counts:
+            raise ValueError("sparse counters disagree with a rebuilt index")
+        for node in [node for node in counts if node < self._first_leaf]:
             total = sum(counts[node * q + 1 + c] for c in range(q))
             if counts[node] != total:
                 raise ValueError(f"node {node}: counter {counts[node]} != child sum {total}")
-
-    def _as_dict(self) -> dict[int, int]:
-        if self._dense:
-            return {node: c for node, c in enumerate(self._counts) if c}
-        return dict(self._counts)

@@ -3,12 +3,14 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dupcode import codec
 from dupcode.channel import apply_duplication
 from dupcode.core import (
+    CodeParams,
     MalformedCodewordError,
     MalformedWordError,
     derive_params,
@@ -16,6 +18,7 @@ from dupcode.core import (
     parse_word,
 )
 from dupcode.repeats import is_dup_free
+from dupcode.windows import WindowIndex
 
 from oracles import naive_leftmost, ref_decode, ref_encode
 
@@ -52,6 +55,14 @@ def test_encode_validates_input():
         codec.encode((0,) * 15, P16)  # wrong length
     with pytest.raises(MalformedWordError):
         codec.encode((0,) * 15 + (16,), P16)  # symbol out of range
+
+
+def test_encode_rejects_an_alphabet_above_256():
+    """derive_params never builds such parameters; hand-built ones are
+    refused with derive_params' message, since words are bytes inside."""
+    params = CodeParams(q=300, n=100, L=1, K=5)
+    with pytest.raises(ValueError, match=r"alphabet size q must be <= 256, got 300"):
+        codec.encode((299,) * 100, params)
 
 
 @pytest.mark.parametrize("q,n", [(16, 16), (2, 64), (4, 30), (3, 45), (2, 200)])
@@ -133,6 +144,58 @@ def test_backends_agree_under_self_check(q, n):
     for _ in range(10):
         x = tuple(rng.randrange(q) for _ in range(n))
         assert codec.encode(x, params, self_check=True) == codec.encode(x, params)
+
+
+def _is_word(w) -> bool:
+    return type(w) is tuple and all(type(s) is int for s in w)
+
+
+@pytest.mark.parametrize("family", ["zeros", "random"])
+def test_encode_returns_a_tuple_of_ints(family):
+    """The working word is internal; the codeword is a plain Word, whether
+    the encoder iterates (all-zeros) or not (random, no long square)."""
+    q, n = 4, 1 << 10
+    params = derive_params(q, n)
+    rng = random.Random(3)
+    x = (0,) * n if family == "zeros" else tuple(rng.randrange(q) for _ in range(n))
+    y = codec.encode(x, params)
+    assert _is_word(y) and len(y) == n + 1
+    assert (y[-1] == 1) == (family == "zeros")
+
+
+def test_trace_records_hold_tuples():
+    params = derive_params(4, 300)
+    y, trace = codec.encode_with_trace((0,) * 300, params)
+    assert _is_word(y) and len(trace) >= 2
+    for rec in trace:
+        assert _is_word(rec.word_after)
+        assert type(rec.filler_prefixes) is tuple and rec.filler_prefixes
+        assert all(_is_word(prefix) for prefix in rec.filler_prefixes)
+        assert all(_is_word(filler) for filler in rec.fillers)
+
+
+def test_self_check_audits_the_array_store_every_iteration(monkeypatch):
+    params = derive_params(4, 1 << 12)
+    audited: list[type] = []
+    cuts: list[int] = []
+    audit, apply_delete = WindowIndex.audit, WindowIndex.apply_delete
+
+    def counted_audit(self, word):
+        audited.append(type(self._counts))
+        audit(self, word)
+
+    def counted_delete(self, w_before, a, b):
+        cuts.append(b - a)
+        apply_delete(self, w_before, a, b)
+
+    monkeypatch.setattr(WindowIndex, "audit", counted_audit)
+    monkeypatch.setattr(WindowIndex, "apply_delete", counted_delete)
+    y = codec.encode((0,) * params.n, params, self_check=True)
+    assert hashlib.sha256(bytes(y)).hexdigest() == (
+        "d16d48d61572faf2e76c8c1f101531cf20a411f6d24e4706679ceefd93782fb5"
+    )
+    assert len(audited) == len(cuts) > 100  # one audit per iteration
+    assert set(audited) == {np.ndarray}
 
 
 def test_all_zeros_block_structure():

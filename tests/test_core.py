@@ -72,6 +72,64 @@ def test_parse_rejects(text, q):
         parse_word(text, q)
 
 
+def _bad_char(ch: str, pos: int) -> str:
+    return f"invalid symbol character {ch!r} at position {pos}"
+
+
+@pytest.mark.parametrize(
+    "text,q,message",
+    [
+        ("_012", 16, _bad_char("_", 0)),  # first
+        ("01-23", 16, _bad_char("-", 2)),  # middle
+        ("0123?", 16, _bad_char("?", 4)),  # last
+        ("01 2", 16, _bad_char(" ", 2)),  # inner blank; outer ones are stripped
+        ("01é2", 16, _bad_char("é", 2)),  # non-ASCII
+        ("0#1é", 16, _bad_char("#", 1)),  # a bad ASCII character before a non-ASCII one
+        ("g0_", 16, _bad_char("_", 2)),  # a bad character outranks an earlier symbol >= q
+        ("01g", 16, "symbol 16 at position 2 is outside the alphabet [0, 16)"),
+        ("01Ab", 10, "symbol 10 at position 2 is outside the alphabet [0, 10)"),
+        ("0z!", 36, _bad_char("!", 2)),
+    ],
+)
+def test_parse_reports_the_first_bad_character(text, q, message):
+    with pytest.raises(MalformedWordError) as exc:
+        parse_word(text, q)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text,q,expect",
+    [
+        ("0AbZz9", 36, (0, 10, 11, 35, 35, 9)),  # upper case reads as lower case
+        ("  10 \n", 2, (1, 0)),
+        ("K", 36, (20,)),  # KELVIN SIGN lower-cases to "k"
+    ],
+)
+def test_parse_returns_a_tuple_of_ints(text, q, expect):
+    word = parse_word(text, q)
+    assert type(word) is tuple and word == expect
+    assert all(type(s) is int for s in word)
+
+
+@pytest.mark.parametrize(
+    "word,q,expect",
+    [
+        ((), 2, ""),
+        ((0, 1, 1), 2, "011"),
+        ([35, 0, 10], 36, "z0a"),
+        (np.array([3, 15], dtype=np.int64), 16, "3f"),
+    ],
+)
+def test_format_small_alphabet(word, q, expect):
+    assert format_word(word, q) == expect
+
+
+def test_format_rejects_out_of_range():
+    with pytest.raises(MalformedWordError) as exc:
+        format_word((0, 1, 16), 16)
+    assert str(exc.value) == "symbol 16 at position 2 is outside the alphabet [0, 16)"
+
+
 @given(st.integers(2, 36), st.lists(st.integers(0, 35), min_size=1, max_size=40))
 def test_parse_inverts_format(q, symbols):
     w = tuple(s % q for s in symbols)

@@ -77,6 +77,32 @@ def test_uniform_prefix_shortcut_is_exact():
         assert naive_leftmost(w, K) == (0, K)
 
 
+def _sequence_type_cases():
+    rng = random.Random(21)
+    cases = [
+        ((3,) * 10 + (1, 2), 5),  # all-equal prefix of 2K: the fast path
+        ((3,) * 9 + (1,) * 9, 5),  # one short of the fast path
+        (tuple(rng.randrange(3) for _ in range(40)), 4),  # direct scan
+    ]
+    for _ in range(4):  # hashed scan, past the cutoff
+        cases.append((tuple(rng.randrange(4) for _ in range(300)), 6))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "word,K",
+    _sequence_type_cases(),
+    ids=["uniform-prefix", "one-short", "direct", "hashed-1", "hashed-2", "hashed-3", "hashed-4"],
+)
+def test_sequence_types_agree(word, K):
+    """Lists, tuples and bytes-likes take the .count prefix test; an ndarray
+    has no .count and takes the generic one. All give the same square."""
+    expect = naive_leftmost(word, K)
+    assert not hasattr(np.array(word), "count")
+    for convert in (tuple, list, bytes, bytearray, np.array):
+        assert _as_tuple(find_leftmost_long(convert(word), K)) == expect, convert
+
+
 def test_exhaustive_binary_small():
     """Every binary word of length <= 12, K in {1, 2, 3}: exact agreement."""
     for m in range(0, 13):

@@ -137,7 +137,11 @@ def test_build_matches_tally(q, L):
         idx.audit(word)  # child sums hold, so no leaf outside the tally counts
 
 
-@pytest.mark.parametrize("convert", [list, tuple, np.array], ids=["list", "tuple", "ndarray"])
+@pytest.mark.parametrize(
+    "convert",
+    [list, tuple, np.array, bytes, bytearray],
+    ids=["list", "tuple", "ndarray", "bytes", "bytearray"],
+)
 def test_input_sequence_types(convert):
     p = _params(3, 2)
     word = [0, 1, 2, 2, 1, 0, 0]
@@ -185,4 +189,35 @@ def test_delete_against_a_different_word_raises(q, L):
     idx.audit(word)
     with pytest.raises(ValueError):
         idx.remove_window((1,) * L)
+    idx.audit(word)
+
+
+@pytest.mark.parametrize("q,L", [(2, 2), (200, 3)], ids=["dense", "sparse"])
+def test_delete_of_a_window_repeated_more_often_than_stored(q, L):
+    """Every window of the cut is stored, but fewer times than the cut
+    holds it; the removal must be refused as a whole."""
+    p = _params(q, L)
+    word = [0] * 8
+    idx = WindowIndex.build(word, p)
+    with pytest.raises(ValueError, match=r"window \(0(, 0)+\) has zero count"):
+        idx.apply_delete([0] * 12, 2, 10)
+    idx.audit(word)
+    assert idx.window_count((0,) * L) == 9 - L
+
+
+def test_node_addresses_past_int64():
+    """q**L beyond 2**63: codes and node addresses stay Python ints."""
+    p = _params(256, 8)
+    word = [255] * 10 + [0, 1, 2]
+    idx = WindowIndex.build(word, p)
+    assert idx._first_leaf + 256**8 > np.iinfo(np.int64).max
+    idx.apply_append(word, [255, 254])
+    word += [255, 254]
+    idx.apply_delete(word, 1, 4)
+    del word[1:4]
+    idx.audit(word)
+    assert idx.window_count((255,) * 7 + (0,)) == 1
+    assert idx.find_absent() == (0,) * 8
+    with pytest.raises(ValueError):
+        idx.apply_delete([255] * 12, 0, 4)
     idx.audit(word)
