@@ -27,7 +27,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    MAX_ALPHABET,
     CodeParams,
     InternalDefectError,
     MalformedCodewordError,
@@ -72,8 +71,6 @@ def _encode(
     trace: list[BlockRecord] | None,
 ) -> Word:
     q, n, L, K = params.q, params.n, params.L, params.K
-    if q > MAX_ALPHABET:
-        raise ValueError(f"alphabet size q must be <= {MAX_ALPHABET}, got {q}")
     xw = check_word(x, q)
     if len(xw) != n:
         raise MalformedWordError(f"message must have length {n}, got {len(xw)}")

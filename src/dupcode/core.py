@@ -14,7 +14,8 @@ import numpy as np
 
 Word = tuple[int, ...]
 
-#: Largest supported alphabet. Keeps hashing arithmetic in 64-bit range.
+#: Largest supported alphabet. Words are held as bytes inside the encoder
+#: and the decode buffer, and it keeps hashing arithmetic in 64-bit range.
 MAX_ALPHABET = 256
 
 _CHAR_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -64,6 +65,10 @@ class CodeParams:
     L: int
     K: int
 
+    def __post_init__(self) -> None:
+        if self.q > MAX_ALPHABET:
+            raise ValueError(f"alphabet size q must be <= {MAX_ALPHABET}, got {self.q}")
+
     @property
     def feasible(self) -> bool:
         """Whether a duplication of half-length >= K fits in n+1 symbols."""
@@ -80,8 +85,6 @@ def derive_params(q: int, n: int) -> CodeParams:
         raise ValueError("q and n must be integers")
     if q < 2:
         raise ValueError(f"alphabet size q must be >= 2, got {q}")
-    if q > MAX_ALPHABET:
-        raise ValueError(f"alphabet size q must be <= {MAX_ALPHABET}, got {q}")
     if n < 2:
         raise ValueError(f"message length n must be >= 2, got {n}")
     L = 1

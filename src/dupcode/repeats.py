@@ -139,11 +139,7 @@ def find_leftmost_long(w: Sequence[int], K: int) -> Duplication | None:
     if m < 2 * K:
         return None
     first = w[0]
-    if isinstance(w, (bytes, bytearray, list, tuple)):
-        uniform = w[: 2 * K].count(first) == 2 * K
-    else:
-        uniform = all(w[t] == first for t in range(1, 2 * K))
-    if uniform:
+    if list(w[: 2 * K]).count(first) == 2 * K:
         return Duplication(0, K)
     if m <= _SMALL_CUTOFF:
         return _scan_small(w, K)

@@ -11,10 +11,10 @@ v*q + 1 + x, and the node of c at depth d is
     (q**d - 1) // (q - 1) + c // q**(L - d).
 
 build counts every window with numpy. An edit rolls the window code
-along the touched segment in Python, then applies the L + 1 ancestors of
-all its windows as one node vector: a single np.add.at on the dense
-store, one update per distinct node on the sparse one. Small tries use a
-flat int64 array, large ones a sparse dict that stores no zeros.
+along the touched segment in Python. On the dense store it then applies
+the L + 1 ancestors of all its windows as one node vector with a single
+np.add.at; the sparse store bumps them window by window. Small tries use
+a flat int64 array, large ones a sparse dict that stores no zeros.
 """
 
 from __future__ import annotations
@@ -47,14 +47,13 @@ class WindowIndex:
         self._first_leaf = (leaves - 1) // (q - 1)
         # (first node of depth d, divisor taking a code to its depth-d prefix)
         self._levels = [((self._pow[d] - 1) // (q - 1), self._pow[L - d]) for d in range(L + 1)]
-        # Codes and node addresses past int64 stay Python ints (object arrays).
-        self._dtype = np.int64 if self._first_leaf + leaves <= np.iinfo(np.int64).max else object
-        offs, divs = zip(*self._levels)
-        self._offs = np.array(offs, dtype=self._dtype)[:, None]
-        self._divs = np.array(divs, dtype=self._dtype)[:, None]
         self._dense = leaves <= DENSE_LEAF_LIMIT
         if self._dense:
             self._counts: np.ndarray | _SparseCounts = np.zeros(self._first_leaf + leaves, np.int64)
+            # columns of (first node, divisor) per depth, for whole-segment edits
+            offs, divs = zip(*self._levels)
+            self._offs = np.array(offs, dtype=np.int64)[:, None]
+            self._divs = np.array(divs, dtype=np.int64)[:, None]
         else:
             self._counts = _SparseCounts()
 
@@ -77,7 +76,9 @@ class WindowIndex:
         windows = len(arr) - L + 1
         if windows <= 0:
             return ix
-        codes = arr[:windows].astype(ix._dtype)
+        if not ix._dense and ix._first_leaf + ix._pow[L] > np.iinfo(np.int64).max:
+            arr = arr.astype(object)
+        codes = arr[:windows].copy()
         for j in range(1, L):
             codes *= q
             codes += arr[j : j + windows]
@@ -110,11 +111,6 @@ class WindowIndex:
 
     def _symbols(self, seq: Sequence[int]) -> list[int]:
         """seq as a list of ints, checked against the alphabet in one pass."""
-        if isinstance(seq, (bytes, bytearray)):
-            out = list(seq)
-            if out:
-                self._check_range(0, max(seq))
-            return out
         out = list(map(int, seq))
         if out:
             self._check_range(min(out), max(out))
@@ -141,32 +137,36 @@ class WindowIndex:
         for x in seg[: L - 1]:
             code = code * q + x
         codes = [code := (code * q + x) % top for x in seg[L - 1 :]]
-        # Row d holds the depth-d ancestor of every window; the last row
-        # holds the leaves.
-        nodes = self._offs + np.array(codes, dtype=self._dtype) // self._divs
         counts = self._counts
         if self._dense:
-            # Subtract, then look for a negative leaf: that also catches a
-            # window repeated inside seg more often than it is stored,
-            # which checking each leaf once beforehand would miss.
+            # Row d holds the depth-d ancestor of every window; the last row
+            # holds the leaves. Subtract, then look for a negative leaf: that
+            # also catches a window repeated inside seg more often than it
+            # is stored, which checking each leaf once beforehand would miss.
+            nodes = self._offs + np.array(codes, dtype=np.int64) // self._divs
             np.add.at(counts, nodes, delta)
             if delta < 0 and counts[nodes[-1]].min() < 0:
                 np.add.at(counts, nodes, -delta)
                 self._refuse_removal(seg, codes)
             return
-        # Each distinct node once, with its multiplicity; a removal checks
-        # every leaf's multiplicity before any counter moves.
-        keys, times = np.unique(nodes, return_counts=True)
-        keys, times = keys.tolist(), times.tolist()
+        # The sparse store keeps a per-window loop: on edits of a few dozen
+        # windows it beats any numpy pass, whose fixed cost per call dominates.
         leaf0 = self._first_leaf
-        if delta < 0 and any(counts[node] < k for node, k in zip(keys, times) if node >= leaf0):
-            self._refuse_removal(seg, codes)
-        for node, k in zip(keys, times):
-            left = counts[node] + delta * k
-            if left:
-                counts[node] = left
+        levels = self._levels
+        for k, code in enumerate(codes):
+            if delta < 0 and counts[leaf0 + code] <= 0:
+                self._walk(seg[: k + L - 1], 1)
+                raise ValueError(f"window {tuple(seg[k : k + L])} has zero count, cannot remove")
+            if delta < 0:
+                for off, div in levels:
+                    node = off + code // div
+                    if counts[node] == 1:
+                        del counts[node]
+                    else:
+                        counts[node] -= 1
             else:
-                del counts[node]
+                for off, div in levels:
+                    counts[off + code // div] += 1
 
     def _refuse_removal(self, seg: list[int], codes: list[int]) -> None:
         """Raise the ValueError for the first window of seg that removing

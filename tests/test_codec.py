@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from dupcode import codec
 from dupcode.channel import apply_duplication
 from dupcode.core import (
-    CodeParams,
     MalformedCodewordError,
     MalformedWordError,
     derive_params,
@@ -55,14 +54,6 @@ def test_encode_validates_input():
         codec.encode((0,) * 15, P16)  # wrong length
     with pytest.raises(MalformedWordError):
         codec.encode((0,) * 15 + (16,), P16)  # symbol out of range
-
-
-def test_encode_rejects_an_alphabet_above_256():
-    """derive_params never builds such parameters; hand-built ones are
-    refused with derive_params' message, since words are bytes inside."""
-    params = CodeParams(q=300, n=100, L=1, K=5)
-    with pytest.raises(ValueError, match=r"alphabet size q must be <= 256, got 300"):
-        codec.encode((299,) * 100, params)
 
 
 @pytest.mark.parametrize("q,n", [(16, 16), (2, 64), (4, 30), (3, 45), (2, 200)])

@@ -189,6 +189,14 @@ def test_check_word_returns_a_tuple_of_ints(symbols, q, expect):
     assert all(type(s) is int for s in word)
 
 
+def test_params_refuse_an_alphabet_above_256():
+    """Words are bytes inside encode and decode, so hand-built parameters
+    with a larger alphabet are refused with derive_params' message."""
+    with pytest.raises(ValueError, match=r"alphabet size q must be <= 256, got 300"):
+        CodeParams(q=300, n=100, L=1, K=5)
+    assert CodeParams(q=256, n=100, L=1, K=5).q == 256
+
+
 def test_digit_block_anchor():
     p = CodeParams(q=4, n=40, L=3, K=13)
     assert to_digits(5, p) == (0, 1, 1)
