@@ -168,7 +168,14 @@ def encode_with_trace(x: Sequence[int], params: CodeParams) -> tuple[Word, list[
 
 
 def decode(y: Sequence[int], params: CodeParams) -> Word:
-    """Invert encode. Raises MalformedCodewordError when y cannot be a codeword.
+    """Invert encode on codewords: decode(encode(x)) == x.
+
+    Raises MalformedCodewordError when y fails one of the checks the
+    replay makes: the length is n + 1, each trailing flag is 0 or 1, each
+    block's half-length and offset digits lie in range, and each block
+    fits in the word before it. A word that passes them all is decoded
+    even when it is not a codeword, so the returned x need not re-encode
+    to y; is_codeword(y) is the exact membership test.
 
     Blocks are consumed right to left on an EditableWord gap buffer. Block
     k deletes its l_k symbols at the tail and re-inserts l_k symbols at
@@ -186,7 +193,7 @@ def decode(y: Sequence[int], params: CodeParams) -> Word:
     if len(yw) != n + 1:
         raise MalformedCodewordError(f"codeword must have length {n + 1}, got {len(yw)}")
     if yw[-1] == 0:
-        return yw[:-1]
+        return tuple(yw[:-1])
 
     buf = EditableWord.from_word(yw)
     for _ in range((n + 1) // K + 1):
@@ -216,18 +223,17 @@ def decode(y: Sequence[int], params: CodeParams) -> Word:
     raise MalformedCodewordError("block structure does not terminate")
 
 
-def _leftmost_period_square(w: Sequence[int], l: int) -> int | None:
+def _leftmost_period_square(w: bytes, l: int) -> int | None:
     """Smallest p with w[p:p+l] == w[p+l:p+2l], or None."""
     m = len(w)
     if l < 1 or 2 * l > m:
         return None
     if m <= _SMALL_CUTOFF:
-        w = list(w)
         for p in range(m - 2 * l + 1):
             if w[p : p + l] == w[p + l : p + 2 * l]:
                 return p
         return None
-    arr = np.asarray(w, dtype=np.int64)
+    arr = np.frombuffer(w, np.uint8)
     eq = arr[:-l] == arr[l:]
     c = np.concatenate(([0], np.cumsum(eq)))
     full = np.flatnonzero(c[l:] - c[:-l] == l)
@@ -252,7 +258,7 @@ def correct_with_position(
     yw = check_word(y, q)
     m = len(yw)
     if m == n + 1:
-        return yw, None
+        return tuple(yw), None
     if m < n + 1:
         raise MalformedCodewordError(
             f"received word of length {m} is shorter than a codeword ({n + 1})"
@@ -267,7 +273,7 @@ def correct_with_position(
             "removing the duplication leaves a long square; "
             "input is not a single corruption of a codeword"
         )
-    return res, Duplication(p, l)
+    return tuple(res), Duplication(p, l)
 
 
 def correct(y: Sequence[int], params: CodeParams) -> Word:
@@ -287,4 +293,4 @@ def is_codeword(y: Sequence[int], params: CodeParams) -> bool:
         x = decode(yw, params)
     except (MalformedWordError, MalformedCodewordError):
         return False
-    return encode(x, params) == yw
+    return encode(x, params) == tuple(yw)

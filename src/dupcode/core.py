@@ -1,16 +1,16 @@
 """Code parameters, symbol words, and fixed-width base-q digit blocks.
 
-Words are tuples of small non-negative integers. All positions and offsets
-in this package are 0-based; ranges are half-open. The command line layer
-keeps the same numbering, and documents it.
+A word is a sequence of symbols 0..q-1 with q <= 256. Public functions take
+any sequence of ints and return tuples of ints (Word); below them every
+layer holds the word as bytes, packed and checked once by check_word. All
+positions and offsets in this package are 0-based; ranges are half-open.
+The command line layer keeps the same numbering, and documents it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 Word = tuple[int, ...]
 
@@ -24,6 +24,8 @@ _CHAR_VALUE = {c: v for v, c in enumerate(_CHAR_ALPHABET)}
 _PARSE_TABLE = bytes(_CHAR_VALUE.get(chr(b).lower(), 0xFF) for b in range(128)).ljust(256, b"\xff")
 # symbol -> its character; only symbols below 36 are ever looked up.
 _FORMAT_TABLE = _CHAR_ALPHABET.encode("ascii").ljust(256, b"?")
+# q -> the bytes 0..q-1, which check_word deletes from a packed word.
+_BELOW = [bytes(range(q)) for q in range(MAX_ALPHABET + 1)]
 
 
 class DupcodeError(Exception):
@@ -50,6 +52,11 @@ class InternalDefectError(DupcodeError):
     """An internal invariant was breached. Always a bug, never bad input."""
 
 
+def _check_alphabet(q: int) -> None:
+    if q > MAX_ALPHABET:
+        raise ValueError(f"alphabet size q must be <= {MAX_ALPHABET}, got {q}")
+
+
 @dataclass(frozen=True)
 class CodeParams:
     """Parameter bundle shared by every operation.
@@ -66,8 +73,11 @@ class CodeParams:
     K: int
 
     def __post_init__(self) -> None:
-        if self.q > MAX_ALPHABET:
-            raise ValueError(f"alphabet size q must be <= {MAX_ALPHABET}, got {self.q}")
+        _check_alphabet(self.q)
+        if self.q**self.L < self.n:
+            raise ValueError(f"window length L={self.L} is too short: q**L < n={self.n}")
+        if self.K != 4 * self.L + 1:
+            raise ValueError(f"threshold K must be 4*L + 1 = {4 * self.L + 1}, got {self.K}")
 
     @property
     def feasible(self) -> bool:
@@ -95,38 +105,32 @@ def derive_params(q: int, n: int) -> CodeParams:
     return CodeParams(q=q, n=n, L=L, K=4 * L + 1)
 
 
-def check_word(symbols: Iterable[int], q: int) -> Word:
-    """Validate symbols against the alphabet and return them as a Word."""
-    if isinstance(symbols, (tuple, list)) and isinstance(q, int):
-        # Fast path: bytes() checks 0..255 in C and translate() deletes the
-        # symbols below q, so a word in range leaves nothing behind. Any
-        # failure falls through to the loop below, which reports it exactly
-        # as before. Buffers such as numpy arrays never come here: bytes()
-        # would read their raw memory.
-        try:
-            packed = bytes(symbols)
-        except Exception:
-            packed = None
-        if packed is not None and not packed.translate(None, bytes(range(min(max(q, 0), 256)))):
-            return tuple(packed)
-    word = tuple(int(s) for s in symbols)
+def check_word(symbols: Iterable[int], q: int) -> bytes:
+    """Validate symbols against the alphabet [0, q) and pack them as bytes.
+
+    Raises ValueError when q > 256, and MalformedWordError naming the first
+    symbol outside the alphabet.
+    """
+    _check_alphabet(q)
+    if not isinstance(symbols, (bytes, bytearray, tuple, list)):
+        # bytes() would read a buffer such as a numpy array as raw memory
+        symbols = [int(s) for s in symbols]
+    # Fast path: bytes() checks 0..255 in C and translate() deletes the
+    # symbols below q, so a word in range leaves nothing behind. Any failure
+    # falls through to the loop below, which reports it.
+    try:
+        packed = bytes(symbols)
+    except (TypeError, ValueError):
+        packed = None
+    if packed is not None and not packed.translate(None, _BELOW[max(q, 0)]):
+        return packed
+    word = [int(s) for s in symbols]
     for pos, s in enumerate(word):
         if s < 0 or s >= q:
             raise MalformedWordError(
                 f"symbol {s} at position {pos} is outside the alphabet [0, {q})"
             )
-    return word
-
-
-def as_int64_array(symbols: Sequence[int]) -> np.ndarray:
-    """A fresh int64 array of symbols; bytes-like words are copied as buffers.
-
-    The copy keeps no view of a bytearray, so the bytearray can still be
-    resized after the call.
-    """
-    if isinstance(symbols, (bytes, bytearray)):
-        return np.frombuffer(symbols, dtype=np.uint8).astype(np.int64)
-    return np.asarray(symbols, dtype=np.int64)
+    return bytes(word)
 
 
 def parse_word(text: str, q: int) -> Word:
@@ -160,14 +164,14 @@ def parse_word(text: str, q: int) -> Word:
             symbols = [int(part.strip()) for part in text.split(",")]
         except ValueError as exc:
             raise MalformedWordError(f"invalid comma-separated word: {exc}") from None
-    return check_word(symbols, q)
+    return tuple(check_word(symbols, q))
 
 
 def format_word(word: Sequence[int], q: int) -> str:
     """Render a word in the textual format accepted by parse_word."""
     w = check_word(word, q)
     if q <= 36:
-        return bytes(w).translate(_FORMAT_TABLE).decode("ascii")
+        return w.translate(_FORMAT_TABLE).decode("ascii")
     return ",".join(str(s) for s in w)
 
 

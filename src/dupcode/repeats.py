@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import as_int64_array
+from .core import MAX_ALPHABET, check_word
 
 _SMALL_CUTOFF = 96
 
@@ -80,7 +80,6 @@ def _gram_hashes(arr: np.ndarray, K: int, mod: int, base: int) -> np.ndarray:
 
 def _scan_small(w: Sequence[int], K: int) -> Duplication | None:
     m = len(w)
-    w = list(w)
     for i in range(m - 2 * K + 1):
         top = (m - i) // 2
         for l in range(K, top + 1):
@@ -130,22 +129,26 @@ def _scan_hashed(arr: np.ndarray, K: int) -> Duplication | None:
 def find_leftmost_long(w: Sequence[int], K: int) -> Duplication | None:
     """Leftmost square with half-length >= K, smallest half-length first.
 
-    Returns None when w has no such square. Exact for any input; hashing
-    only prunes the candidate set, never decides a match.
+    Symbols must lie in 0..255. Returns None when w has no such square.
+    Exact for any input; hashing only prunes the candidate set, never
+    decides a match.
     """
     if K < 1:
         raise ValueError(f"threshold K must be >= 1, got {K}")
     m = len(w)
     if m < 2 * K:
         return None
+    # Tested on the raw argument: packing the encoder's whole word on every
+    # iteration would cost O(n) where this costs O(K).
     first = w[0]
     if list(w[: 2 * K]).count(first) == 2 * K:
         return Duplication(0, K)
+    w = check_word(w, MAX_ALPHABET)
     if m <= _SMALL_CUTOFF:
         return _scan_small(w, K)
-    return _scan_hashed(as_int64_array(w), K)
+    return _scan_hashed(np.frombuffer(w, np.uint8).astype(np.int64), K)
 
 
 def is_dup_free(w: Sequence[int], K: int) -> bool:
-    """True when w contains no square of half-length >= K."""
+    """True when w, with symbols in 0..255, has no square of half-length >= K."""
     return find_leftmost_long(w, K) is None

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CodeParams, InternalDefectError, Word, as_int64_array
+from .core import CodeParams, InternalDefectError, Word, check_word
 
 #: Tries with at most this many leaves get a dense int64 array.
 DENSE_LEAF_LIMIT = 1 << 22
@@ -67,15 +67,11 @@ class WindowIndex:
         """
         ix = cls(params)
         q, L = params.q, params.L
-        try:
-            arr = as_int64_array(word)
-        except OverflowError:
-            raise ValueError(f"window symbol outside [0, {q})") from None
-        if len(arr):
-            ix._check_range(int(arr.min()), int(arr.max()))
-        windows = len(arr) - L + 1
+        w = check_word(word, q)
+        windows = len(w) - L + 1
         if windows <= 0:
             return ix
+        arr = np.frombuffer(w, np.uint8).astype(np.int64)
         if not ix._dense and ix._first_leaf + ix._pow[L] > np.iinfo(np.int64).max:
             arr = arr.astype(object)
         codes = arr[:windows].copy()
@@ -102,30 +98,16 @@ class WindowIndex:
 
     # -- symbols and codes ----------------------------------------------------
 
-    def _check_range(self, lo: int, hi: int) -> None:
-        q = self.params.q
-        if lo < 0:
-            raise ValueError(f"window symbol {lo} outside [0, {q})")
-        if hi >= q:
-            raise ValueError(f"window symbol {hi} outside [0, {q})")
-
-    def _symbols(self, seq: Sequence[int]) -> list[int]:
-        """seq as a list of ints, checked against the alphabet in one pass."""
-        out = list(map(int, seq))
-        if out:
-            self._check_range(min(out), max(out))
-        return out
-
-    def _window(self, window: Sequence[int]) -> list[int]:
+    def _window(self, window: Sequence[int]) -> bytes:
         L = self.params.L
         if len(window) != L:
             raise ValueError(f"window must have length {L}, got {len(window)}")
-        return self._symbols(window)
+        return check_word(window, self.params.q)
 
-    def _walk(self, seg: list[int], delta: int) -> None:
+    def _walk(self, seg: bytes, delta: int) -> None:
         """Add (delta=1) or remove (delta=-1) every length-L window of seg.
 
-        seg must be range-checked already. A removal that would take a
+        seg is packed by check_word. A removal that would take a
         window below count zero leaves the index as it was and raises
         ValueError.
         """
@@ -168,7 +150,7 @@ class WindowIndex:
                 for off, div in levels:
                     counts[off + code // div] += 1
 
-    def _refuse_removal(self, seg: list[int], codes: list[int]) -> None:
+    def _refuse_removal(self, seg: bytes, codes: list[int]) -> None:
         """Raise the ValueError for the first window of seg that removing
         the windows one by one would find at count zero."""
         L = self.params.L
@@ -204,7 +186,7 @@ class WindowIndex:
         if not len(suffix):
             return
         base = max(0, len(w_before) - self.params.L + 1)
-        self._walk(self._symbols([*w_before[base:], *suffix]), 1)
+        self._walk(check_word([*w_before[base:], *suffix], self.params.q), 1)
 
     def apply_delete(self, w_before: Sequence[int], a: int, b: int) -> None:
         """Account for positions [a, b) being cut out of w_before."""
@@ -215,7 +197,7 @@ class WindowIndex:
         if a == b:
             return
         base = max(0, a - L + 1)
-        seg = self._symbols(w_before[base : min(b + L - 1, m)])
+        seg = check_word(w_before[base : min(b + L - 1, m)], self.params.q)
         self._walk(seg, -1)
         # Windows spanning the new junction at position a.
         self._walk(seg[: a - base] + seg[b - base :], 1)

@@ -154,6 +154,28 @@ def test_encode_returns_a_tuple_of_ints(family):
     assert (y[-1] == 1) == (family == "zeros")
 
 
+@pytest.mark.parametrize("convert", [bytes, bytearray, np.array], ids=["bytes", "bytearray", "ndarray"])
+def test_codec_returns_tuples_for_bytes_like_input(convert):
+    """Bytes-likes and arrays are words too: every codec function gives the
+    same tuples of ints for them as for tuples, on words below and above
+    the small-word cutoff."""
+    for params, x in ((P16, parse_word("0000000000abcdef", 16)), (derive_params(4, 1 << 10), (0,) * (1 << 10))):
+        y = codec.encode(x, params)
+        z = apply_duplication(y, 3, 2 * params.K)
+        fixed, removal = codec.correct_with_position(convert(z), params)
+        words = (
+            codec.encode(convert(x), params),
+            codec.decode(convert(y), params),
+            codec.correct(convert(z), params),
+            fixed,
+            codec.correct_with_position(convert(y), params)[0],
+        )
+        assert words == (y, x, y, y, y) and all(_is_word(w) for w in words)
+        assert removal == codec.correct_with_position(z, params)[1]
+        assert codec.is_codeword(convert(y), params)
+        assert not codec.is_codeword(convert(z), params)
+
+
 def test_trace_records_hold_tuples():
     params = derive_params(4, 300)
     y, trace = codec.encode_with_trace((0,) * 300, params)
@@ -229,6 +251,20 @@ def test_decode_rejects_malformed(text, err):
 def test_decode_rejects_bad_symbol():
     with pytest.raises(MalformedWordError):
         codec.decode((0,) * 16 + (16,), P16)
+
+
+def test_decode_checks_structure_not_membership():
+    """decode checks length, flags, digit ranges and block fit; exact
+    membership is is_codeword. This word passes decode's checks without
+    being a codeword, so decode must refuse it or return a message whose
+    codeword is another word."""
+    y = parse_word("c967a64cb14028d51", 16)
+    assert not codec.is_codeword(y, P16)
+    try:
+        x = codec.decode(y, P16)
+    except MalformedCodewordError:
+        return
+    assert codec.encode(x, P16) != y
 
 
 def test_correct_example_pair():

@@ -180,13 +180,14 @@ def test_check_word_reports_the_first_bad_symbol(symbols, q, message):
         (np.array([1, 0, 3], dtype=np.int64), 4, (1, 0, 3)),
         (np.array([255, 1], dtype=np.uint8), 256, (255, 1)),
         (iter((1, 1, 0)), 2, (1, 1, 0)),
-        ((0, 300, 999), 1000, (0, 300, 999)),
     ],
 )
 def test_check_word_returns_a_tuple_of_ints(symbols, q, expect):
+    """check_word packs every accepted input form into bytes, which read
+    back as the tuple of ints the public functions return."""
     word = check_word(symbols, q)
-    assert type(word) is tuple and word == expect
-    assert all(type(s) is int for s in word)
+    assert type(word) is bytes and tuple(word) == expect
+    assert all(type(s) is int for s in tuple(word))
 
 
 def test_params_refuse_an_alphabet_above_256():
@@ -195,6 +196,35 @@ def test_params_refuse_an_alphabet_above_256():
     with pytest.raises(ValueError, match=r"alphabet size q must be <= 256, got 300"):
         CodeParams(q=300, n=100, L=1, K=5)
     assert CodeParams(q=256, n=100, L=1, K=5).q == 256
+
+
+def test_word_functions_refuse_an_alphabet_above_256():
+    """Words are bytes below the public functions, so check_word, parse_word
+    and format_word refuse a larger alphabet with CodeParams' message."""
+    refusal = r"alphabet size q must be <= 256, got 1000"
+    with pytest.raises(ValueError, match=refusal):
+        check_word((0, 300, 999), 1000)
+    with pytest.raises(ValueError, match=refusal):
+        parse_word("0,300,999", 1000)
+    with pytest.raises(ValueError, match=refusal):
+        format_word((0, 300, 999), 1000)
+    assert parse_word("0,255,17", 256) == (0, 255, 17)
+    assert format_word((0, 255, 17), 256) == "0,255,17"
+
+
+@pytest.mark.parametrize(
+    "L,K,message",
+    [
+        (2, 9, r"window length L=2 is too short: q\*\*L < n=40"),
+        (3, 9, r"threshold K must be 4\*L \+ 1 = 13, got 9"),
+    ],
+)
+def test_params_refuse_inconsistent_window_and_threshold(L, K, message):
+    """encode relies on q**L >= n (an absent window exists) and K = 4L + 1
+    (every block fits), so parameters breaking either are refused."""
+    with pytest.raises(ValueError, match=message):
+        CodeParams(q=4, n=40, L=L, K=K)
+    assert CodeParams(q=4, n=40, L=3, K=13) == derive_params(4, 40)
 
 
 def test_digit_block_anchor():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dupcode import repeats
+from dupcode.core import MalformedWordError
 from dupcode.repeats import Duplication, _scan_hashed, _scan_small, find_leftmost_long, is_dup_free
 
 from oracles import naive_leftmost, scan_by_length_leftmost
@@ -67,6 +68,16 @@ def test_short_words_are_free():
     assert is_dup_free((), 1)
     with pytest.raises(ValueError):
         find_leftmost_long((0, 1), 0)
+
+
+@pytest.mark.parametrize("bad", [256, -1])
+def test_symbols_outside_a_byte_are_refused(bad):
+    """The search packs words as bytes: past the all-equal prefix test, a
+    symbol outside 0..255 raises on both the direct and the hashed scan."""
+    for m in (40, 300):
+        w = tuple(j % 3 for j in range(m - 1)) + (bad,)
+        with pytest.raises(MalformedWordError, match=f"symbol {bad} at position {m - 1}"):
+            find_leftmost_long(w, 4)
 
 
 def test_uniform_prefix_shortcut_is_exact():
