@@ -5,18 +5,8 @@ free of tandem repeats with half-length >= K = 4*ceil(log_q(n)) + 1; a single
 duplication of any length >= K can then be located and removed uniquely.
 """
 
-from .analysis import (
-    BadWordReport,
-    BallReport,
-    Code0Report,
-    ConverseReport,
-    RoundtripReport,
-    converse_gap,
-    count_bad_words,
-    enumerate_code0,
-    roundtrip_suite,
-    verify_ball_disjointness,
-)
+from importlib import import_module
+
 from .channel import ChannelSpec, DuplicationChannel, apply_duplication, random_duplication
 from .codec import correct, correct_with_position, decode, encode, encode_with_trace, is_codeword
 from .core import (
@@ -34,9 +24,25 @@ from .core import (
 )
 from .repeats import Duplication, find_leftmost_long, is_dup_free
 from .seqword import EditableWord
-from .windows import WindowIndex
 
 __version__ = "0.1.0"
+
+# The brute-force checkers and the window index compute with numpy; they are
+# imported on first access (PEP 562), so `import dupcode` and the decode and
+# channel paths run without loading numpy.
+_LAZY = {
+    "BadWordReport": "analysis",
+    "BallReport": "analysis",
+    "Code0Report": "analysis",
+    "ConverseReport": "analysis",
+    "RoundtripReport": "analysis",
+    "converse_gap": "analysis",
+    "count_bad_words": "analysis",
+    "enumerate_code0": "analysis",
+    "roundtrip_suite": "analysis",
+    "verify_ball_disjointness": "analysis",
+    "WindowIndex": "windows",
+}
 
 __all__ = [
     "BadWordReport",
@@ -76,3 +82,16 @@ __all__ = [
     "roundtrip_suite",
     "verify_ball_disjointness",
 ]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

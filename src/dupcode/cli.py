@@ -26,7 +26,9 @@ import sys
 import time
 from typing import Sequence
 
-from . import analysis, codec, core
+# analysis loads numpy, so the brute-force and roundtrip commands import it
+# themselves; decode and corrupt then start without numpy.
+from . import codec, core
 from .channel import ChannelSpec, DuplicationChannel, apply_duplication
 from .core import (
     GuardExceededError,
@@ -244,6 +246,7 @@ def _cmd_correct(args: argparse.Namespace) -> int:
 
 
 def _cmd_roundtrip(args: argparse.Namespace) -> int:
+    from . import analysis
     report = analysis.roundtrip_suite(args.q, args.n, args.trials, args.seed, sweep=args.sweep)
     d = report.to_dict()
     lines = [
@@ -259,6 +262,7 @@ def _cmd_roundtrip(args: argparse.Namespace) -> int:
 
 
 def _cmd_enum_code0(args: argparse.Namespace) -> int:
+    from . import analysis
     report = analysis.enumerate_code0(
         args.q, args.length, args.K, want_words=args.list_words, max_space=args.max_space
     )
@@ -274,6 +278,7 @@ def _cmd_enum_code0(args: argparse.Namespace) -> int:
 
 
 def _cmd_count_bad(args: argparse.Namespace) -> int:
+    from . import analysis
     report = analysis.count_bad_words(args.q, args.n, args.K, max_space=args.max_space)
     d = report.to_dict()
     text = (
@@ -285,6 +290,7 @@ def _cmd_count_bad(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_ball(args: argparse.Namespace) -> int:
+    from . import analysis
     try:
         l_set = [int(part) for part in args.l.split(",") if part.strip() != ""]
     except ValueError as exc:
@@ -305,6 +311,7 @@ def _cmd_verify_ball(args: argparse.Namespace) -> int:
 
 
 def _cmd_converse(args: argparse.Namespace) -> int:
+    from . import analysis
     report = analysis.converse_gap(args.q, args.n, args.c)
     d = report.to_dict()
     text = (

@@ -17,14 +17,18 @@ least K per iteration, so the loop runs at most (n + 1) / K times.
 Decoding walks blocks right to left: a trailing 1 announces a block,
 whose digits say which segment to re-duplicate; a trailing 0 says the
 word is the plain message plus the redundancy symbol.
+
+numpy enters only where the work computes with it: the hashed square
+search (repeats), the window index, imported once an encode finds its
+first square, and correct's period search on words longer than the
+small-word cutoff. decode runs on core and the byte gap buffer alone, so
+a decode-only process never loads numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .core import (
     CodeParams,
@@ -38,7 +42,9 @@ from .core import (
 )
 from .repeats import _SMALL_CUTOFF, Duplication, find_leftmost_long, is_dup_free
 from .seqword import EditableWord
-from .windows import WindowIndex
+
+if TYPE_CHECKING:
+    from .windows import WindowIndex
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,8 @@ def _encode(
     dup = find_leftmost_long(w, K)
     if dup is None:
         return tuple(w)
+
+    from .windows import WindowIndex
 
     index = WindowIndex.build(w, params)
     d_len = n + 1  # length of the not-yet-rewritten prefix
@@ -172,21 +180,24 @@ def decode(y: Sequence[int], params: CodeParams) -> Word:
 
     Raises MalformedCodewordError when y fails one of the checks the
     replay makes: the length is n + 1, each trailing flag is 0 or 1, each
-    block's half-length and offset digits lie in range, and each block
-    fits in the word before it. A word that passes them all is decoded
+    block's half-length and offset digits lie in range, each block fits
+    in the word before it, and each block's offset lies below the end of
+    the square replayed just before it (i_{k-1} < i_k + 2*l_k, the order
+    the encoder writes blocks in). A word that passes them all is decoded
     even when it is not a codeword, so the returned x need not re-encode
     to y; is_codeword(y) is the exact membership test.
 
     Blocks are consumed right to left on an EditableWord gap buffer. Block
     k deletes its l_k symbols at the tail and re-inserts l_k symbols at
     i_k + l_k, which leaves the cursor at i_k + 2*l_k; the block costs
-    O(l_k) plus the cursor's travel. On a codeword that travel is O(n) in
-    total: once the encoder cut at offset i_{k-1}, every new leftmost
-    square crosses that offset, so i_k > i_{k-1} - 2*l_k. Each rightward
-    move is then shorter than l_k, the leftward moves exceed the rightward
-    ones by at most the n + 1 symbols the cursor starts from, and the
-    half-lengths sum to at most n + 1, so the cursor travels at most
-    3(n + 1) symbols.
+    O(l_k) plus the cursor's travel. Once the encoder cut at offset
+    i_{k-1}, the prefix [0, i_{k-1}) holds no long square, so every new
+    leftmost square crosses that offset and i_k + 2*l_k > i_{k-1}; decode
+    refuses any word that breaks this order. Each rightward move is then
+    shorter than l_k, the leftward moves exceed the rightward ones by at
+    most the n + 1 symbols the cursor starts from, and the half-lengths
+    sum to at most n + 1, so the cursor travels at most 3(n + 1) symbols
+    on every input.
     """
     q, n, L, K = params.q, params.n, params.L, params.K
     yw = check_word(y, q)
@@ -196,6 +207,7 @@ def decode(y: Sequence[int], params: CodeParams) -> Word:
         return tuple(yw[:-1])
 
     buf = EditableWord.from_word(yw)
+    end = n + 1  # end of the square replayed last; no bound on the first block
     for _ in range((n + 1) // K + 1):
         m = len(buf)
         flag = buf.get(m - 1)
@@ -218,8 +230,13 @@ def decode(y: Sequence[int], params: CodeParams) -> Word:
             raise MalformedCodewordError(
                 f"reinsertion (i={i}, l={l}) does not fit in {rem} symbols"
             )
+        if i >= end:
+            raise MalformedCodewordError(
+                f"block offset {i} is not below {end}, where the next block's square ends"
+            )
         seg = buf.slice(i, i + l)
         buf.insert(i + l, seg)
+        end = i + 2 * l
     raise MalformedCodewordError("block structure does not terminate")
 
 
@@ -233,6 +250,8 @@ def _leftmost_period_square(w: bytes, l: int) -> int | None:
             if w[p : p + l] == w[p + l : p + 2 * l]:
                 return p
         return None
+    import numpy as np
+
     arr = np.frombuffer(w, np.uint8)
     eq = arr[:-l] == arr[l:]
     c = np.concatenate(([0], np.cumsum(eq)))

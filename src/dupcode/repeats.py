@@ -12,21 +12,30 @@ pairs are a superset of the squares; candidates are visited in (i, l)
 order and verified by exact comparison, which makes the result exact no
 matter how the hashes collide. A word whose first 2K symbols are all
 equal is answered immediately with (0, K).
+
+numpy enters only on the hashed path: the power tables, the K-gram hashes
+and the candidate scan import it when a word longer than the cutoff is
+scanned. Duplication, the all-equal test and the small-word scan run
+without it, so modules that need only Duplication (the channel) do not
+load numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .core import MAX_ALPHABET, check_word
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _SMALL_CUTOFF = 96
 
-# Two independent moduli below 2**31 keep every intermediate product and
-# cumulative sum inside int64 for symbols < 256 and words up to ~10**7.
+# Two independent moduli below 2**31 keep every product of two residues
+# inside int64, and the cumulative sum of m residues below m * 2**31, which
+# fits int64 for m < 2**32. find_leftmost_long refuses longer words.
+_MAX_LENGTH = 1 << 32
 _MOD1, _BASE1 = 2147483647, 1000003
 _MOD2, _BASE2 = 2147483629, 999979
 
@@ -46,6 +55,8 @@ class Duplication:
 
 
 def _powers(mod: int, base: int, length: int) -> np.ndarray:
+    import numpy as np
+
     cached = _pow_cache.get((mod, base))
     if cached is None or len(cached) < length:
         size = max(length, 1024)
@@ -68,6 +79,8 @@ def _powers(mod: int, base: int, length: int) -> np.ndarray:
 
 
 def _gram_hashes(arr: np.ndarray, K: int, mod: int, base: int) -> np.ndarray:
+    import numpy as np
+
     m = len(arr)
     inv = pow(base, -1, mod)
     invs = _powers(mod, inv, m + K + 1)
@@ -89,6 +102,8 @@ def _scan_small(w: Sequence[int], K: int) -> Duplication | None:
 
 
 def _scan_hashed(arr: np.ndarray, K: int) -> Duplication | None:
+    import numpy as np
+
     m = len(arr)
     g1 = _gram_hashes(arr, K, _MOD1, _BASE1)
     g2 = _gram_hashes(arr, K, _MOD2, _BASE2)
@@ -129,23 +144,29 @@ def _scan_hashed(arr: np.ndarray, K: int) -> Duplication | None:
 def find_leftmost_long(w: Sequence[int], K: int) -> Duplication | None:
     """Leftmost square with half-length >= K, smallest half-length first.
 
-    Symbols must lie in 0..255. Returns None when w has no such square.
-    Exact for any input; hashing only prunes the candidate set, never
-    decides a match.
+    Symbols must lie in 0..255; MalformedWordError names the first one
+    that does not. Returns None when w has no such square. Exact for any
+    input; hashing only prunes the candidate set, never decides a match.
+    Raises ValueError when K < 1 or when w has 2**32 or more symbols, the
+    length at which the int64 hash sums could overflow.
     """
     if K < 1:
         raise ValueError(f"threshold K must be >= 1, got {K}")
     m = len(w)
+    if m >= _MAX_LENGTH:
+        raise ValueError(f"word of length {m} exceeds the hashed search's limit of 2**32 - 1")
     if m < 2 * K:
         return None
-    # Tested on the raw argument: packing the encoder's whole word on every
-    # iteration would cost O(n) where this costs O(K).
-    first = w[0]
-    if list(w[: 2 * K]).count(first) == 2 * K:
+    # Only the 2K-symbol prefix is packed here: packing the encoder's whole
+    # word on every iteration would cost O(n) where this costs O(K).
+    head = check_word(w[: 2 * K], MAX_ALPHABET)
+    if head.count(head[0]) == 2 * K:
         return Duplication(0, K)
     w = check_word(w, MAX_ALPHABET)
     if m <= _SMALL_CUTOFF:
         return _scan_small(w, K)
+    import numpy as np
+
     return _scan_hashed(np.frombuffer(w, np.uint8).astype(np.int64), K)
 
 

@@ -15,6 +15,7 @@ from dupcode.core import (
     derive_params,
     format_word,
     parse_word,
+    to_digits,
 )
 from dupcode.repeats import is_dup_free
 from dupcode.windows import WindowIndex
@@ -265,6 +266,27 @@ def test_decode_checks_structure_not_membership():
     except MalformedCodewordError:
         return
     assert codec.encode(x, P16) != y
+
+
+def _block(i: int, l: int, params) -> tuple[int, ...]:
+    """A block in the encoder's layout, with zeros for the fillers."""
+    return to_digits(i, params) + (0,) * (l - 2 * params.L - 1) + to_digits(l, params) + (1,)
+
+
+@pytest.mark.parametrize("i_old,refused", [(25, False), (26, True), (30, True)])
+def test_decode_enforces_the_encoder_block_order(i_old, refused):
+    """The newest block (i=0, l=K) replays a square ending at 2K = 26, so
+    the block before it must have its offset below 26: the encoder never
+    finds a square wholly inside the prefix it left square-free."""
+    params = derive_params(4, 64)
+    K = params.K
+    y = (0,) * (params.n + 1 - 2 * K) + _block(i_old, K, params) + _block(0, K, params)
+    assert len(y) == params.n + 1
+    if refused:
+        with pytest.raises(MalformedCodewordError, match="not below 26"):
+            codec.decode(y, params)
+    else:
+        assert len(codec.decode(y, params)) == params.n
 
 
 def test_correct_example_pair():

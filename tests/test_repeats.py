@@ -56,6 +56,26 @@ def test_power_tables_hold_every_power(monkeypatch, mod, base):
         assert table.tolist() == [pow(base, t, mod) for t in range(len(table))]
 
 
+@pytest.mark.parametrize("word", [(300,) * 10, (300,) * 9 + (1,)])
+def test_out_of_range_symbols_are_refused_before_the_all_equal_test(word):
+    with pytest.raises(MalformedWordError):
+        find_leftmost_long(word, 5)
+
+
+def test_words_beyond_the_hash_domain_are_refused():
+    class Huge:
+        """Claims 2**32 symbols; the search must refuse it before reading any."""
+
+        def __len__(self):
+            return 1 << 32
+
+        def __getitem__(self, key):
+            raise AssertionError("the word was read")
+
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        find_leftmost_long(Huge(), 37)
+
+
 def test_duplication_validates():
     with pytest.raises(ValueError):
         Duplication(-1, 3)
