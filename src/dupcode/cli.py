@@ -338,6 +338,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     params = core.derive_params(args.q, args.n)
     if args.reps < 1:
         raise _UsageError("--reps must be >= 1")
+    if args.n + 1 < params.K:
+        raise _UsageError(
+            f"bench corrupts each codeword with a duplication of half-length >= K = {params.K}, "
+            f"which a codeword of n + 1 = {args.n + 1} symbols cannot hold (n + 1 < K)"
+        )
     rng = random.Random(args.seed)
     enc_t: list[float] = []
     dec_t: list[float] = []

@@ -6,18 +6,18 @@ returns the square minimizing i, breaking ties by the smallest l >= K.
 Offsets count the symbols before the left copy, so i = 0 is allowed.
 
 Strategy: words shorter than a cutoff get a direct ordered scan. Longer
-words get a candidate scan built on K-gram rolling hashes. Every square
+words get a candidate scan built on one K-gram rolling hash. Every square
 (i, l) forces the K-gram at i to reappear at i + l, so matching-gram
-pairs are a superset of the squares; candidates are visited in (i, l)
-order and verified by exact comparison, which makes the result exact no
-matter how the hashes collide. A word whose first 2K symbols are all
-equal is answered immediately with (0, K).
+pairs are a superset of the squares. One in-place sort of the keys
+hash << 32 | position groups equal hashes, positions ascending. Candidates
+are visited in (i, l) order and verified exactly, the two K-grams first,
+so the result is exact however the hash collides. A word whose first 2K
+symbols are all equal is answered immediately with (0, K).
 
-numpy enters only on the hashed path: the power tables, the K-gram hashes
-and the candidate scan import it when a word longer than the cutoff is
-scanned. Duplication, the all-equal test and the small-word scan run
-without it, so modules that need only Duplication (the channel) do not
-load numpy.
+numpy enters only on the hashed path, imported when a word longer than
+the cutoff is scanned. Duplication, the all-equal test and the small-word
+scan run without it, so modules that need only Duplication (the channel)
+do not load numpy.
 """
 
 from __future__ import annotations
@@ -32,12 +32,12 @@ if TYPE_CHECKING:
 
 _SMALL_CUTOFF = 96
 
-# Two independent moduli below 2**31 keep every product of two residues
-# inside int64, and the cumulative sum of m residues below m * 2**31, which
-# fits int64 for m < 2**32. find_leftmost_long refuses longer words.
+# One modulus below 2**31 keeps every product of two residues inside int64,
+# and the prefix sum of m reduced terms below m * 2**31, which fits int64
+# for m < 2**32. A packed key hash << 32 | position also stays below 2**63
+# for m < 2**32, the limit find_leftmost_long enforces.
 _MAX_LENGTH = 1 << 32
 _MOD1, _BASE1 = 2147483647, 1000003
-_MOD2, _BASE2 = 2147483629, 999979
 
 _pow_cache: dict[tuple[int, int], np.ndarray] = {}
 
@@ -78,17 +78,20 @@ def _powers(mod: int, base: int, length: int) -> np.ndarray:
     return cached
 
 
-def _gram_hashes(arr: np.ndarray, K: int, mod: int, base: int) -> np.ndarray:
+def _gram_hashes(arr: np.ndarray, K: int) -> np.ndarray:
     import numpy as np
 
     m = len(arr)
-    inv = pow(base, -1, mod)
-    invs = _powers(mod, inv, m + K + 1)
-    pows = _powers(mod, base, m + K + 1)
-    terms = (arr * invs[:m]) % mod
-    sums = np.concatenate(([0], np.cumsum(terms)))
-    diffs = (sums[K:] - sums[: m - K + 1]) % mod
-    return (diffs * pows[K - 1 : m]) % mod
+    invs = _powers(_MOD1, pow(_BASE1, -1, _MOD1), m)
+    sums = np.zeros(m + 1, dtype=np.int64)
+    np.multiply(arr, invs[:m], out=sums[1:])
+    sums %= _MOD1
+    np.cumsum(sums, out=sums)
+    grams = sums[K:] - sums[: m - K + 1]
+    grams %= _MOD1
+    grams *= _powers(_MOD1, _BASE1, m)[K - 1 : m]
+    grams %= _MOD1
+    return grams
 
 
 def _scan_small(w: Sequence[int], K: int) -> Duplication | None:
@@ -105,39 +108,32 @@ def _scan_hashed(arr: np.ndarray, K: int) -> Duplication | None:
     import numpy as np
 
     m = len(arr)
-    g1 = _gram_hashes(arr, K, _MOD1, _BASE1)
-    g2 = _gram_hashes(arr, K, _MOD2, _BASE2)
-    key = (g1 << np.int64(31)) | g2
-
-    order = np.argsort(key, kind="stable")  # positions ascend within a group
-    ks = key[order]
-    fresh = np.empty(len(ks), dtype=bool)
-    fresh[0] = True
-    np.not_equal(ks[1:], ks[:-1], out=fresh[1:])
-    gid = np.cumsum(fresh) - 1
-    counts = np.bincount(gid)
-    g_end = np.cumsum(counts) - 1
-    g_start = g_end - counts + 1
-
-    last_pos = order[g_end[gid]]  # per sorted slot: largest position in its group
-    viable = last_pos >= order + K
-    mask = np.zeros(len(key), dtype=bool)
-    mask[order[viable]] = True
-    starts = np.flatnonzero(mask)
-    if len(starts) == 0:
+    keys = _gram_hashes(arr, K)
+    keys <<= 32
+    keys |= np.arange(len(keys))  # hash << 32 | position: distinct, below 2**63
+    keys.sort()  # equal hashes form runs, positions ascending within each
+    hashes = keys >> 32
+    same = hashes[1:] == hashes[:-1]
+    if not same.any():
         return None
-
-    slot_of = np.empty(len(key), dtype=np.int64)
-    slot_of[order] = np.arange(len(key))
-    for p in starts.tolist():
-        slot = slot_of[p]
-        members = order[g_start[gid[slot]] : g_end[gid[slot]] + 1]
-        lo = np.searchsorted(members, p + K, side="left")
-        hi = np.searchsorted(members, p + (m - p) // 2, side="right")
-        for p2 in members[lo:hi].tolist():
-            l = p2 - p
-            if np.array_equal(arr[p : p + l], arr[p + l : p + 2 * l]):
-                return Duplication(p, l)
+    in_run = np.append(same, False) | np.insert(same, 0, False)
+    hashes = hashes[in_run]  # only runs of two or more grams can hold a square
+    pos = keys[in_run] & 0xFFFFFFFF
+    last = np.append(hashes[1:] != hashes[:-1], True)  # the last slot of each run
+    run_end = np.flatnonzero(last)[np.cumsum(last) - last]  # per slot: its run's last slot
+    viable = np.flatnonzero(pos[run_end] >= pos + K)
+    slot_at = np.full(m - K + 1, -1)
+    slot_at[pos[viable]] = viable
+    for slot in slot_at[slot_at >= 0]:  # viable slots in position order
+        p = int(pos[slot])
+        later = pos[slot + 1 : run_end[slot] + 1]
+        lo = np.searchsorted(later, p + K, side="left")
+        hi = np.searchsorted(later, p + (m - p) // 2, side="right")
+        for p2 in later[lo:hi].tolist():
+            # a collision costs the O(K) gram comparison, not the O(l) one
+            if np.array_equal(arr[p : p + K], arr[p2 : p2 + K]):
+                if np.array_equal(arr[p:p2], arr[p2 : 2 * p2 - p]):
+                    return Duplication(p, p2 - p)
     return None
 
 
@@ -148,7 +144,7 @@ def find_leftmost_long(w: Sequence[int], K: int) -> Duplication | None:
     that does not. Returns None when w has no such square. Exact for any
     input; hashing only prunes the candidate set, never decides a match.
     Raises ValueError when K < 1 or when w has 2**32 or more symbols, the
-    length at which the int64 hash sums could overflow.
+    length at which the int64 hash sums and packed keys could overflow.
     """
     if K < 1:
         raise ValueError(f"threshold K must be >= 1, got {K}")
@@ -167,7 +163,7 @@ def find_leftmost_long(w: Sequence[int], K: int) -> Duplication | None:
         return _scan_small(w, K)
     import numpy as np
 
-    return _scan_hashed(np.frombuffer(w, np.uint8).astype(np.int64), K)
+    return _scan_hashed(np.frombuffer(w, np.uint8), K)
 
 
 def is_dup_free(w: Sequence[int], K: int) -> bool:

@@ -219,3 +219,19 @@ def test_bench_patterns(pattern, capsys):
     assert payload["schema"] == SCHEMA
     assert set(payload) >= {"encode", "decode", "correct"}
     assert payload["encode"]["median_ms"] >= 0.0
+
+
+def test_bench_refuses_parameters_too_small_to_corrupt(capsys):
+    """At q=4, n=3 the threshold K = 5 exceeds the codeword's 4 symbols, so
+    no duplication of half-length >= K fits: bench refuses up front."""
+    code, out, err = run_cli(
+        "bench", "--q", "4", "--n", "3", "--reps", "1", "--pattern", "zeros", capsys=capsys
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "error USAGE" in err and "n + 1 < K" in err
+    assert "randrange" not in err
+    code, _, _ = run_cli(  # n = 4: n + 1 = K, the smallest n that fits
+        "bench", "--q", "4", "--n", "4", "--reps", "1", "--pattern", "zeros", capsys=capsys
+    )
+    assert code == EXIT_OK

@@ -18,6 +18,7 @@ from dupcode.core import (
     to_digits,
 )
 from dupcode.repeats import is_dup_free
+from dupcode.seqword import EditableWord
 from dupcode.windows import WindowIndex
 
 from oracles import naive_leftmost, ref_decode, ref_encode
@@ -287,6 +288,42 @@ def test_decode_enforces_the_encoder_block_order(i_old, refused):
             codec.decode(y, params)
     else:
         assert len(codec.decode(y, params)) == params.n
+
+
+def _decode_travel(monkeypatch, y, params) -> int:
+    """Decode y and return the symbols the gap buffer's cursor moved over."""
+    travel = 0
+    seek = EditableWord._seek
+
+    def counting_seek(self, p):
+        nonlocal travel
+        travel += abs(p - len(self._left))
+        seek(self, p)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(EditableWord, "_seek", counting_seek)
+        codec.decode(y, params)
+    return travel
+
+
+@pytest.mark.parametrize("q,n", [(4, 300), (4, 1 << 12), (2, 256)])
+def test_decode_cursor_travel_is_bounded_on_codewords(monkeypatch, q, n):
+    """decode's docstring bounds the cursor's travel by 3(n + 1); count it."""
+    params = derive_params(q, n)
+    y = codec.encode((0,) * n, params)
+    travel = _decode_travel(monkeypatch, y, params)
+    assert 0 < travel <= 3 * (n + 1)
+
+
+def test_decode_cursor_travel_is_bounded_on_an_accepted_non_codeword(monkeypatch):
+    """The two-block word decode accepts (offset 25, see the block-order test)
+    is not a codeword, yet its replay keeps to the same bound."""
+    params = derive_params(4, 64)
+    K = params.K
+    y = (0,) * (params.n + 1 - 2 * K) + _block(25, K, params) + _block(0, K, params)
+    assert not codec.is_codeword(y, params)
+    travel = _decode_travel(monkeypatch, y, params)
+    assert 0 < travel <= 3 * (params.n + 1)
 
 
 def test_correct_example_pair():

@@ -42,9 +42,7 @@ def test_frozen_examples(word, K, expect):
     "mod,base",
     [
         (repeats._MOD1, repeats._BASE1),
-        (repeats._MOD2, repeats._BASE2),
         (repeats._MOD1, pow(repeats._BASE1, -1, repeats._MOD1)),
-        (repeats._MOD2, pow(repeats._BASE2, -1, repeats._MOD2)),
     ],
 )
 def test_power_tables_hold_every_power(monkeypatch, mod, base):
@@ -186,6 +184,41 @@ def test_planted_square_is_found(data):
     assert found.i + 2 * found.l <= len(planted)
     assert planted[found.i : found.i + found.l] == planted[found.i + found.l : found.i + 2 * found.l]
     assert (found.i, found.l) <= (i, l)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_forced_collisions_keep_the_search_exact(monkeypatch, q):
+    """With the modulus cut to 11 nearly every pair of K-grams shares a
+    hash, so only the exact comparisons decide which candidate is a square."""
+    assert repeats._BASE1 % 11 == 4  # the base stays invertible mod 11
+    monkeypatch.setattr(repeats, "_MOD1", 11)
+    monkeypatch.setattr(repeats, "_pow_cache", {})
+    rng = random.Random(97 * q)
+    outcomes = set()
+    for _ in range(60):
+        w = tuple(rng.randrange(q) for _ in range(rng.randint(97, 300)))
+        K = rng.randint(4, 12)
+        expect = naive_leftmost(w, K)
+        assert _as_tuple(find_leftmost_long(w, K)) == expect, (w, K)
+        outcomes.add(expect is None)
+    assert outcomes == {True, False}  # both square-free words and squares were seen
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_planted_square_on_the_hashed_path(data):
+    """Words past the direct-scan cutoff, with a square planted anywhere:
+    the hashed search gives the oracle's answer."""
+    q = data.draw(st.sampled_from([2, 4]), label="q")
+    w = data.draw(st.lists(st.integers(0, q - 1), min_size=97, max_size=400), label="word")
+    K = data.draw(st.integers(4, 12), label="K")
+    l = data.draw(st.integers(K, 60), label="l")
+    i = data.draw(st.integers(0, len(w) - l), label="i")
+    planted = tuple(w[: i + l]) + tuple(w[i : i + l]) + tuple(w[i + l :])
+    assert len(planted) > repeats._SMALL_CUTOFF
+    found = _as_tuple(find_leftmost_long(planted, K))
+    assert found == naive_leftmost(planted, K)
+    assert found <= (i, l)
 
 
 @settings(max_examples=100, deadline=None)
