@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import CodeParams, Word, check_word
+from .core import CodeParams, Word, _set, _Value, check_word
 from .repeats import Duplication
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
+class ChannelSpec(_Value):
     """Seeded single-duplication channel configuration.
 
     l_min defaults to the code threshold K, l_max to the word length.
@@ -19,9 +17,15 @@ class ChannelSpec:
     fully determines the draw sequence on every platform.
     """
 
+    __slots__ = __match_args__ = ("seed", "l_min", "l_max")
     seed: int
-    l_min: int | None = None
-    l_max: int | None = None
+    l_min: int | None
+    l_max: int | None
+
+    def __init__(self, seed: int, l_min: int | None = None, l_max: int | None = None) -> None:
+        _set(self, "seed", seed)
+        _set(self, "l_min", l_min)
+        _set(self, "l_max", l_max)
 
 
 def apply_duplication(w: Sequence[int], i: int, l: int) -> Word:

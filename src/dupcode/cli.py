@@ -19,15 +19,13 @@ Positions printed in text mode are 1-based; JSON payloads carry the same
 from __future__ import annotations
 
 import argparse
-import json
-import random
-import statistics
+import os
 import sys
-import time
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 # analysis loads numpy, so the brute-force and roundtrip commands import it
-# themselves; decode and corrupt then start without numpy.
+# themselves; decode and corrupt then start without numpy. The same goes for
+# json (--json only) and random, statistics and time (bench only).
 from . import codec, core
 from .channel import ChannelSpec, DuplicationChannel, apply_duplication
 from .core import (
@@ -37,6 +35,9 @@ from .core import (
     MalformedWordError,
     VerificationError,
 )
+
+if TYPE_CHECKING:
+    import random
 
 SCHEMA = "dupcode-report/1"
 
@@ -72,6 +73,8 @@ def _write_text(args: argparse.Namespace, text: str) -> None:
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
     """Write either the plain-text form or the JSON report of a result."""
     if args.json:
+        import json
+
         payload = {"schema": SCHEMA, **payload}
         _write_text(args, json.dumps(payload, sort_keys=True))
     else:
@@ -335,6 +338,10 @@ def _bench_message(pattern: str, q: int, n: int, K: int, rng: random.Random) -> 
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    import random
+    import statistics
+    import time
+
     params = core.derive_params(args.q, args.n)
     if args.reps < 1:
         raise _UsageError("--reps must be >= 1")
@@ -426,4 +433,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    """Console entry point, also run by `python -m dupcode`.
+
+    dupcode calls no BLAS routine, so numpy's OpenBLAS is asked for one
+    thread instead of a pool of one per CPU. This runs before any import of
+    numpy; a value the user set wins, and importing dupcode as a library
+    leaves the environment alone.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())

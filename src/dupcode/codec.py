@@ -27,7 +27,6 @@ a decode-only process never loads numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .core import (
@@ -36,6 +35,8 @@ from .core import (
     MalformedCodewordError,
     MalformedWordError,
     Word,
+    _set,
+    _Value,
     check_word,
     from_digits,
     to_digits,
@@ -47,11 +48,11 @@ if TYPE_CHECKING:
     from .windows import WindowIndex
 
 
-@dataclass(frozen=True)
-class BlockRecord:
+class BlockRecord(_Value):
     """One encoder iteration, kept when tracing: the square handled, the
     block arithmetic, and each filler with the word it was chosen against."""
 
+    __slots__ = __match_args__ = ("i", "l", "r", "t", "fillers", "filler_prefixes", "word_after")
     i: int
     l: int
     r: int
@@ -59,6 +60,24 @@ class BlockRecord:
     fillers: tuple[Word, ...]
     filler_prefixes: tuple[Word, ...]
     word_after: Word
+
+    def __init__(
+        self,
+        i: int,
+        l: int,
+        r: int,
+        t: int,
+        fillers: tuple[Word, ...],
+        filler_prefixes: tuple[Word, ...],
+        word_after: Word,
+    ) -> None:
+        _set(self, "i", i)
+        _set(self, "l", l)
+        _set(self, "r", r)
+        _set(self, "t", t)
+        _set(self, "fillers", fillers)
+        _set(self, "filler_prefixes", filler_prefixes)
+        _set(self, "word_after", word_after)
 
 
 def _pick_absent(index: WindowIndex) -> Word:

@@ -9,7 +9,6 @@ The command line layer keeps the same numbering, and documents it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
@@ -57,8 +56,46 @@ def _check_alphabet(q: int) -> None:
         raise ValueError(f"alphabet size q must be <= {MAX_ALPHABET}, got {q}")
 
 
-@dataclass(frozen=True)
-class CodeParams:
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the immutable value classes, whose fields are their __slots__.
+
+    Equality, hashing, repr and pickling follow the fields in order, as a
+    frozen dataclass would; dataclasses itself is not imported, because it
+    loads inspect and, with it, ast, dis and tokenize into every process.
+    Subclasses set their fields in __init__ through object.__setattr__.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._fields()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CodeParams(_Value):
     """Parameter bundle shared by every operation.
 
     q is the alphabet size and n the message length. L is the window
@@ -67,17 +104,22 @@ class CodeParams:
     Codewords have length n + 1 (redundancy is exactly one symbol).
     """
 
+    __slots__ = __match_args__ = ("q", "n", "L", "K")
     q: int
     n: int
     L: int
     K: int
 
-    def __post_init__(self) -> None:
-        _check_alphabet(self.q)
-        if self.q**self.L < self.n:
-            raise ValueError(f"window length L={self.L} is too short: q**L < n={self.n}")
-        if self.K != 4 * self.L + 1:
-            raise ValueError(f"threshold K must be 4*L + 1 = {4 * self.L + 1}, got {self.K}")
+    def __init__(self, q: int, n: int, L: int, K: int) -> None:
+        _check_alphabet(q)
+        if q**L < n:
+            raise ValueError(f"window length L={L} is too short: q**L < n={n}")
+        if K != 4 * L + 1:
+            raise ValueError(f"threshold K must be 4*L + 1 = {4 * L + 1}, got {K}")
+        _set(self, "q", q)
+        _set(self, "n", n)
+        _set(self, "L", L)
+        _set(self, "K", K)
 
     @property
     def feasible(self) -> bool:
@@ -144,14 +186,15 @@ def parse_word(text: str, q: int) -> Word:
     if text == "":
         raise MalformedWordError("empty word")
     if q <= 36:
-        # Fast path: one translate maps every character, and max() rejects
-        # both non-alphabet bytes (0xFF) and symbols >= q. Any failure falls
-        # through to the loop below, which reports it exactly as before.
+        # Fast path: one translate maps every character, and deleting the
+        # symbols below q, as check_word does, leaves any non-alphabet byte
+        # (0xFF) or symbol >= q behind. Any failure falls through to the
+        # loop below, which reports it exactly as before.
         try:
             packed = text.encode("ascii").translate(_PARSE_TABLE)
         except UnicodeEncodeError:
             packed = None
-        if packed is not None and max(packed) < q:
+        if packed is not None and not packed.translate(None, _BELOW[max(q, 0)]):
             return tuple(packed)
         symbols = []
         for pos, ch in enumerate(text):

@@ -22,10 +22,9 @@ do not load numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .core import MAX_ALPHABET, check_word
+from .core import MAX_ALPHABET, _set, _Value, check_word
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,16 +41,18 @@ _MOD1, _BASE1 = 2147483647, 1000003
 _pow_cache: dict[tuple[int, int], np.ndarray] = {}
 
 
-@dataclass(frozen=True)
-class Duplication:
+class Duplication(_Value):
     """A tandem duplication: i symbols precede the left copy of half-length l."""
 
+    __slots__ = __match_args__ = ("i", "l")
     i: int
     l: int
 
-    def __post_init__(self) -> None:
-        if self.i < 0 or self.l < 1:
-            raise ValueError(f"invalid duplication (i={self.i}, l={self.l})")
+    def __init__(self, i: int, l: int) -> None:
+        if i < 0 or l < 1:
+            raise ValueError(f"invalid duplication (i={i}, l={l})")
+        _set(self, "i", i)
+        _set(self, "l", l)
 
 
 def _powers(mod: int, base: int, length: int) -> np.ndarray:

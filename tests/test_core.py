@@ -98,6 +98,26 @@ def test_parse_reports_the_first_bad_character(text, q, message):
 
 
 @pytest.mark.parametrize(
+    "last,q,message",
+    [
+        ("g", 16, "symbol 16 at position 262143 is outside the alphabet [0, 16)"),
+        ("4", 4, "symbol 4 at position 262143 is outside the alphabet [0, 4)"),
+        ("_", 16, _bad_char("_", 262143)),
+        ("\x00", 2, _bad_char("\x00", 262143)),
+    ],
+)
+def test_parse_reports_a_bad_last_symbol_of_a_long_word(last, q, message):
+    """The one-pass alphabet check over the translated text catches a bad
+    symbol in the last of 2**18 positions, and the report is the same as
+    on a short word."""
+    text = "01" * ((1 << 17) - 1) + "0" + last
+    with pytest.raises(MalformedWordError) as exc:
+        parse_word(text, q)
+    assert str(exc.value) == message
+    assert parse_word(text[:-1], q) == (0, 1) * ((1 << 17) - 1) + (0,)
+
+
+@pytest.mark.parametrize(
     "text,q,expect",
     [
         ("0AbZz9", 36, (0, 10, 11, 35, 35, 9)),  # upper case reads as lower case

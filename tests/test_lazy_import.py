@@ -1,9 +1,11 @@
-"""numpy is loaded only by the code that computes with it.
+"""numpy, and the stdlib modules only some commands use, are loaded only
+by the code that computes with them.
 
 Each check runs in a fresh interpreter, since the test process itself has
 numpy loaded long before these tests run.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -16,17 +18,28 @@ import dupcode
 SRC = str(Path(dupcode.__file__).resolve().parent.parent)
 
 
-def run_fresh(code: str) -> str:
-    """Run code in a new interpreter that imports dupcode from this tree."""
+# Modules a decode or corrupt process has no use for: numpy, and the stdlib
+# that dataclasses (inspect with ast, dis and tokenize), --json (json) and
+# bench (statistics with decimal and fractions) would pull in.
+HEAVY = ("numpy", "dataclasses", "inspect", "json", "statistics")
+LOADED = f"sorted(m for m in {HEAVY!r} if m in sys.modules)"
+
+
+def run_fresh(code: str, openblas_threads: str | None = None) -> str:
+    """Run code in a new interpreter that imports dupcode from this tree,
+    with OPENBLAS_NUM_THREADS unset or set to openblas_threads."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
 
 
 def test_import_dupcode_leaves_numpy_unloaded():
-    assert run_fresh("import sys, dupcode; print('numpy' in sys.modules)") == "False"
+    assert run_fresh(f"import sys, dupcode, dupcode.cli; print({LOADED})") == "[]"
 
 
 @pytest.mark.parametrize(
@@ -42,9 +55,56 @@ def test_decode_and_corrupt_leave_numpy_unloaded(argv):
     code = (
         "import sys, dupcode.cli\n"
         f"code = dupcode.cli.main({argv!r})\n"
-        "print(code, 'numpy' in sys.modules)"
+        f"print(code, {LOADED})"
     )
-    assert run_fresh(code) == "0 False"
+    assert run_fresh(code) == "0 []"
+
+
+def test_decode_json_still_writes_its_report():
+    code = (
+        "import dupcode.cli\n"
+        "dupcode.cli.main(['decode', '--q', '16', '--n', '16', '--json', '--word', '00000abcdef001251'])\n"
+    )
+    report = json.loads(run_fresh(code))
+    assert report == {
+        "command": "decode",
+        "n": 16,
+        "q": 16,
+        "schema": "dupcode-report/1",
+        "word": "0000000000abcdef",
+    }
+
+
+def test_bench_still_runs_in_a_fresh_process():
+    code = (
+        "import dupcode.cli\n"
+        "dupcode.cli.main(['bench', '--q', '4', '--n', '64', '--pattern', 'random', '--reps', '1', '--json'])\n"
+    )
+    report = json.loads(run_fresh(code))
+    assert report["command"] == "bench" and report["reps"] == 1
+    assert set(report["encode"]) == {"median_ms", "mean_ms", "max_ms"}
+
+
+RUN_MAIN = (
+    "import os, runpy, sys\n"
+    "sys.argv = ['dupcode', 'decode', '--q', '16', '--n', '16', '--word', '0123456789abcdef0']\n"
+    "try:\n"
+    "    runpy.run_module('dupcode', run_name='__main__')\n"
+    "except SystemExit as exc:\n"
+    "    print(exc.code, os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+)
+
+
+@pytest.mark.parametrize("user,expect", [(None, "1"), ("4", "4")], ids=["unset", "user-set"])
+def test_cli_process_limits_openblas_threads_unless_the_user_chose(user, expect):
+    """dupcode calls no BLAS routine, so a CLI process asks numpy's OpenBLAS
+    for one thread instead of one per CPU; a value the user set wins."""
+    assert run_fresh(RUN_MAIN, openblas_threads=user) == f"0 {expect}"
+
+
+def test_library_import_leaves_the_environment_alone():
+    code = "import os, dupcode, dupcode.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert run_fresh(code) == "None"
 
 
 def test_lazy_names_resolve():
