@@ -114,7 +114,7 @@ def _encode(
     d_len = n + 1  # length of the not-yet-rewritten prefix
     max_iters = (n + 1) // K + 1
 
-    def put(seq: Sequence[int]) -> None:
+    def put(seq: bytes) -> None:
         index.apply_append(w, seq)
         w.extend(seq)
 
@@ -135,23 +135,21 @@ def _encode(
         del w[i : i + l]
         d_len -= l
 
+        # A filler lookup must see every symbol before it, so the symbols
+        # between two lookups go to the index in one append.
         fillers: list[Word] = []
         prefixes: list[Word] = []
-
-        def put_filler() -> None:
+        run = bytes(to_digits(i, params))
+        for k in range(r):
+            if k == r - 1:
+                run += bytes(t)  # the 0^t padding precedes the last filler
+            put(run)
             word = _pick_absent(index)
             if trace is not None:
                 prefixes.append(tuple(w))
             fillers.append(word)
-            put(word)
-
-        put(to_digits(i, params))
-        for _ in range(r - 1):
-            put_filler()
-        if t:
-            put((0,) * t)
-        put_filler()
-        put(to_digits(l, params) + (1,))
+            run = bytes(word)
+        put(run + bytes(to_digits(l, params) + (1,)))
 
         if len(w) != n + 1:
             raise InternalDefectError(f"length invariant broken: {len(w)} != {n + 1}")

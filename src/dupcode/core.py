@@ -9,6 +9,7 @@ The command line layer keeps the same numbering, and documents it.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
@@ -147,16 +148,44 @@ def derive_params(q: int, n: int) -> CodeParams:
     return CodeParams(q=q, n=n, L=L, K=4 * L + 1)
 
 
+def _listed(symbols: Iterable[int]) -> list:
+    """The symbols of a word given as neither bytes nor a tuple or list."""
+    # bytes() would read a buffer such as a numpy array as raw memory;
+    # tolist() gives its elements as Python numbers
+    tolist = getattr(symbols, "tolist", None)
+    try:
+        items = tolist() if callable(tolist) else list(symbols)
+    except TypeError:
+        items = None
+    if not isinstance(items, list):  # a 0-d array's tolist() is a scalar
+        raise MalformedWordError(
+            f"a word must be an iterable of symbols, got {type(symbols).__name__}"
+        )
+    return items
+
+
+def _numpy_bool(s: object, pos: int) -> int:
+    """A numpy bool scalar, which has no __index__, as 0 or 1; any other
+    symbol that operator.index refused raises MalformedWordError."""
+    if type(s).__module__ == "numpy" and getattr(s, "ndim", None) == 0:
+        value = s.item()
+        if isinstance(value, bool):
+            return int(value)
+    raise MalformedWordError(f"symbol {s!r} at position {pos} is not an integer")
+
+
 def check_word(symbols: Iterable[int], q: int) -> bytes:
     """Validate symbols against the alphabet [0, q) and pack them as bytes.
 
+    Symbols are converted by operator.index, so a float or a string is
+    refused, never truncated or parsed; a numpy bool reads as 0 or 1.
     Raises ValueError when q > 256, and MalformedWordError naming the first
-    symbol outside the alphabet.
+    symbol that is not an integer or lies outside the alphabet, or when
+    symbols is not iterable.
     """
     _check_alphabet(q)
     if not isinstance(symbols, (bytes, bytearray, tuple, list)):
-        # bytes() would read a buffer such as a numpy array as raw memory
-        symbols = [int(s) for s in symbols]
+        symbols = _listed(symbols)
     # Fast path: bytes() checks 0..255 in C and translate() deletes the
     # symbols below q, so a word in range leaves nothing behind. Any failure
     # falls through to the loop below, which reports it.
@@ -166,12 +195,17 @@ def check_word(symbols: Iterable[int], q: int) -> bytes:
         packed = None
     if packed is not None and not packed.translate(None, _BELOW[max(q, 0)]):
         return packed
-    word = [int(s) for s in symbols]
-    for pos, s in enumerate(word):
+    word = []
+    for pos, s in enumerate(symbols):
+        try:
+            s = operator.index(s)
+        except TypeError:
+            s = _numpy_bool(s, pos)
         if s < 0 or s >= q:
             raise MalformedWordError(
                 f"symbol {s} at position {pos} is outside the alphabet [0, {q})"
             )
+        word.append(s)
     return bytes(word)
 
 

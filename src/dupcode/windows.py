@@ -10,15 +10,24 @@ v*q + 1 + x, and the node of c at depth d is
 
     (q**d - 1) // (q - 1) + c // q**(L - d).
 
-build counts every window with numpy. An edit rolls the window code
-along the touched segment in Python. On the dense store it then applies
-the L + 1 ancestors of all its windows as one node vector with a single
-np.add.at; the sparse store bumps them window by window. Small tries use
-a flat int64 array, large ones a sparse dict that stores no zeros.
+build counts every window with numpy. Edits are staged: apply_append
+and apply_delete roll the codes of the windows they touch in Python and
+queue them, to add and to remove, and every read (find_absent,
+root_count, window_count, audit) first applies the queue. On the dense
+store that takes one node array, holding the L + 1 ancestors of every
+queued window, and at most two scatter-adds; the sparse store bumps the
+ancestors window by window. A removal is checked when it is staged,
+against the stored leaves (the queue is applied first if the cut shares
+a window with it), so a cut that would take a window below count zero is
+refused at once and leaves the counted word unchanged. In the
+encoder a cut, its junction and every block appended before the next
+filler lookup mostly share one flush. Small tries use a flat int64 array,
+large ones a sparse dict that stores no zeros.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +36,13 @@ from .core import CodeParams, InternalDefectError, Word, check_word
 
 #: Tries with at most this many leaves get a dense int64 array.
 DENSE_LEAF_LIMIT = 1 << 22
+
+#: A queue longer than this many windows is applied at once, so edits with
+#: no read between them keep bounded memory and a short removal-check scan
+#: of the queue. Any value is correct: the encoder reads after every block,
+#: so its queue stays below a hundred windows; at 4096 the queue holds about
+#: 150 KB of codes and one scan of it takes about 80 us.
+QUEUE_LIMIT = 1 << 12
 
 
 class _SparseCounts(dict):
@@ -48,12 +64,15 @@ class WindowIndex:
         # (first node of depth d, divisor taking a code to its depth-d prefix)
         self._levels = [((self._pow[d] - 1) // (q - 1), self._pow[L - d]) for d in range(L + 1)]
         self._dense = leaves <= DENSE_LEAF_LIMIT
+        # codes of the windows queued for adding and for removing; see _flush
+        self._add: list[int] = []
+        self._sub: list[int] = []
         if self._dense:
             self._counts: np.ndarray | _SparseCounts = np.zeros(self._first_leaf + leaves, np.int64)
-            # columns of (first node, divisor) per depth, for whole-segment edits
+            # (first node, divisor) per depth as rows, for flushing the queue
             offs, divs = zip(*self._levels)
-            self._offs = np.array(offs, dtype=np.int64)[:, None]
-            self._divs = np.array(divs, dtype=np.int64)[:, None]
+            self._offs = np.array(offs, dtype=np.int64)
+            self._divs = np.array(divs, dtype=np.int64)
         else:
             self._counts = _SparseCounts()
 
@@ -104,80 +123,91 @@ class WindowIndex:
             raise ValueError(f"window must have length {L}, got {len(window)}")
         return check_word(window, self.params.q)
 
-    def _walk(self, seg: bytes, delta: int) -> None:
-        """Add (delta=1) or remove (delta=-1) every length-L window of seg.
-
-        seg is packed by check_word. A removal that would take a
-        window below count zero leaves the index as it was and raises
-        ValueError.
-        """
+    def _codes(self, seg: bytes) -> list[int]:
+        """Codes of the length-L windows of seg, left to right."""
         q, L = self.params.q, self.params.L
         if len(seg) < L:
-            return
+            return []
         top = self._pow[L]
         code = 0
         for x in seg[: L - 1]:
             code = code * q + x
-        codes = [code := (code * q + x) % top for x in seg[L - 1 :]]
+        return [code := (code * q + x) % top for x in seg[L - 1 :]]
+
+    def _leaf(self, code: int) -> int:
+        return int(self._counts[self._first_leaf + code])
+
+    # -- the queue of staged edits --------------------------------------------
+
+    def _stage(self, add: list[int], sub: Sequence[int] = ()) -> None:
+        self._add += add
+        self._sub += sub
+        if len(self._add) + len(self._sub) > QUEUE_LIMIT:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Apply the queued windows to the counters and empty the queue."""
+        add, sub = self._add, self._sub
+        if not (add or sub):
+            return
+        self._add, self._sub = [], []
         counts = self._counts
         if self._dense:
-            # Row d holds the depth-d ancestor of every window; the last row
-            # holds the leaves. Subtract, then look for a negative leaf: that
-            # also catches a window repeated inside seg more often than it
-            # is stored, which checking each leaf once beforehand would miss.
-            nodes = self._offs + np.array(codes, dtype=np.int64) // self._divs
-            np.add.at(counts, nodes, delta)
-            if delta < 0 and counts[nodes[-1]].min() < 0:
-                np.add.at(counts, nodes, -delta)
-                self._refuse_removal(seg, codes)
+            # Row k holds the L + 1 ancestors of the k-th queued window.
+            nodes = np.array(add + sub, dtype=np.int64)[:, None] // self._divs
+            nodes += self._offs
+            if add:
+                np.add.at(counts, nodes[: len(add)], 1)
+            if sub:
+                np.subtract.at(counts, nodes[len(add) :], 1)
             return
-        # The sparse store keeps a per-window loop: on edits of a few dozen
+        # The sparse store keeps a per-window loop: on queues of a few dozen
         # windows it beats any numpy pass, whose fixed cost per call dominates.
-        leaf0 = self._first_leaf
+        # Additions go first, so no counter passes below zero on the way.
         levels = self._levels
+        for code in add:
+            for off, div in levels:
+                counts[off + code // div] += 1
+        for code in sub:
+            for off, div in levels:
+                node = off + code // div
+                if counts[node] == 1:
+                    del counts[node]
+                else:
+                    counts[node] -= 1
+
+    def _check_removal(self, seg: bytes, codes: list[int]) -> None:
+        """Raise ValueError, naming the first window of seg that removing
+        the windows one by one would find at count zero, unless the index
+        holds every window of codes."""
+        distinct = set(codes)
+        if not (distinct.isdisjoint(self._add) and distinct.isdisjoint(self._sub)):
+            # the cut shares windows with the queue: apply it, so the leaves answer
+            self._flush()
+        have = {code: self._leaf(code) for code in distinct}
+        # Count each code's windows in C; a cut inside a run repeats one window.
+        ordered = sorted(codes)
+        if all(bisect_right(ordered, c) - bisect_left(ordered, c) <= n for c, n in have.items()):
+            return
         for k, code in enumerate(codes):
-            if delta < 0 and counts[leaf0 + code] <= 0:
-                self._walk(seg[: k + L - 1], 1)
+            have[code] -= 1
+            if have[code] < 0:
+                L = self.params.L
                 raise ValueError(f"window {tuple(seg[k : k + L])} has zero count, cannot remove")
-            if delta < 0:
-                for off, div in levels:
-                    node = off + code // div
-                    if counts[node] == 1:
-                        del counts[node]
-                    else:
-                        counts[node] -= 1
-            else:
-                for off, div in levels:
-                    counts[off + code // div] += 1
 
-    def _refuse_removal(self, seg: bytes, codes: list[int]) -> None:
-        """Raise the ValueError for the first window of seg that removing
-        the windows one by one would find at count zero."""
-        L = self.params.L
-        taken: dict[int, int] = {}
-        for k, code in enumerate(codes):
-            taken[code] = taken.get(code, 0) + 1
-            if taken[code] > self._counts[self._first_leaf + code]:
-                break
-        raise ValueError(f"window {tuple(seg[k : k + L])} has zero count, cannot remove")
-
-    # -- multiset updates ---------------------------------------------------
+    # -- counters -------------------------------------------------------------
 
     @property
     def root_count(self) -> int:
+        self._flush()
         return int(self._counts[0])
 
     def window_count(self, window: Sequence[int]) -> int:
         code = 0
         for x in self._window(window):
             code = code * self.params.q + x
-        return int(self._counts[self._first_leaf + code])
-
-    def add_window(self, window: Sequence[int]) -> None:
-        self._walk(self._window(window), 1)
-
-    def remove_window(self, window: Sequence[int]) -> None:
-        self._walk(self._window(window), -1)
+        self._flush()
+        return self._leaf(code)
 
     # -- incremental edits mirroring word edits ------------------------------
 
@@ -185,11 +215,16 @@ class WindowIndex:
         """Account for suffix being appended to the tracked word w_before."""
         if not len(suffix):
             return
-        base = max(0, len(w_before) - self.params.L + 1)
-        self._walk(check_word([*w_before[base:], *suffix], self.params.q), 1)
+        q = self.params.q
+        tail = w_before[max(0, len(w_before) - self.params.L + 1) :]
+        self._stage(self._codes(check_word(tail, q) + check_word(suffix, q)))
 
     def apply_delete(self, w_before: Sequence[int], a: int, b: int) -> None:
-        """Account for positions [a, b) being cut out of w_before."""
+        """Account for positions [a, b) being cut out of w_before.
+
+        A cut that would take some window below count zero leaves the
+        index as it was and raises ValueError naming that window.
+        """
         L = self.params.L
         m = len(w_before)
         if not (0 <= a <= b <= m):
@@ -198,9 +233,10 @@ class WindowIndex:
             return
         base = max(0, a - L + 1)
         seg = check_word(w_before[base : min(b + L - 1, m)], self.params.q)
-        self._walk(seg, -1)
+        cut = self._codes(seg)
+        self._check_removal(seg, cut)
         # Windows spanning the new junction at position a.
-        self._walk(seg[: a - base] + seg[b - base :], 1)
+        self._stage(self._codes(seg[: a - base] + seg[b - base :]), cut)
 
     # -- absent-window search -------------------------------------------------
 
@@ -212,6 +248,7 @@ class WindowIndex:
         counter stays below q**L, and the leaf it reaches counts zero.
         """
         q, L = self.params.q, self.params.L
+        self._flush()
         # A memoryview reads single counters as Python ints, at list speed.
         counts = memoryview(self._counts) if self._dense else self._counts
         if counts[0] >= self._pow[L]:
@@ -234,6 +271,7 @@ class WindowIndex:
 
     def audit(self, word: Sequence[int]) -> None:
         """Check counters against a fresh index of word. Raises ValueError."""
+        self._flush()
         fresh = WindowIndex.build(word, self.params)
         q = self.params.q
         counts = self._counts

@@ -120,6 +120,10 @@ def test_roundtrip_at_q256_with_the_top_symbol(family):
         # L = 3 with q**L above DENSE_LEAF_LIMIT: the sparse window store
         (200, 40001, "zeros", "94f350055c9f80c6cd2d8bdd99b0444c749e358f727abef8d87134631a9f76b5"),
         (4, 1 << 11, "runs", "46759b53bb32cc22394e5960fae974254ab0799c4a5561a1a7e0ad45cf5f43fa"),
+        # the benchmark's zeros message, 3540 iterations
+        (4, 1 << 17, "zeros", "dc08568c1b2de931282291607dc4c9e123667c47a3c8d38807edc77df24236ec"),
+        # L = 12: a deep trie, 82 iterations
+        (2, 1 << 12, "zeros", "0802d024254e90edd42d45d9b740948786b3aa3b2e45f83b9292120714f8ad6a"),
     ],
 )
 def test_encode_output_is_pinned(q, n, family, digest):
@@ -396,6 +400,20 @@ def test_is_codeword():
     z = parse_word("00000000001234501", 16)
     if codec.is_codeword(z, P16):
         assert codec.encode(codec.decode(z, P16), P16) == z
+
+
+def test_non_integer_symbols_are_refused_not_truncated():
+    """A float symbol used to be truncated, so encode([0.5] * n) encoded the
+    all-zeros message; is_codeword stays total on such words."""
+    with pytest.raises(MalformedWordError, match=r"symbol 0.5 at position 0 is not an integer"):
+        codec.encode([0.5] * 16, P16)
+    with pytest.raises(MalformedWordError, match=r"symbol 'a' at position 0 is not an integer"):
+        codec.decode(["a"] * 17, P16)
+    y = codec.encode((0,) * 16, P16)
+    assert codec.is_codeword(y, P16)
+    assert not codec.is_codeword(["a"] * 17, P16)
+    assert not codec.is_codeword([float(s) for s in y], P16)
+    assert not codec.is_codeword(17, P16)
 
 
 @settings(max_examples=60, deadline=None)

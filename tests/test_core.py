@@ -210,6 +210,54 @@ def test_check_word_returns_a_tuple_of_ints(symbols, q, expect):
     assert all(type(s) is int for s in tuple(word))
 
 
+@pytest.mark.parametrize(
+    "symbols,message",
+    [
+        ([1.7, 0], "symbol 1.7 at position 0 is not an integer"),
+        ((0, 1, 0.0), "symbol 0.0 at position 2 is not an integer"),
+        (np.array([0.5, 1.0]), "symbol 0.5 at position 0 is not an integer"),
+        ([0, "1"], "symbol '1' at position 1 is not an integer"),
+        ("0101", "symbol '0' at position 0 is not an integer"),
+        ([0, None], "symbol None at position 1 is not an integer"),
+        (np.array([[0, 1]]), "symbol [0, 1] at position 0 is not an integer"),
+        ([np.array([True, False])], "symbol array([ True, False]) at position 0 is not an integer"),
+        (5, "a word must be an iterable of symbols, got int"),
+        (None, "a word must be an iterable of symbols, got NoneType"),
+    ],
+)
+def test_check_word_refuses_non_integers(symbols, message):
+    """Symbols are converted by operator.index: a float is refused, not
+    truncated, and a string is refused, not read as digits."""
+    with pytest.raises(MalformedWordError) as exc:
+        check_word(symbols, 4)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "symbols",
+    [
+        [True, False, True],
+        (True, 0, 1),
+        np.array([1, 0, 1], dtype=np.int8),
+        np.array([1, 0, 1], dtype=np.uint64),
+        np.array([True, False, True]),
+        [np.int32(1), np.uint8(0), np.int64(1)],
+        list(np.array([1, 0, 1]) > 0),
+    ],
+    ids=[
+        "bools",
+        "bools-and-ints",
+        "int8-array",
+        "uint64-array",
+        "bool-array",
+        "numpy-scalars",
+        "numpy-bool-scalars",
+    ],
+)
+def test_check_word_accepts_integer_likes(symbols):
+    assert check_word(symbols, 2) == b"\x01\x00\x01"
+
+
 def test_params_refuse_an_alphabet_above_256():
     """Words are bytes inside encode and decode, so hand-built parameters
     with a larger alphabet are refused with derive_params' message."""

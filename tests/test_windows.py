@@ -1,12 +1,13 @@
 """Counter trie against a from-scratch sliding-window tally."""
 
 import random
+import re
 
 import numpy as np
 import pytest
 
 from dupcode.core import CodeParams
-from dupcode.windows import DENSE_LEAF_LIMIT, WindowIndex
+from dupcode.windows import DENSE_LEAF_LIMIT, QUEUE_LIMIT, WindowIndex
 
 from oracles import tally_find_absent, window_tally
 
@@ -36,15 +37,22 @@ def test_word_shorter_than_window():
 
 
 def test_add_remove_window():
+    """Windows come and go with the word edits that carry them, and a cut
+    of a window the index no longer holds is refused."""
     p = _params(3, 2)
-    idx = WindowIndex.build((0, 1, 2), p)
-    idx.add_window((0, 1))
+    word = [0, 1, 2]
+    idx = WindowIndex.build(word, p)
+    idx.apply_append(word, [0, 1])
+    word += [0, 1]  # 0 1 2 0 1
     assert idx.window_count((0, 1)) == 2
-    idx.remove_window((0, 1))
-    idx.remove_window((0, 1))
+    idx.apply_delete(word, 0, 1)
+    del word[0:1]  # 1 2 0 1
+    idx.apply_delete(word, 2, 4)
+    del word[2:4]  # 1 2
     assert idx.window_count((0, 1)) == 0
-    with pytest.raises(ValueError):
-        idx.remove_window((0, 1))
+    with pytest.raises(ValueError, match=r"window \(0, 1\) has zero count"):
+        idx.apply_delete((0, 1), 0, 1)
+    idx.audit(word)
 
 
 def test_find_absent_requires_room():
@@ -59,15 +67,12 @@ def test_find_absent_follows_counter_descent_not_lex_order():
     sibling subtree is below its occupancy threshold first; the tally
     reference must make the same choice."""
     p = _params(2, 2)
-    idx = WindowIndex.build((0, 1), p)
-    # seed counters 00:0, 01:2, 10:1, 11:0 -> picks 11, although 00 is absent
-    idx.add_window((0, 1))
-    idx.add_window((1, 0))
-    assert idx.find_absent() == (1, 1)
-    tally = window_tally((0, 1), 2)
-    tally[(0, 1)] += 1
-    tally[(1, 0)] += 1
-    assert tally_find_absent(tally, 2, 2) == (1, 1)
+    word = (0, 1, 0, 1)  # counters 00:0, 01:2, 10:1, 11:0 -> picks 11, although 00 is absent
+    assert WindowIndex.build(word, p).find_absent() == (1, 1)
+    staged = WindowIndex.build(word[:2], p)
+    staged.apply_append(word[:2], word[2:])
+    assert staged.find_absent() == (1, 1)
+    assert tally_find_absent(window_tally(word, 2), 2, 2) == (1, 1)
 
 
 @pytest.mark.parametrize("q,L", [(2, 3), (3, 2), (4, 2), (2, 23), (256, 3)])
@@ -188,7 +193,7 @@ def test_delete_against_a_different_word_raises(q, L):
     # the windows removed before the mismatch was met are put back
     idx.audit(word)
     with pytest.raises(ValueError):
-        idx.remove_window((1,) * L)
+        idx.apply_delete([1] * L, 0, L)
     idx.audit(word)
 
 
@@ -220,4 +225,83 @@ def test_node_addresses_past_int64():
     assert idx.find_absent() == (0,) * 8
     with pytest.raises(ValueError):
         idx.apply_delete([255] * 12, 0, 4)
+    idx.audit(word)
+
+
+def _refusal(tally, word, a, b, L):
+    """The window a one-by-one removal of the windows touching the cut
+    [a, b) of word meets at count zero, or None."""
+    left = tally.copy()
+    for s in range(max(0, a - L + 1), min(b, len(word) - L + 1)):
+        window = tuple(word[s : s + L])
+        left[window] -= 1
+        if left[window] < 0:
+            return window
+    return None
+
+
+@pytest.mark.parametrize("q,L", [(3, 3), (256, 3)], ids=["dense", "sparse"])
+def test_queued_edits_match_tally(q, L):
+    """Edits queue up between reads, which come only every few edits. Cuts
+    reach into windows appended since the last read, appends repeat runs,
+    and cuts of a word the index does not hold are refused at once, with
+    the window a one-by-one removal would meet at zero, and change nothing."""
+    p = _params(q, L)
+    rng = random.Random(q * 31 + L)
+    symbols = [0, 1, 2] if q == 3 else [0, 1, 2, 255]
+    word = [rng.choice(symbols) for _ in range(24)]
+    idx = WindowIndex.build(word, p)
+    refused = reads = 0
+    next_read = 3
+    for step in range(600):
+        roll = rng.random()
+        if roll < 0.45 or len(word) < 8:
+            if rng.random() < 0.5:
+                suffix = [rng.choice(symbols)] * rng.randint(1, 9)
+            else:
+                suffix = [rng.choice(symbols) for _ in range(rng.randint(1, 5))]
+            idx.apply_append(word, suffix)
+            word += suffix
+        elif roll < 0.85:
+            # half the cuts start among the last appended symbols
+            lo = max(0, len(word) - 8) if rng.random() < 0.5 else 0
+            a = rng.randint(lo, len(word))
+            b = rng.randint(a, min(len(word), a + 7))
+            idx.apply_delete(word, a, b)
+            del word[a:b]
+        else:
+            a = rng.randint(0, len(word) - 1)
+            b = rng.randint(a + 1, min(len(word), a + rng.choice((4, 16))))
+            other = list(word)
+            other[rng.randrange(a, b)] = 1 if q == 3 else 7  # 7 never occurs in the sparse word
+            missing = _refusal(window_tally(word, L), other, a, b, L)
+            if missing is not None:
+                with pytest.raises(ValueError, match=re.escape(f"window {missing} has zero count")):
+                    idx.apply_delete(other, a, b)
+                refused += 1
+                idx.audit(word)
+        if step == next_read:
+            next_read += rng.randint(2, 7)
+            reads += 1
+            tally = window_tally(word, L)
+            assert idx.root_count == max(0, len(word) - L + 1)
+            assert all(idx.window_count(w) == c for w, c in tally.items())
+            if idx.root_count < q**L:
+                assert idx.find_absent() == tally_find_absent(tally, q, L)
+        if len(word) > 60:
+            idx.apply_delete(word, 0, 30)
+            del word[:30]
+    idx.audit(word)
+    assert refused > 10 and reads > 50
+
+
+def test_a_long_queue_is_applied_before_it_passes_the_limit():
+    p = _params(2, 3)
+    word = [0, 1, 1]
+    idx = WindowIndex.build(word, p)
+    for step in range(QUEUE_LIMIT + 10):
+        idx.apply_append(word, [step % 2])
+        word.append(step % 2)
+        assert len(idx._add) + len(idx._sub) <= QUEUE_LIMIT
+    assert idx.root_count == len(word) - 2
     idx.audit(word)
