@@ -3,7 +3,8 @@
 Everything here trades speed for transparency: word spaces are enumerated
 exhaustively (in value-range shards, vectorized per shard) and compared
 against the closed-form bounds. A guard caps the enumerated space at
-q**length <= 2**26 unless explicitly overridden.
+q**length <= 2**26 unless explicitly overridden. Digits are held as uint8,
+so the enumerators refuse q > 256 with ValueError, as CodeParams does.
 """
 
 from __future__ import annotations
@@ -12,17 +13,18 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import log
+from math import isfinite, log
 from typing import Sequence
 
 import numpy as np
 
 from . import codec
-from .channel import apply_duplication
+from .channel import _duplicate, apply_duplication
 from .core import (
     GuardExceededError,
     VerificationError,
     Word,
+    _check_alphabet,
     derive_params,
     format_word,
 )
@@ -44,10 +46,13 @@ def _require_space(q: int, length: int, max_space: int | None) -> int:
 
 
 def _digit_matrix(q: int, length: int, lo: int, hi: int) -> np.ndarray:
-    """Rows are the base-q digit expansions of values lo..hi-1 (MSB first)."""
+    """Rows are the base-q digit expansions of values lo..hi-1 (MSB first).
+
+    Digits are held as uint8, which covers every q <= 256 the callers accept.
+    """
     vals = np.arange(lo, hi, dtype=np.int64)
     cols = [(vals // q ** (length - 1 - j)) % q for j in range(length)]
-    return np.stack(cols, axis=1).astype(np.int8)
+    return np.stack(cols, axis=1).astype(np.uint8)
 
 
 def _square_mask(mat: np.ndarray, half_lengths: Sequence[int]) -> np.ndarray:
@@ -87,6 +92,7 @@ def count_bad_words(q: int, n: int, K: int, max_space: int | None = None) -> Bad
     """
     if q < 2 or n < 1 or K < 1:
         raise ValueError(f"need q >= 2, n >= 1, K >= 1; got q={q}, n={n}, K={K}")
+    _check_alphabet(q)
     _require_space(q, n, max_space)
     halves = range(K, n // 2 + 1)
     count = 0
@@ -138,6 +144,7 @@ def enumerate_code0(
     q**length * (1 - (length-1) * q**(1-K))."""
     if q < 2 or length < 1 or K < 1:
         raise ValueError(f"need q >= 2, length >= 1, K >= 1; got q={q}, length={length}, K={K}")
+    _check_alphabet(q)
     _require_space(q, length, max_space)
     halves = range(K, length // 2 + 1)
     count = 0
@@ -149,7 +156,7 @@ def enumerate_code0(
         count += int(good.sum())
         if words is not None:
             for row in mat[good]:
-                words.append(tuple(int(s) for s in row))
+                words.append(tuple(row.tobytes()))
     n = length - 1
     bound = Fraction(q**length) - Fraction(n * q ** (length + 1), q**K)
     return Code0Report(
@@ -212,12 +219,13 @@ def verify_ball_disjointness(
     """
     if q < 2 or n < 1:
         raise ValueError(f"need q >= 2 and n >= 1, got q={q}, n={n}")
+    _check_alphabet(q)
     _require_space(q, n, max_space)
     entries = []
     for l in sorted(set(int(v) for v in l_set)):
         if l < 1:
             raise ValueError(f"half-length {l} must be >= 1")
-        seen: dict[Word, Word] = {}
+        seen: dict[bytes, bytes] = {}
         collisions: list[tuple[Word, Word, Word]] = []
         eligible = 0
         for lo in range(0, q**n, _SHARD):
@@ -225,15 +233,15 @@ def verify_ball_disjointness(
             mat = _digit_matrix(q, n, lo, hi)
             free = ~_square_mask(mat, [l]) if 2 * l <= n else np.ones(hi - lo, dtype=bool)
             for row in mat[free]:
-                x = tuple(int(s) for s in row)
+                x = row.tobytes()  # the word, packed as the codec packs it
                 eligible += 1
                 for i in range(0, n - l + 1):
-                    y = apply_duplication(x, i, l)
+                    y = _duplicate(x, i, l)
                     prev = seen.get(y)
                     if prev is None:
                         seen[y] = x
                     elif prev != x:
-                        collisions.append((prev, x, y))
+                        collisions.append((tuple(prev), tuple(x), tuple(y)))
         entries.append(
             BallEntry(
                 l=l,
@@ -377,8 +385,8 @@ def converse_gap(q: int, n: int, c: float) -> ConverseReport:
     """
     if q < 2 or n < 2:
         raise ValueError("need q >= 2 and n >= 2")
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
+    if not isfinite(c) or c <= 0:
+        raise ValueError(f"c must be positive and finite, got {c}")
     logq_n = log(n) / log(q)
     l = logq_n - c
     eta = c - 1

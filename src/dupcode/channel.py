@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .core import CodeParams, Word, _set, _Value, check_word
+from .core import MAX_ALPHABET, CodeParams, Word, _as_word, _set, _Value, check_word
 from .repeats import Duplication
 
 
@@ -28,9 +28,7 @@ class ChannelSpec(_Value):
         _set(self, "l_max", l_max)
 
 
-def apply_duplication(w: Sequence[int], i: int, l: int) -> Word:
-    """Repeat the l symbols starting at offset i, in place: uvw -> uvvw."""
-    w = tuple(w)
+def _duplicate(w: bytes, i: int, l: int) -> bytes:
     if l < 1:
         raise ValueError(f"duplication length must be >= 1, got {l}")
     if i < 0 or i + l > len(w):
@@ -38,6 +36,15 @@ def apply_duplication(w: Sequence[int], i: int, l: int) -> Word:
             f"duplication (i={i}, l={l}) does not fit in a word of length {len(w)}"
         )
     return w[: i + l] + w[i : i + l] + w[i + l :]
+
+
+def apply_duplication(w: Sequence[int], i: int, l: int) -> Word:
+    """Repeat the l symbols starting at offset i, in place: uvw -> uvvw.
+
+    Symbols must lie in 0..255; MalformedWordError names the first one
+    that does not.
+    """
+    return _as_word(_duplicate(check_word(w, MAX_ALPHABET), i, l))
 
 
 class DuplicationChannel:
@@ -60,7 +67,7 @@ class DuplicationChannel:
             )
         l = self._rng.randint(l_lo, l_hi)
         i = self._rng.randint(0, len(w) - l)
-        return apply_duplication(w, i, l), Duplication(i, l)
+        return _as_word(_duplicate(w, i, l)), Duplication(i, l)
 
 
 def random_duplication(

@@ -35,6 +35,7 @@ from .core import (
     MalformedCodewordError,
     MalformedWordError,
     Word,
+    _as_word,
     _set,
     _Value,
     check_word,
@@ -106,7 +107,7 @@ def _encode(
     w.append(0)
     dup = find_leftmost_long(w, K)
     if dup is None:
-        return tuple(w)
+        return _as_word(bytes(w))
 
     from .windows import WindowIndex
 
@@ -168,7 +169,7 @@ def _encode(
                 )
             )
         dup = find_leftmost_long(w, K)
-    return tuple(w)
+    return _as_word(bytes(w))
 
 
 def encode(
@@ -221,7 +222,7 @@ def decode(y: Sequence[int], params: CodeParams) -> Word:
     if len(yw) != n + 1:
         raise MalformedCodewordError(f"codeword must have length {n + 1}, got {len(yw)}")
     if yw[-1] == 0:
-        return tuple(yw[:-1])
+        return _as_word(yw[:-1])
 
     buf = EditableWord.from_word(yw)
     end = n + 1  # end of the square replayed last; no bound on the first block
@@ -230,7 +231,7 @@ def decode(y: Sequence[int], params: CodeParams) -> Word:
         flag = buf.get(m - 1)
         if flag == 0:
             buf.delete_range(m - 1, m)
-            return buf.to_word()
+            return _as_word(buf._packed())
         if flag != 1:
             raise MalformedCodewordError(f"trailing flag must be 0 or 1, got {flag}")
         if m - 1 < L:
@@ -294,7 +295,7 @@ def correct_with_position(
     yw = check_word(y, q)
     m = len(yw)
     if m == n + 1:
-        return tuple(yw), None
+        return _as_word(yw), None
     if m < n + 1:
         raise MalformedCodewordError(
             f"received word of length {m} is shorter than a codeword ({n + 1})"
@@ -309,7 +310,7 @@ def correct_with_position(
             "removing the duplication leaves a long square; "
             "input is not a single corruption of a codeword"
         )
-    return tuple(res), Duplication(p, l)
+    return _as_word(res), Duplication(p, l)
 
 
 def correct(y: Sequence[int], params: CodeParams) -> Word:
@@ -329,4 +330,4 @@ def is_codeword(y: Sequence[int], params: CodeParams) -> bool:
         x = decode(yw, params)
     except (MalformedWordError, MalformedCodewordError):
         return False
-    return encode(x, params) == tuple(yw)
+    return check_word(encode(x, params), params.q) == yw

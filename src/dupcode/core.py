@@ -2,7 +2,8 @@
 
 A word is a sequence of symbols 0..q-1 with q <= 256. Public functions take
 any sequence of ints and return tuples of ints (Word); below them every
-layer holds the word as bytes, packed and checked once by check_word. All
+layer holds the word as bytes, packed and checked once by check_word. A word
+handed straight back to the library is not packed again (see check_word). All
 positions and offsets in this package are 0-based; ranges are half-open.
 The command line layer keeps the same numbering, and documents it.
 """
@@ -113,6 +114,12 @@ class CodeParams(_Value):
 
     def __init__(self, q: int, n: int, L: int, K: int) -> None:
         _check_alphabet(q)
+        if q < 2:
+            raise ValueError(f"alphabet size q must be >= 2, got {q}")
+        if n < 2:
+            raise ValueError(f"message length n must be >= 2, got {n}")
+        if L < 1:
+            raise ValueError(f"window length L must be >= 1, got {L}")
         if q**L < n:
             raise ValueError(f"window length L={L} is too short: q**L < n={n}")
         if K != 4 * L + 1:
@@ -174,6 +181,22 @@ def _numpy_bool(s: object, pos: int) -> int:
     raise MalformedWordError(f"symbol {s!r} at position {pos} is not an integer")
 
 
+# The word the library returned last, with the bytes it was built from.
+# Holding the word keeps its id from being reused while the pair stands, and
+# both halves are immutable, so the bytes always equal a fresh pack of it.
+# The pair is read and replaced as one tuple, so a thread never sees a word
+# with another word's bytes.
+_last: tuple[Word, bytes] = ((), b"")
+
+
+def _as_word(packed: bytes) -> Word:
+    """The Word of packed bytes; every public function returns words this way."""
+    global _last
+    word = tuple(packed)
+    _last = (word, packed)
+    return word
+
+
 def check_word(symbols: Iterable[int], q: int) -> bytes:
     """Validate symbols against the alphabet [0, q) and pack them as bytes.
 
@@ -182,17 +205,25 @@ def check_word(symbols: Iterable[int], q: int) -> bytes:
     Raises ValueError when q > 256, and MalformedWordError naming the first
     symbol that is not an integer or lies outside the alphabet, or when
     symbols is not iterable.
+
+    The word the library returned last is not packed again: when symbols
+    is that very tuple, the bytes it was built from are checked against q
+    and returned. The memo keeps that one word and its bytes, about 9 bytes
+    per symbol, alive until the library returns its next word. An equal
+    tuple that is a different object is packed as usual.
     """
     _check_alphabet(q)
-    if not isinstance(symbols, (bytes, bytearray, tuple, list)):
-        symbols = _listed(symbols)
-    # Fast path: bytes() checks 0..255 in C and translate() deletes the
-    # symbols below q, so a word in range leaves nothing behind. Any failure
-    # falls through to the loop below, which reports it.
-    try:
-        packed = bytes(symbols)
-    except (TypeError, ValueError):
-        packed = None
+    last, packed = _last
+    if symbols is not last:
+        if not isinstance(symbols, (bytes, bytearray, tuple, list)):
+            symbols = _listed(symbols)
+        # Fast path: bytes() checks 0..255 in C and translate() deletes the
+        # symbols below q, so a word in range leaves nothing behind. Any
+        # failure falls through to the loop below, which reports it.
+        try:
+            packed = bytes(symbols)
+        except (TypeError, ValueError):
+            packed = None
     if packed is not None and not packed.translate(None, _BELOW[max(q, 0)]):
         return packed
     word = []
@@ -229,7 +260,7 @@ def parse_word(text: str, q: int) -> Word:
         except UnicodeEncodeError:
             packed = None
         if packed is not None and not packed.translate(None, _BELOW[max(q, 0)]):
-            return tuple(packed)
+            return _as_word(packed)
         symbols = []
         for pos, ch in enumerate(text):
             v = _CHAR_VALUE.get(ch.lower())
@@ -241,7 +272,7 @@ def parse_word(text: str, q: int) -> Word:
             symbols = [int(part.strip()) for part in text.split(",")]
         except ValueError as exc:
             raise MalformedWordError(f"invalid comma-separated word: {exc}") from None
-    return tuple(check_word(symbols, q))
+    return _as_word(check_word(symbols, q))
 
 
 def format_word(word: Sequence[int], q: int) -> str:

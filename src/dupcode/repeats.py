@@ -149,17 +149,18 @@ def find_leftmost_long(w: Sequence[int], K: int) -> Duplication | None:
     """
     if K < 1:
         raise ValueError(f"threshold K must be >= 1, got {K}")
+    if hasattr(w, "__len__") and len(w) >= _MAX_LENGTH:
+        raise ValueError(f"word of length {len(w)} exceeds the hashed search's limit of 2**32 - 1")
+    # The encoder's bytearray holds bytes already, so its all-equal prefix
+    # test below costs O(K) where packing the whole word would cost O(n).
+    if not isinstance(w, bytearray):
+        w = check_word(w, MAX_ALPHABET)
     m = len(w)
-    if m >= _MAX_LENGTH:
-        raise ValueError(f"word of length {m} exceeds the hashed search's limit of 2**32 - 1")
     if m < 2 * K:
         return None
-    # Only the 2K-symbol prefix is packed here: packing the encoder's whole
-    # word on every iteration would cost O(n) where this costs O(K).
-    head = check_word(w[: 2 * K], MAX_ALPHABET)
-    if head.count(head[0]) == 2 * K:
+    if w.count(w[0], 0, 2 * K) == 2 * K:
         return Duplication(0, K)
-    w = check_word(w, MAX_ALPHABET)
+    w = bytes(w)
     if m <= _SMALL_CUTOFF:
         return _scan_small(w, K)
     import numpy as np

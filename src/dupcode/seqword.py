@@ -14,8 +14,9 @@ Edits near the previous edit are therefore cheap; `codec.decode` relies
 on that.
 
 Symbols are stored as bytes, which covers every alphabet the package
-supports (`core.MAX_ALPHABET` is 256). A symbol outside 0..255 raises
-ValueError and leaves the word unchanged.
+supports (`core.MAX_ALPHABET` is 256). A symbol outside 0..255, or one
+that is not an integer, raises MalformedWordError (a ValueError) and leaves
+the word unchanged.
 
 Positions are 0-based and ranges half-open, matching the rest of the
 package.
@@ -25,14 +26,18 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
+from .core import MAX_ALPHABET, check_word
+
 
 def _pack(symbols: Sequence[int]) -> bytearray:
-    if not isinstance(symbols, (bytes, bytearray, tuple, list)):
-        symbols = list(symbols)  # bytearray() would read a buffer's raw memory
-    try:
-        return bytearray(symbols)
-    except ValueError:
-        raise ValueError("symbols must lie in 0..255") from None
+    if isinstance(symbols, (bytes, bytearray, tuple, list)):
+        try:
+            return bytearray(symbols)
+        except (TypeError, ValueError):
+            pass
+    # check_word reads any other iterable, such as a numpy array, symbol by
+    # symbol rather than as raw memory, and names the first bad symbol.
+    return bytearray(check_word(symbols, MAX_ALPHABET))
 
 
 class EditableWord:
@@ -137,7 +142,11 @@ class EditableWord:
         return t
 
     def to_word(self) -> tuple[int, ...]:
-        return tuple(self._left + self._right[::-1])
+        return tuple(self._packed())
+
+    def _packed(self) -> bytes:
+        """The whole word as bytes, without moving the cursor."""
+        return b"".join((self._left, self._right[::-1]))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.to_word())

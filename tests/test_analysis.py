@@ -106,6 +106,16 @@ def test_ball_disjointness_degenerate_half_length():
     assert not rep.collisions
 
 
+def test_ball_disjointness_reports_collisions_as_words(monkeypatch):
+    """Images are compared as packed bytes; a witness comes back as words."""
+    monkeypatch.setattr(analysis, "_duplicate", lambda x, i, l: b"\x00\x00\x00")
+    rep = analysis.verify_ball_disjointness(2, 2, [1])  # eligible: 01 and 10
+    assert rep.collisions == (((0, 1), (1, 0), (0, 0, 0)),) * 2
+    d = rep.to_dict()
+    assert d["disjoint"] is False
+    assert d["entries"][0]["collisions"][0] == ["01", "10", "000"]
+
+
 def test_ball_disjointness_validates():
     with pytest.raises(ValueError):
         analysis.verify_ball_disjointness(2, 6, [0])
@@ -157,3 +167,30 @@ def test_converse_validates():
         analysis.converse_gap(2, 1024, 0)
     with pytest.raises(ValueError):
         analysis.converse_gap(1, 1024, 2)
+    for c in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            analysis.converse_gap(2, 1024, c)
+
+
+def test_enumerators_keep_symbols_above_127():
+    """Digits are held as uint8, so symbols 128..255 are neither negative
+    nor wrapped: over q = 200 every word (a, b) with a != b is free of
+    length-1 squares, and exactly the 200 words (a, a) are bad."""
+    rep = analysis.enumerate_code0(200, 2, 1, want_words=True)
+    assert rep.count == 200 * 199
+    assert set(rep.words) == {(a, b) for a in range(200) for b in range(200) if a != b}
+    assert analysis.count_bad_words(200, 2, 1).count == 200
+    ball = analysis.verify_ball_disjointness(200, 2, [1])
+    assert ball.entries[0].eligible_words == 200 * 199
+    assert ball.entries[0].images == 2 * 200 * 199
+    assert not ball.collisions
+
+
+def test_enumerators_refuse_an_alphabet_above_256():
+    refusal = r"alphabet size q must be <= 256, got 300"
+    with pytest.raises(ValueError, match=refusal):
+        analysis.count_bad_words(300, 2, 1)
+    with pytest.raises(ValueError, match=refusal):
+        analysis.enumerate_code0(300, 2, 1)
+    with pytest.raises(ValueError, match=refusal):
+        analysis.verify_ball_disjointness(300, 2, [1])

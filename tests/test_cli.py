@@ -209,6 +209,25 @@ def test_converse_json(capsys):
     assert payload["exceeds_one"] is True
 
 
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+@pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+def test_converse_refuses_a_non_finite_shortfall(c, extra, capsys):
+    code, out, err = run_cli("converse", "--q", "4", "--n", "8", f"--c={c}", *extra, capsys=capsys)
+    assert code == EXIT_USAGE
+    assert out == "" and "error USAGE" in err
+
+
+def test_enumerators_over_a_wide_alphabet(capsys):
+    code, out, _ = run_cli("enum-code0", "--q", "200", "--len", "2", "--K", "1", "--list", capsys=capsys)
+    assert code == EXIT_OK
+    lines = out.strip().splitlines()
+    assert lines[0].startswith("q=200 len=2 K=1 count=39800 ")
+    assert lines[1:3] == ["0,1", "0,2"] and lines[-1] == "199,198"
+    code, _, err = run_cli("count-bad", "--q", "300", "--n", "2", "--K", "1", capsys=capsys)
+    assert code == EXIT_USAGE
+    assert "alphabet size q must be <= 256" in err
+
+
 @pytest.mark.parametrize("pattern", ["zeros", "random", "adversarial"])
 def test_bench_patterns(pattern, capsys):
     code, out, _ = run_cli(

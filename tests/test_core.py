@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dupcode import core
 from dupcode.core import (
     CodeParams,
     MalformedWordError,
@@ -281,6 +284,26 @@ def test_word_functions_refuse_an_alphabet_above_256():
 
 
 @pytest.mark.parametrize(
+    "q,n,L,message",
+    [
+        (1, 2, 1, "alphabet size q must be >= 2, got 1"),
+        (0, 0, -1, "alphabet size q must be >= 2, got 0"),
+        (2, -1, 1, "message length n must be >= 2, got -1"),
+        (2, 1, 1, "message length n must be >= 2, got 1"),
+        (4, 2, 0, "window length L must be >= 1, got 0"),
+        (2, 2, -1, "window length L must be >= 1, got -1"),
+    ],
+)
+def test_params_refuse_a_degenerate_alphabet_length_or_window(q, n, L, message):
+    """Hand-built parameters get derive_params' checks on q and n, and
+    L >= 1: 0 ** -1 used to raise ZeroDivisionError, and decode indexed an
+    empty word when n = -1."""
+    with pytest.raises(ValueError) as exc:
+        CodeParams(q=q, n=n, L=L, K=4 * L + 1)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
     "L,K,message",
     [
         (2, 9, r"window length L=2 is too short: q\*\*L < n=40"),
@@ -319,3 +342,76 @@ def test_to_digits_range_checked():
         to_digits(8, p)  # needs four digits
     with pytest.raises(ValueError):
         to_digits(-1, p)
+
+
+def test_check_word_reuses_the_bytes_of_the_word_returned_last():
+    """A hit returns the bytes the word was built from, equal to a fresh pack."""
+    w = parse_word("0123012301", 4)
+    assert core._last[0] is w
+    packed = check_word(w, 4)
+    assert packed is core._last[1]
+    assert packed == bytes(list(w)) == b"\x00\x01\x02\x03\x00\x01\x02\x03\x00\x01"
+    assert check_word(w, 256) is packed
+
+
+def test_check_word_hit_still_checks_the_alphabet():
+    w = parse_word("0123012301", 4)
+    with pytest.raises(MalformedWordError) as exc:
+        check_word(w, 3)
+    assert str(exc.value) == "symbol 3 at position 3 is outside the alphabet [0, 3)"
+    assert parse_word("0,255,17", 256) == (0, 255, 17)
+    with pytest.raises(MalformedWordError, match="symbol 255 at position 1"):
+        format_word(core._last[0], 36)
+
+
+def test_check_word_memo_is_keyed_by_identity(monkeypatch):
+    """Only the very tuple returned last hits; an equal tuple that is
+    another object is packed and validated as any other input."""
+    w = parse_word("0123", 4)
+    monkeypatch.setattr(core, "_last", (w, b"\x03\x02\x01\x00"))
+    assert check_word(w, 4) == b"\x03\x02\x01\x00"
+    twin = tuple(list(w))
+    assert twin == w and twin is not w
+    assert check_word(twin, 4) == b"\x00\x01\x02\x03"
+    with pytest.raises(MalformedWordError, match="symbol 3 at position 3"):
+        check_word(twin, 3)
+
+
+def test_check_word_memo_keeps_one_word():
+    first = parse_word("0123", 4)
+    held = sys.getrefcount(first)
+    second = parse_word("3210", 4)
+    assert sys.getrefcount(first) == held - 1  # the memo let go of it
+    assert core._last[0] is second
+
+
+def test_every_word_producer_returns_through_the_memo():
+    from dupcode import (
+        ChannelSpec,
+        DuplicationChannel,
+        apply_duplication,
+        correct,
+        correct_with_position,
+        decode,
+        encode,
+    )
+
+    p = derive_params(4, 64)
+
+    def made(word):
+        assert type(word) is tuple and core._last[0] is word
+        assert core._last[1] == bytes(word)
+        return word
+
+    x = made(parse_word("0" * 64, 4))
+    y = made(encode(x, p))
+    assert made(decode(y, p)) == x
+    z, dup = DuplicationChannel(ChannelSpec(seed=1), p).corrupt(y)
+    made(z)
+    assert made(correct(z, p)) == y
+    assert made(correct_with_position(y, p)[0]) == y
+    assert made(apply_duplication(y, dup.i, dup.l)) == z
+    text = "3311213112321321333312321012331313202132013013020331012302223232"
+    msg = made(parse_word(text, 4))
+    plain = made(encode(msg, p))  # the message has no long square: flag 0
+    assert plain[-1] == 0 and made(decode(plain, p)) == msg
