@@ -25,6 +25,7 @@ from .core import (
     VerificationError,
     Word,
     _check_alphabet,
+    _integer,
     derive_params,
     format_word,
 )
@@ -36,7 +37,7 @@ _SHARD = 1 << 16
 
 def _require_space(q: int, length: int, max_space: int | None) -> int:
     space = q**length
-    limit = DEFAULT_SPACE_GUARD if max_space is None else max_space
+    limit = DEFAULT_SPACE_GUARD if max_space is None else _integer(max_space, "max_space")
     if space > limit:
         raise GuardExceededError(
             f"enumeration of q**length = {space} words exceeds the guard {limit}; "
@@ -90,6 +91,8 @@ def count_bad_words(q: int, n: int, K: int, max_space: int | None = None) -> Bad
     Checked on the spot against the bound n * q**(n+1-K); a violation
     would falsify the implementation and raises VerificationError.
     """
+    q, n = _integer(q, "alphabet size q"), _integer(n, "length n")
+    K = _integer(K, "threshold K")
     if q < 2 or n < 1 or K < 1:
         raise ValueError(f"need q >= 2, n >= 1, K >= 1; got q={q}, n={n}, K={K}")
     _check_alphabet(q)
@@ -142,6 +145,8 @@ def enumerate_code0(
     """Count (optionally list) the length-`length` words with no square of
     half-length >= K, and compare against the lower bound
     q**length * (1 - (length-1) * q**(1-K))."""
+    q, length = _integer(q, "alphabet size q"), _integer(length, "length")
+    K = _integer(K, "threshold K")
     if q < 2 or length < 1 or K < 1:
         raise ValueError(f"need q >= 2, length >= 1, K >= 1; got q={q}, length={length}, K={K}")
     _check_alphabet(q)
@@ -217,12 +222,13 @@ def verify_ball_disjointness(
     to the same image would break unique decodability and are reported as
     witnesses (none are expected).
     """
+    q, n = _integer(q, "alphabet size q"), _integer(n, "length n")
     if q < 2 or n < 1:
         raise ValueError(f"need q >= 2 and n >= 1, got q={q}, n={n}")
     _check_alphabet(q)
     _require_space(q, n, max_space)
     entries = []
-    for l in sorted(set(int(v) for v in l_set)):
+    for l in sorted(set(_integer(v, "half-length l") for v in l_set)):
         if l < 1:
             raise ValueError(f"half-length {l} must be >= 1")
         seen: dict[bytes, bytes] = {}
@@ -300,7 +306,8 @@ def roundtrip_suite(
     """
     params = derive_params(q, n)
     K = params.K
-    rng = random.Random(seed)
+    trials = _integer(trials, "trials")
+    rng = random.Random(_integer(seed, "seed"))
     enc_t: list[float] = []
     dec_t: list[float] = []
     cor_t: list[float] = []
@@ -383,6 +390,7 @@ def converse_gap(q: int, n: int, c: float) -> ConverseReport:
     symbols, which exceeds 1 as soon as c > 2: a single redundancy symbol
     cannot reach such short duplications.
     """
+    q, n = _integer(q, "alphabet size q"), _integer(n, "length n")
     if q < 2 or n < 2:
         raise ValueError("need q >= 2 and n >= 2")
     if not isfinite(c) or c <= 0:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .core import MAX_ALPHABET, CodeParams, Word, _as_word, _set, _Value, check_word
+from .core import MAX_ALPHABET, CodeParams, Word, _as_word, _integer, _set, _Value, check_word
 from .repeats import Duplication
 
 
@@ -14,7 +14,9 @@ class ChannelSpec(_Value):
 
     l_min defaults to the code threshold K, l_max to the word length.
     The generator is Python's Mersenne Twister (random.Random), so a seed
-    fully determines the draw sequence on every platform.
+    fully determines the draw sequence on every platform. Each field must
+    be an integer (l_min and l_max may be None); anything else raises
+    ValueError.
     """
 
     __slots__ = __match_args__ = ("seed", "l_min", "l_max")
@@ -23,9 +25,9 @@ class ChannelSpec(_Value):
     l_max: int | None
 
     def __init__(self, seed: int, l_min: int | None = None, l_max: int | None = None) -> None:
-        _set(self, "seed", seed)
-        _set(self, "l_min", l_min)
-        _set(self, "l_max", l_max)
+        _set(self, "seed", _integer(seed, "seed"))
+        _set(self, "l_min", None if l_min is None else _integer(l_min, "l_min"))
+        _set(self, "l_max", None if l_max is None else _integer(l_max, "l_max"))
 
 
 def _duplicate(w: bytes, i: int, l: int) -> bytes:
@@ -42,8 +44,10 @@ def apply_duplication(w: Sequence[int], i: int, l: int) -> Word:
     """Repeat the l symbols starting at offset i, in place: uvw -> uvvw.
 
     Symbols must lie in 0..255; MalformedWordError names the first one
-    that does not.
+    that does not. ValueError when i or l is not an integer, or the
+    duplication does not fit.
     """
+    i, l = _integer(i, "offset i"), _integer(l, "length l")
     return _as_word(_duplicate(check_word(w, MAX_ALPHABET), i, l))
 
 

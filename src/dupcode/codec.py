@@ -19,10 +19,12 @@ whose digits say which segment to re-duplicate; a trailing 0 says the
 word is the plain message plus the redundancy symbol.
 
 numpy enters only where the work computes with it: the hashed square
-search (repeats), the window index, imported once an encode finds its
-first square, and correct's period search on words longer than the
-small-word cutoff. decode runs on core and the byte gap buffer alone, so
-a decode-only process never loads numpy.
+search (repeats), which a word free of long squares never reaches in a
+process without numpy, and the window index, imported once an encode
+finds its first square. correct's period search XORs the word with its
+shift as one big integer. decode runs on core and the byte gap buffer
+alone. So decode, and an encode or correct whose words hold no long
+square, never load numpy.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .core import (
     from_digits,
     to_digits,
 )
-from .repeats import _SMALL_CUTOFF, Duplication, find_leftmost_long, is_dup_free
+from .repeats import Duplication, find_leftmost_long, is_dup_free
 from .seqword import EditableWord
 
 if TYPE_CHECKING:
@@ -259,22 +261,17 @@ def decode(y: Sequence[int], params: CodeParams) -> Word:
 
 
 def _leftmost_period_square(w: bytes, l: int) -> int | None:
-    """Smallest p with w[p:p+l] == w[p+l:p+2l], or None."""
+    """Smallest p with w[p:p+l] == w[p+l:p+2l], or None.
+
+    Byte j of the XOR of w[:-l] and w[l:] is zero exactly when
+    w[j] == w[j + l], so a square of period l is a run of l zero bytes.
+    """
     m = len(w)
     if l < 1 or 2 * l > m:
         return None
-    if m <= _SMALL_CUTOFF:
-        for p in range(m - 2 * l + 1):
-            if w[p : p + l] == w[p + l : p + 2 * l]:
-                return p
-        return None
-    import numpy as np
-
-    arr = np.frombuffer(w, np.uint8)
-    eq = arr[:-l] == arr[l:]
-    c = np.concatenate(([0], np.cumsum(eq)))
-    full = np.flatnonzero(c[l:] - c[:-l] == l)
-    return int(full[0]) if len(full) else None
+    d = (int.from_bytes(w[:-l], "big") ^ int.from_bytes(w[l:], "big")).to_bytes(m - l, "big")
+    p = d.find(bytes(l))
+    return p if p >= 0 else None
 
 
 def correct_with_position(

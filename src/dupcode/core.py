@@ -53,9 +53,26 @@ class InternalDefectError(DupcodeError):
     """An internal invariant was breached. Always a bug, never bad input."""
 
 
-def _check_alphabet(q: int) -> None:
+def _integer(value: object, name: str) -> int:
+    """value as an int, by operator.index, or ValueError naming the parameter.
+
+    Whatever operator.index accepts counts as an integer: int, numpy's
+    integer scalars, and bool (True is 1). A float, a string, None or a
+    numpy bool is refused, never truncated or parsed.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_alphabet(q: int) -> int:
+    """q as an int, or ValueError when it is not an integer or exceeds 256."""
+    if type(q) is not int:  # check_word runs this on every call
+        q = _integer(q, "alphabet size q")
     if q > MAX_ALPHABET:
         raise ValueError(f"alphabet size q must be <= {MAX_ALPHABET}, got {q}")
+    return q
 
 
 _set = object.__setattr__
@@ -113,7 +130,10 @@ class CodeParams(_Value):
     K: int
 
     def __init__(self, q: int, n: int, L: int, K: int) -> None:
-        _check_alphabet(q)
+        q = _check_alphabet(q)
+        n = _integer(n, "message length n")
+        L = _integer(L, "window length L")
+        K = _integer(K, "threshold K")
         if q < 2:
             raise ValueError(f"alphabet size q must be >= 2, got {q}")
         if n < 2:
@@ -141,8 +161,7 @@ def derive_params(q: int, n: int) -> CodeParams:
     L is computed by integer arithmetic (no floating logs): the smallest
     L with q**L >= n.
     """
-    if not isinstance(q, int) or not isinstance(n, int):
-        raise ValueError("q and n must be integers")
+    q, n = _integer(q, "alphabet size q"), _integer(n, "message length n")
     if q < 2:
         raise ValueError(f"alphabet size q must be >= 2, got {q}")
     if n < 2:
@@ -202,9 +221,9 @@ def check_word(symbols: Iterable[int], q: int) -> bytes:
 
     Symbols are converted by operator.index, so a float or a string is
     refused, never truncated or parsed; a numpy bool reads as 0 or 1.
-    Raises ValueError when q > 256, and MalformedWordError naming the first
-    symbol that is not an integer or lies outside the alphabet, or when
-    symbols is not iterable.
+    Raises ValueError when q is not an integer or q > 256, and
+    MalformedWordError naming the first symbol that is not an integer or
+    lies outside the alphabet, or when symbols is not iterable.
 
     The word the library returned last is not packed again: when symbols
     is that very tuple, the bytes it was built from are checked against q
@@ -212,7 +231,7 @@ def check_word(symbols: Iterable[int], q: int) -> bytes:
     per symbol, alive until the library returns its next word. An equal
     tuple that is a different object is packed as usual.
     """
-    _check_alphabet(q)
+    q = _check_alphabet(q)
     last, packed = _last
     if symbols is not last:
         if not isinstance(symbols, (bytes, bytearray, tuple, list)):
@@ -245,8 +264,12 @@ def parse_word(text: str, q: int) -> Word:
 
     For q <= 36 a word is a string over 0-9a-z, one character per symbol
     (uppercase accepted). For larger alphabets it is a comma-separated
-    list of decimal integers.
+    list of decimal integers. Raises MalformedWordError when text is not
+    a string, and ValueError when q is not an integer.
     """
+    if not isinstance(text, str):
+        raise MalformedWordError(f"a word's text must be a string, got {type(text).__name__}")
+    q = _integer(q, "alphabet size q")
     text = text.strip()
     if text == "":
         raise MalformedWordError("empty word")

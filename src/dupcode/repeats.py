@@ -14,17 +14,22 @@ are visited in (i, l) order and verified exactly, the two K-grams first,
 so the result is exact however the hash collides. A word whose first 2K
 symbols are all equal is answered immediately with (0, K).
 
+In a process that has not loaded numpy, a longer word is first offered to
+a certificate of absence (_samples_distinct), which needs no hashing.
 numpy enters only on the hashed path, imported when a word longer than
-the cutoff is scanned. Duplication, the all-equal test and the small-word
-scan run without it, so modules that need only Duplication (the channel)
-do not load numpy.
+the cutoff fails that certificate. Duplication, the all-equal test, the
+small-word scan and the certificate run without it, so neither the
+channel nor an encode or correct of words free of long squares loads
+numpy. A process holding numpy skips the certificate: its warm hashed
+scan is faster.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import TYPE_CHECKING, Sequence
 
-from .core import MAX_ALPHABET, _set, _Value, check_word
+from .core import MAX_ALPHABET, _integer, _set, _Value, check_word
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,6 +45,17 @@ _MOD1, _BASE1 = 2147483647, 1000003
 
 _pow_cache: dict[tuple[int, int], np.ndarray] = {}
 
+# Difference covers (s, D) of Z_s, largest s first: every residue mod s is
+# y - x for some x, y in D. Each D is a perfect difference set.
+_COVERS = (
+    (31, (0, 1, 3, 8, 12, 18)),
+    (21, (0, 1, 4, 14, 16)),
+    (13, (0, 1, 3, 9)),
+    (7, (0, 1, 3)),
+    (3, (0, 1)),
+    (1, (0,)),
+)
+
 
 class Duplication(_Value):
     """A tandem duplication: i symbols precede the left copy of half-length l."""
@@ -49,6 +65,8 @@ class Duplication(_Value):
     l: int
 
     def __init__(self, i: int, l: int) -> None:
+        if type(i) is not int or type(l) is not int:  # the search makes one per square
+            i, l = _integer(i, "offset i"), _integer(l, "half-length l")
         if i < 0 or l < 1:
             raise ValueError(f"invalid duplication (i={i}, l={l})")
         _set(self, "i", i)
@@ -105,6 +123,38 @@ def _scan_small(w: Sequence[int], K: int) -> Duplication | None:
     return None
 
 
+def _cover(K: int) -> tuple[int, tuple[int, ...]]:
+    """The largest cover (s, D) in _COVERS with 3s <= K + 2, so s <= K."""
+    return next(c for c in _COVERS if 3 * c[0] <= K + 2)
+
+
+def _samples_distinct(w: bytes, K: int) -> bool:
+    """True when the sampled g-grams of w are pairwise distinct, which proves
+    that w has no square of half-length >= K.
+
+    Samples are the positions a with a mod s in D, for (s, D) = _cover(K),
+    and g = K - s + 1. Proof: take a square (p, l) with l >= K. Pick x, y
+    in D with y - x = l (mod s), and let a be the position in [p, p + s)
+    with a = x (mod s). Then a + l = y (mod s) is sampled too, and
+    a + g <= p + K <= p + l, so the g-grams at a and a + l are equal. A
+    repeated sample proves nothing; the caller then runs the exact scan.
+    With s about K/3, g is about 2K/3, so a random word repeats a sample
+    only by chance.
+    """
+    s, cover = _cover(K)
+    g = K - s + 1
+    top = len(w) - g + 1
+    seen: set[bytes] = set()
+    size = 0
+    for x in cover:
+        grams = [w[a : a + g] for a in range(x, top, s)]
+        seen.update(grams)
+        size += len(grams)
+        if len(seen) != size:
+            return False
+    return True
+
+
 def _scan_hashed(arr: np.ndarray, K: int) -> Duplication | None:
     import numpy as np
 
@@ -143,10 +193,15 @@ def find_leftmost_long(w: Sequence[int], K: int) -> Duplication | None:
 
     Symbols must lie in 0..255; MalformedWordError names the first one
     that does not. Returns None when w has no such square. Exact for any
-    input; hashing only prunes the candidate set, never decides a match.
-    Raises ValueError when K < 1 or when w has 2**32 or more symbols, the
-    length at which the int64 hash sums and packed keys could overflow.
+    input: the sampled-gram certificate only proves absence, and hashing
+    only prunes the candidate set; neither decides a match. Words longer
+    than 96 symbols are first tried against the certificate while numpy is
+    not loaded, so a word free of long squares is answered without
+    importing numpy. Raises ValueError when K is not an integer or K < 1,
+    or when w has 2**32 or more symbols, the length at which the int64
+    hash sums and packed keys could overflow.
     """
+    K = _integer(K, "threshold K")
     if K < 1:
         raise ValueError(f"threshold K must be >= 1, got {K}")
     if hasattr(w, "__len__") and len(w) >= _MAX_LENGTH:
@@ -163,6 +218,8 @@ def find_leftmost_long(w: Sequence[int], K: int) -> Duplication | None:
     w = bytes(w)
     if m <= _SMALL_CUTOFF:
         return _scan_small(w, K)
+    if "numpy" not in sys.modules and _samples_distinct(w, K):
+        return None
     import numpy as np
 
     return _scan_hashed(np.frombuffer(w, np.uint8), K)

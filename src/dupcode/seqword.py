@@ -16,7 +16,9 @@ on that.
 Symbols are stored as bytes, which covers every alphabet the package
 supports (`core.MAX_ALPHABET` is 256). A symbol outside 0..255, or one
 that is not an integer, raises MalformedWordError (a ValueError) and leaves
-the word unchanged.
+the word unchanged. A position that is not an integer raises ValueError,
+one out of range IndexError. The methods test a position's type before
+calling core._integer, so that decode's plain ints cost no extra call.
 
 Positions are 0-based and ranges half-open, matching the rest of the
 package.
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .core import MAX_ALPHABET, check_word
+from .core import MAX_ALPHABET, _integer, check_word
 
 
 def _pack(symbols: Sequence[int]) -> bytearray:
@@ -76,6 +78,8 @@ class EditableWord:
 
     def get(self, i: int) -> int:
         """Symbol at position i (0-based)."""
+        if type(i) is not int:
+            i = _integer(i, "position")
         m = len(self)
         if i < 0 or i >= m:
             raise IndexError(f"position {i} out of range for word of length {m}")
@@ -84,6 +88,8 @@ class EditableWord:
 
     def insert(self, i: int, symbols: Sequence[int]) -> None:
         """Splice symbols in at offset i (0 <= i <= len)."""
+        if type(i) is not int:
+            i = _integer(i, "offset")
         if i < 0 or i > len(self):
             raise IndexError(f"insert offset {i} out of range for length {len(self)}")
         data = _pack(symbols)
@@ -93,6 +99,8 @@ class EditableWord:
 
     def delete_range(self, a: int, b: int) -> tuple[int, ...]:
         """Remove positions [a, b) and return the removed symbols."""
+        if type(a) is not int or type(b) is not int:
+            a, b = _integer(a, "range start"), _integer(b, "range end")
         m = len(self)
         if not (0 <= a <= b <= m):
             raise IndexError(f"range [{a}, {b}) invalid for word of length {m}")
@@ -109,6 +117,8 @@ class EditableWord:
 
     def slice(self, a: int, b: int) -> tuple[int, ...]:
         """Read positions [a, b) without mutating; O(b - a)."""
+        if type(a) is not int or type(b) is not int:
+            a, b = _integer(a, "range start"), _integer(b, "range end")
         m = len(self)
         if not (0 <= a <= b <= m):
             raise IndexError(f"range [{a}, {b}) invalid for word of length {m}")
@@ -121,6 +131,8 @@ class EditableWord:
 
     def split(self, k: int) -> tuple["EditableWord", "EditableWord"]:
         """Split into the first k symbols and the rest. Consumes self."""
+        if type(k) is not int:
+            k = _integer(k, "split point")
         if k < 0 or k > len(self):
             raise IndexError(f"split point {k} out of range for length {len(self)}")
         self._seek(k)

@@ -59,6 +59,15 @@ def survives(fn, *args):
         return None
 
 
+def survives_edit(fn, *args):
+    """Like survives, for EditableWord's methods, which also document
+    IndexError for a position out of range."""
+    try:
+        return survives(fn, *args)
+    except IndexError:
+        return None
+
+
 symbols = st.one_of(
     st.integers(0, 3),
     st.integers(-300, 300),
@@ -79,8 +88,23 @@ hostile_words = st.one_of(
     st.none(),
     st.integers(),
 )
-alphabets = st.one_of(st.integers(-3, 300), st.sampled_from([2, 4, 16, 36, 37, 256]))
-offsets = st.integers(-3, 50)
+# Parameters that are not integers: operator.index refuses each of them.
+non_integers = st.one_of(
+    st.floats(),
+    st.none(),
+    st.text(max_size=2),
+    st.sampled_from([2.0, [1], (2,), np.float64(3.0), np.bool_(True), b"\x02"]),
+)
+
+
+def param(ints):
+    """An integer from ints half the time; otherwise one as a numpy integer,
+    a bool (both count as integers), or a value that is not an integer."""
+    return st.one_of(ints, ints, ints.map(np.int64), st.booleans(), non_integers)
+
+
+alphabets = param(st.one_of(st.integers(-3, 300), st.sampled_from([2, 4, 16, 36, 37, 256])))
+offsets = param(st.integers(-3, 50))
 
 
 def memo_word(data, q: int) -> tuple:
@@ -104,11 +128,21 @@ def draw_word(data, q: int):
 @given(st.data())
 def test_word_functions_survive_hostile_words(data):
     q = data.draw(alphabets, label="q")
-    text = data.draw(st.one_of(st.text(max_size=12), st.text("0123abz,-9 ", max_size=20)), label="text")
+    text = data.draw(
+        st.one_of(st.text(max_size=12), st.text("0123abz,-9 ", max_size=20), st.none(), st.binary(max_size=4)),
+        label="text",
+    )
     survives(parse_word, text, q)
     survives(format_word, draw_word(data, q), q)
-    survives(EditableWord.from_word, draw_word(data, q))
-    K = data.draw(st.integers(-2, 12), label="K")
+    buf = survives(EditableWord.from_word, draw_word(data, q))
+    if buf is not None:
+        a, b = data.draw(offsets, label="a"), data.draw(offsets, label="b")
+        survives_edit(buf.get, a)
+        survives_edit(buf.slice, a, b)
+        survives_edit(buf.insert, a, draw_word(data, q))
+        survives_edit(buf.delete_range, a, b)
+        survives_edit(buf.split, b)
+    K = data.draw(param(st.integers(-2, 12)), label="K")
     survives(find_leftmost_long, draw_word(data, q), K)
     survives(is_dup_free, draw_word(data, q), K)
     i, l = data.draw(offsets, label="i"), data.draw(offsets, label="l")
@@ -118,14 +152,14 @@ def test_word_functions_survive_hostile_words(data):
 
 def draw_params(data) -> CodeParams | None:
     if data.draw(st.booleans(), label="derived"):
-        return survives(derive_params, data.draw(alphabets, label="q"), data.draw(st.integers(-2, 80), label="n"))
+        return survives(derive_params, data.draw(alphabets, label="q"), data.draw(param(st.integers(-2, 80)), label="n"))
     L = data.draw(st.integers(-1, 4), label="L")
     return survives(
         CodeParams,
-        data.draw(st.integers(-3, 300), label="q"),
-        data.draw(st.integers(-3, 80), label="n"),
-        L,
-        4 * L + 1,
+        data.draw(param(st.integers(-3, 300)), label="q"),
+        data.draw(param(st.integers(-3, 80)), label="n"),
+        data.draw(param(st.just(L)), label="L as passed"),
+        data.draw(param(st.just(4 * L + 1)), label="K"),
     )
 
 
@@ -160,12 +194,15 @@ def test_codec_survives_hostile_words_and_parameters(data):
     assert out is None or type(out[0]) is tuple
     if small:
         assert type(is_codeword(codec_word(data, params), params)) is bool
-    limits = st.one_of(st.none(), st.integers(-3, 90))
-    spec = ChannelSpec(
-        data.draw(st.integers(-(2**40), 2**40), label="seed"),
+    limits = st.one_of(st.none(), param(st.integers(-3, 90)))
+    spec = survives(
+        ChannelSpec,
+        data.draw(param(st.integers(-(2**40), 2**40)), label="seed"),
         data.draw(limits, label="l_min"),
         data.draw(limits, label="l_max"),
     )
+    if spec is None:
+        return
     survives(DuplicationChannel(spec, params).corrupt, codec_word(data, params))
     survives(random_duplication, codec_word(data, params), spec, params)
 
@@ -174,22 +211,22 @@ def test_codec_survives_hostile_words_and_parameters(data):
 @given(st.data())
 def test_analysis_survives_hostile_parameters(data):
     q = data.draw(alphabets, label="q")
-    n = data.draw(st.integers(-2, 12), label="n")
-    K = data.draw(st.integers(-2, 8), label="K")
-    space = data.draw(st.integers(-1, 300), label="max_space")
+    n = data.draw(param(st.integers(-2, 12)), label="n")
+    K = data.draw(param(st.integers(-2, 8)), label="K")
+    space = data.draw(param(st.integers(-1, 300)), label="max_space")
     survives(analysis.count_bad_words, q, n, K, space)
     survives(analysis.enumerate_code0, q, n, K, data.draw(st.booleans(), label="list"), space)
-    l_set = data.draw(st.lists(st.integers(-2, 8), max_size=3), label="l_set")
+    l_set = data.draw(st.lists(param(st.integers(-2, 8)), max_size=3), label="l_set")
     survives(analysis.verify_ball_disjointness, q, n, l_set, space)
     c = data.draw(st.floats(), label="c")
-    report = survives(analysis.converse_gap, q, data.draw(st.integers(-2, 10**6), label="n"), c)
+    report = survives(analysis.converse_gap, q, data.draw(param(st.integers(-2, 10**6)), label="n"), c)
     assert report is None or all(math.isfinite(v) for v in (report.c, report.l, report.eta_lower_bound))
     survives(
         analysis.roundtrip_suite,
         q,
-        data.draw(st.integers(-2, 24), label="n"),
-        data.draw(st.integers(-1, 2), label="trials"),
-        data.draw(st.integers(), label="seed"),
+        data.draw(param(st.integers(-2, 24)), label="n"),
+        data.draw(param(st.integers(-1, 2)), label="trials"),
+        data.draw(st.one_of(st.integers(), non_integers), label="seed"),
         data.draw(st.booleans(), label="sweep"),
     )
 

@@ -7,6 +7,7 @@ numpy loaded long before these tests run.
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,9 @@ from pathlib import Path
 import pytest
 
 import dupcode
+from dupcode import apply_duplication, correct, derive_params, encode, format_word
+
+from oracles import naive_leftmost
 
 SRC = str(Path(dupcode.__file__).resolve().parent.parent)
 
@@ -130,3 +134,46 @@ def test_star_import_and_dir_cover_all():
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="nonexistent"):
         dupcode.nonexistent
+
+
+def _random_word(q: int, m: int, seed: int) -> tuple:
+    rng = random.Random(seed)
+    return tuple(rng.randrange(q) for _ in range(m))
+
+
+def test_encode_and_correct_of_square_free_words_leave_numpy_unloaded(tmp_path):
+    """A random message past the direct-scan cutoff has no long square, so
+    encode and correct prove that with the sampled-gram certificate alone."""
+    params = derive_params(4, 300)
+    x = _random_word(4, params.n, 12)
+    y = encode(x, params)
+    z = apply_duplication(y, 40, 150)
+    assert correct(z, params) == y
+    (tmp_path / "x").write_text(format_word(x, 4))
+    (tmp_path / "z").write_text(format_word(z, 4))
+    code = (
+        "import sys, dupcode.cli\n"
+        f"d = {str(tmp_path)!r}\n"
+        "codes = [dupcode.cli.main([cmd, '--q', '4', '--n', '300', '--in', f'{d}/{src}', '--out', f'{d}/{dst}'])\n"
+        "         for cmd, src, dst in (('encode', 'x', 'y'), ('correct', 'z', 'fixed'))]\n"
+        f"print(codes, {LOADED})"
+    )
+    assert run_fresh(code) == "[0, 0] []"
+    assert (tmp_path / "y").read_text().strip() == format_word(y, 4)
+    assert (tmp_path / "fixed").read_text().strip() == format_word(y, 4)
+
+
+def test_a_long_square_past_the_cutoff_still_takes_the_numpy_scan():
+    """The certificate never answers a word it cannot vouch for: a planted
+    square sends the search on to the hashed scan, which loads numpy."""
+    w = list(_random_word(4, 200, 5))
+    w[120:120] = w[60:120]  # the 60 symbols at 60 repeated: a square (60, 60)
+    expect = naive_leftmost(w, 21)
+    assert expect is not None and expect <= (60, 60)
+    code = (
+        "import sys\n"
+        "from dupcode import find_leftmost_long\n"
+        f"d = find_leftmost_long({w!r}, 21)\n"
+        "print((d.i, d.l), 'numpy' in sys.modules)"
+    )
+    assert run_fresh(code) == f"{expect} True"

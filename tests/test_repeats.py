@@ -2,14 +2,23 @@
 
 import itertools
 import random
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dupcode import repeats
+from dupcode.codec import _leftmost_period_square
 from dupcode.core import MalformedWordError
-from dupcode.repeats import Duplication, _scan_hashed, _scan_small, find_leftmost_long, is_dup_free
+from dupcode.repeats import (
+    Duplication,
+    _samples_distinct,
+    _scan_hashed,
+    _scan_small,
+    find_leftmost_long,
+    is_dup_free,
+)
 
 from oracles import naive_leftmost, scan_by_length_leftmost
 
@@ -227,3 +236,108 @@ def test_is_dup_free_consistent(word, K):
     w = tuple(word)
     assert is_dup_free(w, K) == (find_leftmost_long(w, K) is None)
     assert is_dup_free(w, K) == (naive_leftmost(w, K) is None)
+
+
+@pytest.mark.parametrize("s,cover", repeats._COVERS)
+def test_each_cover_is_a_difference_cover(s, cover):
+    assert {(y - x) % s for x in cover for y in cover} == set(range(s))
+
+
+def test_cover_choice_keeps_the_gram_inside_the_threshold():
+    assert repeats._cover(37)[0] == 13  # K for q = 4, n = 2**18: g = 25
+    for K in range(1, 200):
+        s, _ = repeats._cover(K)
+        assert 1 <= s <= K and 3 * s <= K + 2
+    assert {repeats._cover(K) for K in range(1, 200)} == set(repeats._COVERS)
+
+
+def _planted(rng, q, p, l, tail):
+    u = [rng.randrange(q) for _ in range(l)]
+    return tuple([rng.randrange(q) for _ in range(p)] + u + u + [rng.randrange(q) for _ in range(tail)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    q=st.sampled_from([2, 4, 256]),
+    K=st.one_of(st.integers(5, 73), st.integers(91, 100)),
+    extra=st.integers(0, 40),
+    seed=st.integers(0, 2**32),
+)
+def test_a_planted_square_always_repeats_a_sample(q, K, extra, seed):
+    """A square of half-length l >= K, for every residue of its start and of
+    l mod s (the cover's modulus), repeats a sampled gram, so the
+    certificate never vouches for a word that holds one. K reaches every
+    cover in the table."""
+    rng = random.Random(seed)
+    s, _ = repeats._cover(K)
+    for r in range(s):
+        for l in range(K + extra, K + extra + s):
+            w = bytes(_planted(rng, q, s * rng.randrange(3) + r, l, rng.randrange(2 * s)))
+            assert not _samples_distinct(w, K), (r, l, w)
+
+
+@pytest.mark.parametrize("q", [2, 4, 256])
+def test_random_words_agree_with_the_oracle_under_the_certificate(q):
+    """Mostly square-free words: whenever the oracle finds a square the
+    certificate refuses, and it vouches for most of the words that have none."""
+    rng = random.Random(q)
+    vouched = free = 0
+    for _ in range(120):
+        K = rng.randint(5, 40)
+        w = bytes(rng.randrange(q) for _ in range(rng.randint(2 * K, 300)))
+        expect = naive_leftmost(w, K)
+        distinct = _samples_distinct(w, K)
+        assert expect is None or not distinct, (w, K)
+        free += expect is None
+        vouched += distinct
+    assert vouched >= free // 2 > 0
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_search_before_numpy_loads_matches_the_oracle(data):
+    """find_leftmost_long as it runs in a process that has not loaded numpy:
+    it tries the certificate first, and takes the hashed scan only past it."""
+    q = data.draw(st.sampled_from([2, 4, 256]), label="q")
+    w = data.draw(st.lists(st.integers(0, q - 1), min_size=97, max_size=300), label="word")
+    K = data.draw(st.integers(4, 40), label="K")
+    if data.draw(st.booleans(), label="plant"):
+        l = data.draw(st.integers(K, 60), label="l")
+        i = data.draw(st.integers(0, max(len(w) - l, 0)), label="i")
+        w = w[: i + l] + w[i : i + l] + w[i + l :]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(repeats, "sys", types.SimpleNamespace(modules={}))
+        got = _as_tuple(find_leftmost_long(w, K))
+    assert got == naive_leftmost(w, K)
+
+
+def _naive_period_square(w, l):
+    if l < 1:
+        return None
+    for p in range(len(w) - 2 * l + 1):
+        if w[p : p + l] == w[p + l : p + 2 * l]:
+            return p
+    return None
+
+
+@pytest.mark.parametrize("q", [2, 4, 256])
+def test_period_square_search_matches_a_naive_loop(q):
+    """correct's search for the leftmost square of one half-length, on words
+    at and past 96 symbols, for every l from 0 past m // 2."""
+    rng = random.Random(7 * q)
+    for m in (0, 1, 2, 7, 40, 96, 97, 150, 300):
+        for _ in range(3):
+            w = bytes(rng.randrange(q) for _ in range(m))
+            if m > 1 and rng.random() < 0.7:  # plant a square of some period
+                l = rng.randint(1, m // 2)
+                i = rng.randint(0, m - 2 * l)
+                w = w[: i + l] + w[i : i + l] + w[i + l : m - l]
+            for l in range(0, m // 2 + 3):
+                assert _leftmost_period_square(w, l) == _naive_period_square(w, l), (w, l)
+
+
+def test_period_square_search_on_a_large_word():
+    w = bytes(random.Random(3).randrange(4) for _ in range(5000))
+    for i, l in ((0, 1), (17, 40), (2000, 1500), (0, 2500), (4999, 1)):
+        y = w[: i + l] + w[i : i + l] + w[i + l :]
+        assert _leftmost_period_square(y, l) == _naive_period_square(y, l)
