@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .core import MAX_ALPHABET, CodeParams, Word, _as_word, _integer, _set, _Value, check_word
+from .core import MAX_ALPHABET, CodeParams, Word, _as_word, _check_params, _integer, _set, _Value, check_word
 from .repeats import Duplication
 
 
@@ -55,6 +55,7 @@ class DuplicationChannel:
     """Draws duplications with persistent generator state across calls."""
 
     def __init__(self, spec: ChannelSpec, params: CodeParams):
+        _check_params(params)
         self.spec = spec
         self.params = params
         self._rng = random.Random(spec.seed)

@@ -38,10 +38,11 @@ from .core import (
     MalformedWordError,
     Word,
     _as_word,
+    _check_params,
     _set,
     _Value,
     check_word,
-    from_digits,
+    from_digits,  # unused here; bench/tracing.py wraps codec.from_digits
     to_digits,
 )
 from .repeats import Duplication, find_leftmost_long, is_dup_free
@@ -98,6 +99,7 @@ def _encode(
     self_check: bool,
     trace: list[BlockRecord] | None,
 ) -> Word:
+    _check_params(params)
     q, n, L, K = params.q, params.n, params.L, params.K
     xw = check_word(x, q)
     if len(xw) != n:
@@ -207,18 +209,27 @@ def decode(y: Sequence[int], params: CodeParams) -> Word:
     even when it is not a codeword, so the returned x need not re-encode
     to y; is_codeword(y) is the exact membership test.
 
-    Blocks are consumed right to left on an EditableWord gap buffer. Block
-    k deletes its l_k symbols at the tail and re-inserts l_k symbols at
-    i_k + l_k, which leaves the cursor at i_k + 2*l_k; the block costs
-    O(l_k) plus the cursor's travel. Once the encoder cut at offset
-    i_{k-1}, the prefix [0, i_{k-1}) holds no long square, so every new
-    leftmost square crosses that offset and i_k + 2*l_k > i_{k-1}; decode
-    refuses any word that breaks this order. Each rightward move is then
-    shorter than l_k, the leftward moves exceed the rightward ones by at
-    most the n + 1 symbols the cursor starts from, and the half-lengths
-    sum to at most n + 1, so the cursor travels at most 3(n + 1) symbols
-    on every input.
+    Blocks are consumed right to left on an EditableWord gap buffer, whose
+    length stays n + 1. Per block, one byte read takes the flag and the
+    length digits, one takes the offset digits, and one private step
+    (EditableWord._redo) deletes the l_k symbols at the tail and
+    re-inserts a copy of [i_k, i_k + l_k) at i_k + l_k, which leaves the
+    cursor at i_k + 2*l_k; the block costs O(l_k) plus the cursor's
+    travel. Once the encoder cut at offset i_{k-1}, the prefix
+    [0, i_{k-1}) holds no long square, so every new leftmost square
+    crosses that offset and i_k + 2*l_k > i_{k-1}; decode refuses any
+    word that breaks this order. Each rightward move is then shorter than
+    l_k, and the leftward moves exceed the rightward ones by at most the
+    n + 1 symbols the cursor starts from. On a codeword the half-lengths
+    sum to at most n + 1, so the cursor travels at most 3(n + 1) symbols.
+
+    The order check does not make every replay end: a tail block
+    (n + 1 - 2l, l) behind a copy of itself re-creates both copies, so
+    decode stops after (n + 1) // K + 1 blocks and refuses the word as
+    "block structure does not terminate". Such a replay's half-lengths
+    can sum past n + 1, and so can its travel past 3(n + 1).
     """
+    _check_params(params)
     q, n, L, K = params.q, params.n, params.L, params.K
     yw = check_word(y, q)
     if len(yw) != n + 1:
@@ -226,11 +237,14 @@ def decode(y: Sequence[int], params: CodeParams) -> Word:
     if yw[-1] == 0:
         return _as_word(yw[:-1])
 
+    # The replay keeps the word at m = n + 1 symbols, and every symbol
+    # passed check_word, so the digits need no range check of their own.
+    m = n + 1
     buf = EditableWord.from_word(yw)
-    end = n + 1  # end of the square replayed last; no bound on the first block
-    for _ in range((n + 1) // K + 1):
-        m = len(buf)
-        flag = buf.get(m - 1)
+    end = m  # end of the square replayed last; no bound on the first block
+    for _ in range(m // K + 1):
+        head = buf._bytes(max(m - 1 - L, 0), m)  # length digits and flag
+        flag = head[-1]
         if flag == 0:
             buf.delete_range(m - 1, m)
             return _as_word(buf._packed())
@@ -238,13 +252,16 @@ def decode(y: Sequence[int], params: CodeParams) -> Word:
             raise MalformedCodewordError(f"trailing flag must be 0 or 1, got {flag}")
         if m - 1 < L:
             raise MalformedCodewordError("too few symbols for a length block")
-        l = from_digits(buf.slice(m - 1 - L, m - 1), params)
+        l = 0
+        for d in head[:-1]:
+            l = l * q + d
         if l < K:
             raise MalformedCodewordError(f"block half-length {l} is below the threshold {K}")
         if l > m:
             raise MalformedCodewordError(f"block half-length {l} exceeds the word length {m}")
-        i = from_digits(buf.slice(m - l, m - l + L), params)
-        buf.delete_range(m - l, m)
+        i = 0
+        for d in buf._bytes(m - l, m - l + L):
+            i = i * q + d
         rem = m - l
         if i + l > rem:
             raise MalformedCodewordError(
@@ -254,8 +271,7 @@ def decode(y: Sequence[int], params: CodeParams) -> Word:
             raise MalformedCodewordError(
                 f"block offset {i} is not below {end}, where the next block's square ends"
             )
-        seg = buf.slice(i, i + l)
-        buf.insert(i + l, seg)
+        buf._redo(i, l)
         end = i + 2 * l
     raise MalformedCodewordError("block structure does not terminate")
 
@@ -288,6 +304,7 @@ def correct_with_position(
     mechanically, but uniqueness of the result is only guaranteed in the
     l >= K regime the code is designed for.
     """
+    _check_params(params)
     q, n, K = params.q, params.n, params.K
     yw = check_word(y, q)
     m = len(yw)
@@ -316,7 +333,12 @@ def correct(y: Sequence[int], params: CodeParams) -> Word:
 
 
 def is_codeword(y: Sequence[int], params: CodeParams) -> bool:
-    """True iff y decodes and re-encodes to itself. Never raises on bad input."""
+    """True iff y decodes and re-encodes to itself.
+
+    Never raises on a bad y: any word, of any length or symbols, gets an
+    answer. params must still be a CodeParams (ValueError otherwise).
+    """
+    _check_params(params)
     try:
         yw = check_word(y, params.q)
     except MalformedWordError:

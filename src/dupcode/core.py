@@ -155,6 +155,13 @@ class CodeParams(_Value):
         return self.n + 1 >= 2 * self.K
 
 
+def _check_params(params: object) -> None:
+    """ValueError unless params is a CodeParams; every entry point that takes
+    params runs this before reading a field of it."""
+    if not isinstance(params, CodeParams):
+        raise ValueError(f"params must be a CodeParams, got {type(params).__name__}")
+
+
 def derive_params(q: int, n: int) -> CodeParams:
     """Derive (L, K) from the alphabet size q and message length n.
 

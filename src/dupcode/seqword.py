@@ -10,15 +10,22 @@ delete on `_right`, which bytearray does without moving the rest.
 Reads (`get`, `slice`, `to_word`) never move the cursor. `insert` moves it
 to the insertion point and leaves it after the inserted symbols, and a
 `delete_range` that straddles the cursor moves it to the range's start.
-Edits near the previous edit are therefore cheap; `codec.decode` relies
-on that.
+Edits near the previous edit are therefore cheap.
+
+`codec.decode` replays a block with two private, unchecked methods, which
+it calls only after its own bound checks: `_bytes(a, b)` reads [a, b)
+without moving the cursor, and `_redo(i, l)` drops the last l symbols and
+inserts a copy of [i, i + l) at i + l, moving the cursor exactly as that
+`delete_range` and `insert` would, to end at i + 2l. codec.decode relies
+on that: its bound on the cursor's travel counts those moves, and every
+move goes through `_seek`.
 
 Symbols are stored as bytes, which covers every alphabet the package
 supports (`core.MAX_ALPHABET` is 256). A symbol outside 0..255, or one
 that is not an integer, raises MalformedWordError (a ValueError) and leaves
 the word unchanged. A position that is not an integer raises ValueError,
 one out of range IndexError. The methods test a position's type before
-calling core._integer, so that decode's plain ints cost no extra call.
+calling core._integer, so that plain ints cost no extra call.
 
 Positions are 0-based and ranges half-open, matching the rest of the
 package.
@@ -75,6 +82,37 @@ class EditableWord:
             d = p - nl
             left += right[-d:][::-1]
             del right[-d:]
+
+    # -- unchecked steps for codec.decode, which checks every bound first --
+
+    def _bytes(self, a: int, b: int) -> bytearray:
+        """Positions [a, b) without moving the cursor; 0 <= a <= b <= len."""
+        left, right = self._left, self._right
+        nl = len(left)
+        if b <= nl:
+            return left[a:b]
+        m = nl + len(right)
+        if a >= nl:
+            return right[m - b : m - a][::-1]
+        return left[a:] + right[m - b :][::-1]
+
+    def _redo(self, i: int, l: int) -> None:
+        """Drop the last l symbols and insert a copy of [i, i + l) at i + l.
+
+        Needs 0 <= i and i + 2*l <= len. The tail is cut as delete_range
+        cuts it, and the copy is spliced in as insert splices it, so the
+        cursor moves as under those two calls and ends at i + 2*l.
+        """
+        left, right = self._left, self._right
+        cut = len(left) + len(right) - l
+        if not right:
+            del left[cut:]
+        else:
+            if cut < len(left):
+                self._seek(cut)
+            del right[:l]
+        self._seek(i + l)
+        left += left[i:]
 
     def get(self, i: int) -> int:
         """Symbol at position i (0-based)."""

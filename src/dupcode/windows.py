@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CodeParams, InternalDefectError, Word, check_word
+from .core import CodeParams, InternalDefectError, Word, _check_params, _integer, check_word
 
 #: Tries with at most this many leaves get a dense int64 array.
 DENSE_LEAF_LIMIT = 1 << 22
@@ -54,8 +54,17 @@ class _SparseCounts(dict):
         return 0
 
 
+def _sliceable(w: Sequence[int], q: int) -> Sequence[int]:
+    """w itself when it slices as a word (the encoder's bytearray does), else
+    w checked and packed, so a slice of it is a word."""
+    if isinstance(w, (bytes, bytearray, tuple, list)):
+        return w
+    return check_word(w, q)
+
+
 class WindowIndex:
     def __init__(self, params: CodeParams):
+        _check_params(params)
         q, L = params.q, params.L
         self.params = params
         self._pow = [q**e for e in range(L + 1)]
@@ -119,9 +128,10 @@ class WindowIndex:
 
     def _window(self, window: Sequence[int]) -> bytes:
         L = self.params.L
-        if len(window) != L:
-            raise ValueError(f"window must have length {L}, got {len(window)}")
-        return check_word(window, self.params.q)
+        w = check_word(window, self.params.q)
+        if len(w) != L:
+            raise ValueError(f"window must have length {L}, got {len(w)}")
+        return w
 
     def _codes(self, seg: bytes) -> list[int]:
         """Codes of the length-L windows of seg, left to right."""
@@ -213,11 +223,13 @@ class WindowIndex:
 
     def apply_append(self, w_before: Sequence[int], suffix: Sequence[int]) -> None:
         """Account for suffix being appended to the tracked word w_before."""
-        if not len(suffix):
-            return
         q = self.params.q
+        suffix = check_word(suffix, q)
+        if not suffix:
+            return
+        w_before = _sliceable(w_before, q)
         tail = w_before[max(0, len(w_before) - self.params.L + 1) :]
-        self._stage(self._codes(check_word(tail, q) + check_word(suffix, q)))
+        self._stage(self._codes(check_word(tail, q) + suffix))
 
     def apply_delete(self, w_before: Sequence[int], a: int, b: int) -> None:
         """Account for positions [a, b) being cut out of w_before.
@@ -226,6 +238,9 @@ class WindowIndex:
         index as it was and raises ValueError naming that window.
         """
         L = self.params.L
+        if type(a) is not int or type(b) is not int:
+            a, b = _integer(a, "range start"), _integer(b, "range end")
+        w_before = _sliceable(w_before, self.params.q)
         m = len(w_before)
         if not (0 <= a <= b <= m):
             raise ValueError(f"range [{a}, {b}) invalid for word of length {m}")

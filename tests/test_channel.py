@@ -105,3 +105,12 @@ def test_offset_distribution_is_roughly_uniform():
     # df = 12 - generous ceiling ~ df + 5*sqrt(2*df)
     df = bins - 1
     assert chi2 < df + 5 * math.sqrt(2 * df)
+
+
+@pytest.mark.parametrize("params", ["x", None, 3])
+def test_params_that_are_not_code_params_are_refused(params):
+    message = f"^params must be a CodeParams, got {type(params).__name__}$"
+    with pytest.raises(ValueError, match=message):
+        DuplicationChannel(ChannelSpec(seed=1), params)
+    with pytest.raises(ValueError, match=message):
+        random_duplication((0, 1, 2, 3), ChannelSpec(seed=1), params)

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from dupcode import codec
 from dupcode.channel import apply_duplication
 from dupcode.core import (
+    CodeParams,
     MalformedCodewordError,
     MalformedWordError,
     derive_params,
@@ -294,6 +296,96 @@ def test_decode_enforces_the_encoder_block_order(i_old, refused):
         assert len(codec.decode(y, params)) == params.n
 
 
+def _loop_word(params, l: int) -> tuple[int, ...]:
+    """Two copies of the block (n + 1 - 2l, l) behind zeros: replaying the
+    last copy re-creates both, so the replay never reaches a flag 0."""
+    m = params.n + 1
+    return (0,) * (m - 2 * l) + _block(m - 2 * l, l, params) * 2
+
+
+# (params, word, the exact refusal), one per check decode's docstring names,
+# in the order decode makes them.
+_P64 = derive_params(4, 64)
+_REFUSALS = [
+    pytest.param(P16, parse_word("0123456789abcde", 16), "codeword must have length 17, got 15", id="length"),
+    pytest.param(P16, parse_word("0123456789abcdef2", 16), "trailing flag must be 0 or 1, got 2", id="flag"),
+    pytest.param(
+        CodeParams(q=2, n=4, L=10, K=41), (0, 0, 0, 0, 1), "too few symbols for a length block", id="too-few"
+    ),
+    pytest.param(
+        P16, parse_word("0123456789abcde01", 16), "block half-length 0 is below the threshold 5", id="below-K"
+    ),
+    pytest.param(
+        derive_params(4, 20),
+        (0,) * 17 + (3, 3, 3, 1),
+        "block half-length 63 exceeds the word length 21",
+        id="above-length",
+    ),
+    pytest.param(
+        P16, parse_word("0123456789abcdef1", 16), "reinsertion (i=2, l=15) does not fit in 2 symbols", id="fit"
+    ),
+    pytest.param(
+        _P64,
+        (0,) * 39 + _block(26, 13, _P64) + _block(0, 13, _P64),
+        "block offset 26 is not below 26, where the next block's square ends",
+        id="order",
+    ),
+    pytest.param(_P64, _loop_word(_P64, 13), "block structure does not terminate", id="no-end"),
+]
+
+
+@pytest.mark.parametrize("params,y,message", _REFUSALS)
+def test_decode_refusals_keep_their_messages(params, y, message):
+    with pytest.raises(MalformedCodewordError, match=f"^{re.escape(message)}$"):
+        codec.decode(y, params)
+    assert not codec.is_codeword(y, params)
+
+
+def test_decode_reads_a_later_flag_after_a_replayed_block():
+    """The flag check runs on every block, not only on the word's last symbol:
+    the block (0, K) replays onto a word that ends in the symbol 2."""
+    params = derive_params(4, 64)
+    K = params.K
+    y = (0,) * (params.n - K) + (2,) + _block(0, K, params)
+    with pytest.raises(MalformedCodewordError, match="^trailing flag must be 0 or 1, got 2$"):
+        codec.decode(y, params)
+
+
+def _random_block_word(rng: random.Random, params) -> tuple[int, ...]:
+    """Random symbols ending in a chain of encoder-shaped blocks, each
+    offset drawn so that decode's fit and order checks often pass."""
+    m, K = params.n + 1, params.K
+    tail: tuple[int, ...] = ()
+    while len(tail) < m - 1 - K and rng.random() < 0.8:
+        l = rng.randint(K, max(K, (m - len(tail)) // 2))
+        if len(tail) + l > m - 1:
+            break
+        i = rng.randint(0, max(0, m - 2 * l - len(tail)))
+        tail = _block(i, l, params) + tail
+    head = tuple(rng.randrange(params.q) for _ in range(m - len(tail) - 1)) + (0,)
+    return (head + tail)[-m:] if tail else head
+
+
+@pytest.mark.parametrize("q,n", [(4, 64), (2, 100), (16, 300)])
+def test_decode_matches_the_list_oracle_on_accepted_non_codewords(q, n):
+    """decode and oracles.ref_decode agree on every word decode accepts,
+    codewords or not, such as the offset-25 word of the block-order test."""
+    params = derive_params(q, n)
+    rng = random.Random(q * 1000 + n)
+    accepted = 0
+    for _ in range(200):
+        y = _random_block_word(rng, params)
+        assert len(y) == n + 1
+        try:
+            x = codec.decode(y, params)
+        except MalformedCodewordError:
+            continue
+        if y[-1] == 1 and not codec.is_codeword(y, params):
+            accepted += 1
+        assert x == ref_decode(y, q, n)
+    assert accepted >= 20
+
+
 def _decode_travel(monkeypatch, y, params) -> int:
     """Decode y and return the symbols the gap buffer's cursor moved over."""
     travel = 0
@@ -310,6 +402,11 @@ def _decode_travel(monkeypatch, y, params) -> int:
     return travel
 
 
+# The travel of the replay that called delete_range, slice and insert per
+# block; the private step must move the cursor exactly as they did.
+_TRAVEL = {(4, 300): 511, (4, 1 << 12): 8097, (2, 256): 389}
+
+
 @pytest.mark.parametrize("q,n", [(4, 300), (4, 1 << 12), (2, 256)])
 def test_decode_cursor_travel_is_bounded_on_codewords(monkeypatch, q, n):
     """decode's docstring bounds the cursor's travel by 3(n + 1); count it."""
@@ -317,6 +414,7 @@ def test_decode_cursor_travel_is_bounded_on_codewords(monkeypatch, q, n):
     y = codec.encode((0,) * n, params)
     travel = _decode_travel(monkeypatch, y, params)
     assert 0 < travel <= 3 * (n + 1)
+    assert travel == _TRAVEL[q, n]
 
 
 def test_decode_cursor_travel_is_bounded_on_an_accepted_non_codeword(monkeypatch):
@@ -328,6 +426,28 @@ def test_decode_cursor_travel_is_bounded_on_an_accepted_non_codeword(monkeypatch
     assert not codec.is_codeword(y, params)
     travel = _decode_travel(monkeypatch, y, params)
     assert 0 < travel <= 3 * (params.n + 1)
+    assert travel == 51
+
+
+@pytest.mark.parametrize("params", ["x", None, 3, (16, 16, 1, 5)])
+def test_params_that_are_not_code_params_are_refused(params):
+    """Every codec entry point names a params of the wrong type, even
+    is_codeword, whose "never raises" covers the word, not params."""
+    message = f"^params must be a CodeParams, got {type(params).__name__}$"
+    x = (0,) * 16
+    y = codec.encode(x, P16)
+    calls = [
+        (codec.encode, x),
+        (codec.encode_with_trace, x),
+        (codec.decode, y),
+        (codec.correct, y),
+        (codec.correct_with_position, y),
+        (codec.is_codeword, y),
+        (codec.is_codeword, "not a word"),
+    ]
+    for fn, word in calls:
+        with pytest.raises(ValueError, match=message):
+            fn(word, params)
 
 
 def test_correct_example_pair():

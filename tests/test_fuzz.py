@@ -15,6 +15,7 @@ import math
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dupcode import (
@@ -40,6 +41,7 @@ from dupcode import (
     random_duplication,
 )
 from dupcode.cli import main
+from dupcode.windows import WindowIndex
 
 FUZZ = settings(
     max_examples=120,
@@ -150,7 +152,20 @@ def test_word_functions_survive_hostile_words(data):
     assert out is None or type(out) is tuple
 
 
-def draw_params(data) -> CodeParams | None:
+# Objects passed where a CodeParams belongs: every entry point refuses them.
+not_params = st.one_of(
+    st.none(),
+    st.text(max_size=2),
+    st.integers(),
+    st.sampled_from([(4, 7, 2, 9), {"q": 4, "n": 7}, 4.0, np.int64(4)]),
+)
+
+
+def draw_params(data) -> object:
+    """A CodeParams, None when building one was refused, or, one time in
+    eight, an object of another type."""
+    if data.draw(st.integers(0, 7), label="not a CodeParams") == 0:
+        return data.draw(not_params, label="params")
     if data.draw(st.booleans(), label="derived"):
         return survives(derive_params, data.draw(alphabets, label="q"), data.draw(param(st.integers(-2, 80)), label="n"))
     L = data.draw(st.integers(-1, 4), label="L")
@@ -178,11 +193,22 @@ def codec_word(data, params: CodeParams):
     return tuple(body)
 
 
+def refuses_params(fn, *args) -> None:
+    with pytest.raises(ValueError, match="^params must be a CodeParams, got "):
+        fn(*args)
+
+
 @FUZZ
 @given(st.data())
 def test_codec_survives_hostile_words_and_parameters(data):
     params = draw_params(data)
     if params is None:
+        return
+    if not isinstance(params, CodeParams):
+        word = draw_word(data, 4)
+        for fn in (encode, encode_with_trace, decode, correct, correct_with_position, is_codeword):
+            refuses_params(fn, word, params)
+        refuses_params(DuplicationChannel, ChannelSpec(1), params)
         return
     small = params.n <= 80
     if small:
@@ -205,6 +231,36 @@ def test_codec_survives_hostile_words_and_parameters(data):
         return
     survives(DuplicationChannel(spec, params).corrupt, codec_word(data, params))
     survives(random_duplication, codec_word(data, params), spec, params)
+
+
+@FUZZ
+@given(st.data())
+def test_window_index_survives_hostile_edits(data):
+    if data.draw(st.booleans(), label="plain params"):
+        q = data.draw(st.sampled_from([2, 3, 4, 16, 200]), label="q")
+        params = derive_params(q, data.draw(st.integers(2, 80), label="n"))
+    else:
+        params = draw_params(data)
+    if params is None:
+        return
+    if not isinstance(params, CodeParams):
+        refuses_params(WindowIndex, params)
+        refuses_params(WindowIndex.build, draw_word(data, 4), params)
+        return
+    if params.q**params.L > 1 << 16:
+        return  # a hand-built L makes the dense trie too large to build per example
+    index = survives(WindowIndex.build, codec_word(data, params), params)
+    if index is None:
+        return
+    word = codec_word(data, params)
+    survives(index.apply_append, word, draw_word(data, params.q))
+    survives(index.apply_append, draw_word(data, params.q), codec_word(data, params))
+    survives(index.apply_delete, word, data.draw(offsets, label="a"), data.draw(offsets, label="b"))
+    survives(index.apply_delete, draw_word(data, params.q), 0, data.draw(offsets, label="b"))
+    survives(index.window_count, draw_word(data, params.q))
+    out = survives(index.find_absent)
+    assert out is None or (type(out) is tuple and len(out) == params.L)
+    survives(index.audit, draw_word(data, params.q))
 
 
 @settings(FUZZ, max_examples=60)

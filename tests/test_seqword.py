@@ -173,3 +173,71 @@ def test_split_join_identity(word, k):
     rebuilt = EditableWord.join(left, right)
     rebuilt.audit()
     assert rebuilt.to_word() == tuple(word)
+
+
+# -- the private replay step that codec.decode uses ---------------------------
+
+
+def _at_cursor(model: list[int], c: int) -> EditableWord:
+    w = EditableWord.from_word(model)
+    w._seek(c)
+    assert len(w._left) == c
+    return w
+
+
+def test_bytes_reads_the_list_slice_at_every_cursor_position():
+    model = [7, 0, 3, 255, 1, 1, 9, 4, 2]
+    m = len(model)
+    for c in range(m + 1):
+        w = _at_cursor(model, c)
+        for a in range(m + 1):
+            for b in range(a, m + 1):
+                assert bytes(w._bytes(a, b)) == bytes(model[a:b]), (c, a, b)
+        assert len(w._left) == c  # reads never move the cursor
+        assert w.to_word() == tuple(model)
+
+
+def _step(monkeypatch, model: list[int], cursor: int, step) -> tuple[int, tuple[int, ...], int]:
+    """Run step on model with the cursor at `cursor`; return the symbols the
+    cursor then moved over, the word, and where the cursor ended."""
+    w = _at_cursor(model, cursor)
+    travel = 0
+    seek = EditableWord._seek
+
+    def counting_seek(self, p):
+        nonlocal travel
+        travel += abs(p - len(self._left))
+        seek(self, p)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(EditableWord, "_seek", counting_seek)
+        step(w)
+    w.audit()
+    return travel, w.to_word(), len(w._left)
+
+
+def _public_redo(w: EditableWord, i: int, l: int) -> None:
+    m = len(w)
+    w.delete_range(m - l, m)
+    w.insert(i + l, w.slice(i, i + l))
+
+
+@pytest.mark.parametrize("where", ["left of the cursor", "straddling it", "right of it"])
+def test_redo_matches_the_list_model_and_the_public_calls(monkeypatch, where):
+    """_redo(i, l) on the tail [m - l, m) left of the cursor (the cursor at
+    the end, as on decode's first block), straddling it, or right of it."""
+    model = list(range(40, 70))
+    m = len(model)
+    cases = 0
+    for l in range(1, m // 2 + 1):
+        for i in range(0, m - 2 * l + 1):
+            cursor = {"left of the cursor": m, "straddling it": m - l + l // 2, "right of it": i}[where]
+            if where == "straddling it" and not m - l < cursor < m:
+                continue
+            expect = tuple(model[: i + l] + model[i : i + l] + model[i + l : m - l])
+            travel, word, end = _step(monkeypatch, model, cursor, lambda w: w._redo(i, l))
+            assert (word, end) == (expect, i + 2 * l), (i, l, cursor)
+            public = _step(monkeypatch, model, cursor, lambda w: _public_redo(w, i, l))
+            assert (travel, word, end) == public, (i, l, cursor)
+            cases += 1
+    assert cases > 100

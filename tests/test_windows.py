@@ -182,6 +182,38 @@ def test_out_of_range_symbol_leaves_index_unchanged(q, L, bad):
     idx.audit(word)
 
 
+@pytest.mark.parametrize("params", ["x", None, 3, (3, 10, 3, 13)])
+def test_params_that_are_not_code_params_are_refused(params):
+    message = f"^params must be a CodeParams, got {type(params).__name__}$"
+    with pytest.raises(ValueError, match=message):
+        WindowIndex(params)
+    with pytest.raises(ValueError, match=message):
+        WindowIndex.build([0, 1, 2], params)
+
+
+@pytest.mark.parametrize("a,b", [(1.5, 3), (None, 3), (1, "3"), (1, 3.0)])
+def test_delete_positions_must_be_integers(a, b):
+    p = _params(3, 2)
+    word = [0, 1, 2, 2, 1, 0]
+    idx = WindowIndex.build(word, p)
+    with pytest.raises(ValueError, match="must be an integer"):
+        idx.apply_delete(word, a, b)
+    idx.apply_delete(word, np.int64(1), True + 2)  # integer types are accepted
+    idx.audit(word[:1] + word[3:])
+
+
+@pytest.mark.parametrize("suffix", [None, 5, 2.0])
+def test_append_of_a_suffix_that_is_no_word_is_refused(suffix):
+    p = _params(3, 2)
+    word = [0, 1, 2, 2, 1, 0]
+    idx = WindowIndex.build(word, p)
+    with pytest.raises(ValueError, match="must be an iterable of symbols"):
+        idx.apply_append(word, suffix)
+    with pytest.raises(ValueError, match="must be an iterable of symbols"):
+        idx.apply_append(suffix, [1])
+    idx.audit(word)
+
+
 @pytest.mark.parametrize("q,L", [(2, 3), (200, 3)])
 def test_delete_against_a_different_word_raises(q, L):
     p = _params(q, L)
