@@ -119,8 +119,10 @@ def _encode(
     d_len = n + 1  # length of the not-yet-rewritten prefix
     max_iters = (n + 1) // K + 1
 
+    # w and every run put holds symbols below q (a checked message, digits
+    # and fillers), so the index takes them through its unchecked edits.
     def put(seq: bytes) -> None:
-        index.apply_append(w, seq)
+        index._append(w, seq)
         w.extend(seq)
 
     iters = 0
@@ -136,7 +138,7 @@ def _encode(
         if r < 2 or 2 * L + r * L + t + 1 != l:
             raise InternalDefectError(f"block arithmetic failed for l={l}, L={L}")
 
-        index.apply_delete(w, i, i + l)
+        index._cut(w, i, i + l)
         del w[i : i + l]
         d_len -= l
 
@@ -202,12 +204,13 @@ def decode(y: Sequence[int], params: CodeParams) -> Word:
 
     Raises MalformedCodewordError when y fails one of the checks the
     replay makes: the length is n + 1, each trailing flag is 0 or 1, each
-    block's half-length and offset digits lie in range, each block fits
-    in the word before it, and each block's offset lies below the end of
-    the square replayed just before it (i_{k-1} < i_k + 2*l_k, the order
-    the encoder writes blocks in). A word that passes them all is decoded
-    even when it is not a codeword, so the returned x need not re-encode
-    to y; is_codeword(y) is the exact membership test.
+    block's half-length and offset digits lie in range, the half-lengths
+    sum to at most n + 1, each block fits in the word before it, and each
+    block's offset lies below the end of the square replayed just before
+    it (i_{k-1} < i_k + 2*l_k, the order the encoder writes blocks in). A
+    word that passes them all is decoded even when it is not a codeword,
+    so the returned x need not re-encode to y; is_codeword(y) is the exact
+    membership test.
 
     Blocks are consumed right to left on an EditableWord gap buffer, whose
     length stays n + 1. Per block, one byte read takes the flag and the
@@ -220,14 +223,18 @@ def decode(y: Sequence[int], params: CodeParams) -> Word:
     crosses that offset and i_k + 2*l_k > i_{k-1}; decode refuses any
     word that breaks this order. Each rightward move is then shorter than
     l_k, and the leftward moves exceed the rightward ones by at most the
-    n + 1 symbols the cursor starts from. On a codeword the half-lengths
-    sum to at most n + 1, so the cursor travels at most 3(n + 1) symbols.
+    n + 1 symbols the cursor starts from.
 
-    The order check does not make every replay end: a tail block
-    (n + 1 - 2l, l) behind a copy of itself re-creates both copies, so
-    decode stops after (n + 1) // K + 1 blocks and refuses the word as
-    "block structure does not terminate". Such a replay's half-lengths
-    can sum past n + 1, and so can its travel past 3(n + 1).
+    The encoder cuts each half-length from a prefix that starts at n + 1
+    symbols, so on a codeword the half-lengths sum to at most n + 1.
+    decode keeps that budget and refuses the first block whose l exceeds
+    what the blocks before it left. So on every input the replay copies
+    at most n + 1 symbols and the cursor travels at most 3(n + 1). The
+    budget also ends every replay: each l is at least K, so the block
+    that would overrun it comes by the (m // K + 1)-th. A word that once
+    replayed without end, such as a tail block (n + 1 - 2l, l) behind a
+    copy of itself, is refused by the budget; there is no separate
+    "block structure does not terminate" refusal.
     """
     _check_params(params)
     q, n, L, K = params.q, params.n, params.L, params.K
@@ -242,7 +249,8 @@ def decode(y: Sequence[int], params: CodeParams) -> Word:
     m = n + 1
     buf = EditableWord.from_word(yw)
     end = m  # end of the square replayed last; no bound on the first block
-    for _ in range(m // K + 1):
+    budget = m  # symbols the half-lengths may still take
+    while True:
         head = buf._bytes(max(m - 1 - L, 0), m)  # length digits and flag
         flag = head[-1]
         if flag == 0:
@@ -257,8 +265,13 @@ def decode(y: Sequence[int], params: CodeParams) -> Word:
             l = l * q + d
         if l < K:
             raise MalformedCodewordError(f"block half-length {l} is below the threshold {K}")
-        if l > m:
-            raise MalformedCodewordError(f"block half-length {l} exceeds the word length {m}")
+        if l > budget:
+            if l > m:
+                raise MalformedCodewordError(f"block half-length {l} exceeds the word length {m}")
+            raise MalformedCodewordError(
+                f"block half-lengths sum to {m - budget + l}, past the word length {m}"
+            )
+        budget -= l
         i = 0
         for d in buf._bytes(m - l, m - l + L):
             i = i * q + d
@@ -273,7 +286,6 @@ def decode(y: Sequence[int], params: CodeParams) -> Word:
             )
         buf._redo(i, l)
         end = i + 2 * l
-    raise MalformedCodewordError("block structure does not terminate")
 
 
 def _leftmost_period_square(w: bytes, l: int) -> int | None:

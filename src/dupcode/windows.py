@@ -10,19 +10,24 @@ v*q + 1 + x, and the node of c at depth d is
 
     (q**d - 1) // (q - 1) + c // q**(L - d).
 
-build counts every window with numpy. Edits are staged: apply_append
-and apply_delete roll the codes of the windows they touch in Python and
-queue them, to add and to remove, and every read (find_absent,
-root_count, window_count, audit) first applies the queue. On the dense
-store that takes one node array, holding the L + 1 ancestors of every
-queued window, and at most two scatter-adds; the sparse store bumps the
-ancestors window by window. A removal is checked when it is staged,
-against the stored leaves (the queue is applied first if the cut shares
-a window with it), so a cut that would take a window below count zero is
-refused at once and leaves the counted word unchanged. In the
-encoder a cut, its junction and every block appended before the next
-filler lookup mostly share one flush. Small tries use a flat int64 array,
-large ones a sparse dict that stores no zeros.
+build counts every window with numpy. The public edits, apply_append and
+apply_delete, check and pack their arguments and then make the same
+private edit, _append or _cut, which takes a bytes or bytearray word as
+it is; the encoder, whose word and runs hold only symbols it checked or
+wrote, calls the private edits directly. Edits are staged: an edit rolls
+the codes of the windows it touches in Python and queues them, to add
+and to remove, and every read (find_absent, root_count, window_count,
+audit) first applies the queue. On the dense store that takes one node
+array, holding the L + 1 ancestors of every queued window, and at most
+two scatter-adds; the sparse store bumps the ancestors window by window.
+A removal is checked when it is staged, against the stored leaves (the
+queue is applied first if the cut shares a window with it), so a cut
+that would take a window below count zero is refused at once and leaves
+the counted word unchanged. In the encoder a cut, its junction and every
+block appended before the next filler lookup mostly share one flush.
+find_absent hops from node to node and turns the leaf it reaches into
+digits once. Small tries use a flat int64 array, large ones a sparse
+dict that stores no zeros.
 """
 
 from __future__ import annotations
@@ -229,7 +234,7 @@ class WindowIndex:
             return
         w_before = _sliceable(w_before, q)
         tail = w_before[max(0, len(w_before) - self.params.L + 1) :]
-        self._stage(self._codes(check_word(tail, q) + suffix))
+        self._append(check_word(tail, q), suffix)
 
     def apply_delete(self, w_before: Sequence[int], a: int, b: int) -> None:
         """Account for positions [a, b) being cut out of w_before.
@@ -248,6 +253,20 @@ class WindowIndex:
             return
         base = max(0, a - L + 1)
         seg = check_word(w_before[base : min(b + L - 1, m)], self.params.q)
+        self._cut(seg, a - base, b - base)
+
+    # The two edits behind apply_append and apply_delete. They check nothing:
+    # w and suffix are bytes or bytearray holding symbols below q, and
+    # 0 <= a < b <= len(w). The encoder calls them with the bytearray it
+    # builds from a checked message and its own digits and fillers.
+
+    def _append(self, w: bytes | bytearray, suffix: bytes) -> None:
+        self._stage(self._codes(w[max(0, len(w) - self.params.L + 1) :] + suffix))
+
+    def _cut(self, w: bytes | bytearray, a: int, b: int) -> None:
+        L = self.params.L
+        base = max(0, a - L + 1)
+        seg = w[base : b + L - 1]
         cut = self._codes(seg)
         self._check_removal(seg, cut)
         # Windows spanning the new junction at position a.
@@ -260,7 +279,10 @@ class WindowIndex:
 
         At depth m the search enters the smallest-digit child whose counter
         is below q**(L-m-1); such a child always exists while the root
-        counter stays below q**L, and the leaf it reaches counts zero.
+        counter stays below q**L, and the leaf it reaches counts zero. The
+        descent hops from node to node: down to the first child (v*q + 1),
+        then right while that child is full, at most q - 1 hops per depth.
+        The leaf's digits are read off its code once, at the end.
         """
         q, L = self.params.q, self.params.L
         self._flush()
@@ -268,19 +290,18 @@ class WindowIndex:
         counts = memoryview(self._counts) if self._dense else self._counts
         if counts[0] >= self._pow[L]:
             raise ValueError("index holds q**L windows or more; every L-word occurs")
+        # q**(L-1), ..., q, 1: the thresholds per depth, and the digits' weights
+        places = self._pow[L - 1 :: -1]
         v = 0
-        digits = []
-        for depth in range(L):
-            threshold = self._pow[L - depth - 1]
-            first = v * q + 1
-            for c in range(q):
-                if counts[first + c] < threshold:
-                    v = first + c
-                    digits.append(c)
-                    break
-            else:
-                raise InternalDefectError("absent-window descent found no viable child")
-        return tuple(digits)
+        for threshold in places:
+            v = v * q + 1
+            last = v + q - 1
+            while counts[v] >= threshold:
+                if v == last:
+                    raise InternalDefectError("absent-window descent found no viable child")
+                v += 1
+        code = v - self._first_leaf
+        return tuple([code // place % q for place in places])
 
     # -- integrity ------------------------------------------------------------
 

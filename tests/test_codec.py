@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dupcode import codec
+from dupcode import codec, core, repeats, windows
 from dupcode.channel import apply_duplication
 from dupcode.core import (
     CodeParams,
@@ -199,24 +199,46 @@ def test_self_check_audits_the_array_store_every_iteration(monkeypatch):
     params = derive_params(4, 1 << 12)
     audited: list[type] = []
     cuts: list[int] = []
-    audit, apply_delete = WindowIndex.audit, WindowIndex.apply_delete
+    audit, cut = WindowIndex.audit, WindowIndex._cut
 
     def counted_audit(self, word):
         audited.append(type(self._counts))
         audit(self, word)
 
-    def counted_delete(self, w_before, a, b):
+    def counted_cut(self, w, a, b):
         cuts.append(b - a)
-        apply_delete(self, w_before, a, b)
+        cut(self, w, a, b)
 
     monkeypatch.setattr(WindowIndex, "audit", counted_audit)
-    monkeypatch.setattr(WindowIndex, "apply_delete", counted_delete)
+    monkeypatch.setattr(WindowIndex, "_cut", counted_cut)
     y = codec.encode((0,) * params.n, params, self_check=True)
     assert hashlib.sha256(bytes(y)).hexdigest() == (
         "d16d48d61572faf2e76c8c1f101531cf20a411f6d24e4706679ceefd93782fb5"
     )
     assert len(audited) == len(cuts) > 100  # one audit per iteration
     assert set(audited) == {np.ndarray}
+
+
+def test_encoder_keeps_off_the_checked_path(monkeypatch):
+    """The encoder checks the message once and hands the window index
+    bytes it built itself, so check_word runs a fixed number of times
+    however many iterations the encode takes."""
+    calls = 0
+    check_word = core.check_word
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return check_word(*args, **kwargs)
+
+    for module in (core, codec, windows, repeats):
+        monkeypatch.setattr(module, "check_word", counted)
+    per_size = []
+    for n in (1 << 10, 1 << 12):  # 48 and 163 iterations
+        calls = 0
+        codec.encode((0,) * n, derive_params(4, n))
+        per_size.append(calls)
+    assert per_size[0] == per_size[1] <= 2
 
 
 def test_all_zeros_block_structure():
@@ -330,7 +352,7 @@ _REFUSALS = [
         "block offset 26 is not below 26, where the next block's square ends",
         id="order",
     ),
-    pytest.param(_P64, _loop_word(_P64, 13), "block structure does not terminate", id="no-end"),
+    pytest.param(_P64, _loop_word(_P64, 13), "block half-lengths sum to 78, past the word length 65", id="no-end"),
 ]
 
 
@@ -386,6 +408,24 @@ def test_decode_matches_the_list_oracle_on_accepted_non_codewords(q, n):
     assert accepted >= 20
 
 
+def _looping_block_word(rng: random.Random, params) -> tuple[int, ...]:
+    """Like _random_block_word with wider ranges: half-lengths up to
+    (n + 1) / 2, offsets anywhere the fit check allows and half of them
+    n + 1 - 2l, blocks repeated half the time. Replaying a block at offset
+    n + 1 - 2l copies the symbols just before it onto the tail, so a
+    repeated block re-creates itself, as in _loop_word."""
+    m, K = params.n + 1, params.K
+    tail: tuple[int, ...] = ()
+    while len(tail) < m - 1 - K and rng.random() < 0.8:
+        l = rng.randint(K, m // 2)
+        if len(tail) + l > m - 1:
+            break
+        i = m - 2 * l if rng.random() < 0.5 else rng.randint(0, m - 2 * l)
+        tail = _block(i, l, params) * rng.randint(1, 2) + tail
+    head = tuple(rng.randrange(params.q) for _ in range(m - len(tail) - 1)) + (0,)
+    return (head + tail)[-m:] if tail else head
+
+
 def _decode_travel(monkeypatch, y, params) -> int:
     """Decode y and return the symbols the gap buffer's cursor moved over."""
     travel = 0
@@ -427,6 +467,35 @@ def test_decode_cursor_travel_is_bounded_on_an_accepted_non_codeword(monkeypatch
     travel = _decode_travel(monkeypatch, y, params)
     assert 0 < travel <= 3 * (params.n + 1)
     assert travel == 51
+
+
+@pytest.mark.parametrize("q,n", [(4, 64), (2, 100), (16, 300), (4, 250)])
+def test_decode_cursor_travel_is_bounded_on_every_word(monkeypatch, q, n):
+    """The half-length budget keeps the travel within 3(n + 1) on words
+    decode refuses too. Without it, chains that replay the blocks they
+    re-create moved the cursor up to 10.5(n + 1) at (16, 300) in a search
+    of 2,000 words."""
+    params = derive_params(q, n)
+    rng = random.Random(q * 1000 + n + 1)
+    travel = 0
+    seek = EditableWord._seek
+
+    def counting_seek(self, p):
+        nonlocal travel
+        travel += abs(p - len(self._left))
+        seek(self, p)
+
+    monkeypatch.setattr(EditableWord, "_seek", counting_seek)
+    over_budget = 0
+    for _ in range(300):
+        y = _looping_block_word(rng, params)
+        travel = 0
+        try:
+            codec.decode(y, params)
+        except MalformedCodewordError as e:
+            over_budget += str(e).startswith("block half-lengths sum to")
+        assert travel <= 3 * (n + 1), y
+    assert over_budget > 50
 
 
 @pytest.mark.parametrize("params", ["x", None, 3, (16, 16, 1, 5)])

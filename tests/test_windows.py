@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from dupcode.core import CodeParams
+from dupcode.core import CodeParams, InternalDefectError
 from dupcode.windows import DENSE_LEAF_LIMIT, QUEUE_LIMIT, WindowIndex
 
 from oracles import tally_find_absent, window_tally
@@ -162,23 +162,33 @@ def test_input_sequence_types(convert):
 
 
 @pytest.mark.parametrize("q,L", [(3, 2), (200, 3)])
-@pytest.mark.parametrize("bad", [-1, "q"])
-def test_out_of_range_symbol_leaves_index_unchanged(q, L, bad):
+@pytest.mark.parametrize(
+    "bad,convert",
+    [
+        pytest.param(-1, list, id="-1"),
+        pytest.param("q", list, id="q"),
+        # the public edits check bytes as they check lists: the encoder's
+        # unchecked path is private, not chosen by the type
+        pytest.param("q", bytes, id="q-bytes"),
+        pytest.param("q", bytearray, id="q-bytearray"),
+    ],
+)
+def test_out_of_range_symbol_leaves_index_unchanged(q, L, bad, convert):
     p = _params(q, L)
     bad = q if bad == "q" else bad
     word = [0, 1, 2, 1, 0, 2, 2, 1]
     idx = WindowIndex.build(word, p)
     with pytest.raises(ValueError):
-        WindowIndex.build(word[:3] + [bad] + word[3:], p)
+        WindowIndex.build(convert(word[:3] + [bad] + word[3:]), p)
     with pytest.raises(ValueError):
-        idx.apply_append(word, [1, bad])
+        idx.apply_append(convert(word), convert([1, bad]))
     idx.audit(word)
     # the bad symbol is the last one the cut touches, so a per-window check
     # would already have removed the windows before it
     at = 3 + L - 2
     broken = word[:at] + [bad] + word[at + 1 :]
     with pytest.raises(ValueError):
-        idx.apply_delete(broken, 1, 3)
+        idx.apply_delete(convert(broken), 1, 3)
     idx.audit(word)
 
 
@@ -337,3 +347,73 @@ def test_a_long_queue_is_applied_before_it_passes_the_limit():
         assert len(idx._add) + len(idx._sub) <= QUEUE_LIMIT
     assert idx.root_count == len(word) - 2
     idx.audit(word)
+
+
+@pytest.mark.parametrize("q,L", [(2, 3), (3, 2), (4, 2), (2, 23), (256, 3)])
+def test_private_edits_match_tally(q, L):
+    """_append and _cut, the unchecked edits the encoder calls, take a
+    bytearray word as it is. Random appends and cuts keep the index equal to
+    a tally of the word, and a cut of a word the index does not hold is
+    refused with the window the public apply_delete names."""
+    p = _params(q, L)
+    rng = random.Random(7 * q + L)
+    symbols = range(q) if q < 256 else (0, 1, 2, 255)
+    word = bytearray(rng.choice(symbols) for _ in range(30))
+    idx = WindowIndex.build(word, p)
+    assert idx._dense == (q**L <= DENSE_LEAF_LIMIT)
+    refused = 0
+    for _ in range(200):
+        roll = rng.random()
+        if roll < 0.5 or len(word) < 8:
+            suffix = bytes(rng.choice(symbols) for _ in range(rng.randint(1, 6)))
+            idx._append(word, suffix)
+            word += suffix
+        elif roll < 0.85:
+            a = rng.randrange(len(word))
+            b = rng.randint(a + 1, min(len(word), a + 7))
+            idx._cut(word, a, b)
+            del word[a:b]
+        else:
+            # a run holds one window more often than the word may
+            a = rng.randrange(len(word))
+            b = rng.randint(a + 1, min(len(word), a + 16))
+            other = bytearray(word)
+            other[a:b] = bytes([rng.choice(symbols)]) * (b - a)
+            missing = _refusal(window_tally(word, L), other, a, b, L)
+            if missing is None:
+                continue
+            message = re.escape(f"window {missing} has zero count")
+            with pytest.raises(ValueError, match=message):
+                idx._cut(other, a, b)
+            with pytest.raises(ValueError, match=message):
+                idx.apply_delete(other, a, b)
+            refused += 1
+        if len(word) > 60:
+            idx._cut(word, 0, 30)
+            del word[:30]
+        idx.audit(word)
+        tally = window_tally(word, L)
+        assert idx.root_count == sum(tally.values())
+        if idx.root_count < q**L:
+            found = idx.find_absent()
+            assert tally[found] == 0
+            assert found == tally_find_absent(tally, q, L)
+    assert refused > 10
+
+
+@pytest.mark.parametrize("q,L", [(3, 3), (256, 3)], ids=["dense", "sparse"])
+@pytest.mark.parametrize("depth", [0, 2])
+def test_descent_past_the_last_child_is_a_defect(q, L, depth):
+    """Counters that say every child of a node on the path is full, while
+    the node itself has room, stop the descent after q hops; it never
+    walks into the next node's children."""
+    p = _params(q, L)
+    idx = WindowIndex.build([0, 1, 0], p)
+    v = 0
+    for _ in range(depth):
+        v = v * q + 1  # the descent takes digit 0 down to the corrupted node
+    first = v * q + 1
+    for child in range(first, first + q):
+        idx._counts[child] = q ** (L - depth - 1)
+    with pytest.raises(InternalDefectError, match="^absent-window descent found no viable child$"):
+        idx.find_absent()
