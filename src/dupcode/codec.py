@@ -53,35 +53,28 @@ if TYPE_CHECKING:
 
 
 class BlockRecord(_Value):
-    """One encoder iteration, kept when tracing: the square handled, the
-    block arithmetic, and each filler with the word it was chosen against."""
+    """One encoder iteration, kept when tracing: the square (i, l) cut, the
+    block arithmetic r and t, and the r fillers written into the block.
 
-    __slots__ = __match_args__ = ("i", "l", "r", "t", "fillers", "filler_prefixes", "word_after")
+    A record holds the encoder's decisions, not the word: the word after
+    each iteration follows by replaying the records in order on the
+    message plus its 0 flag. A record costs O(r * L) symbols, so a trace
+    is O(n) in all.
+    """
+
+    __slots__ = __match_args__ = ("i", "l", "r", "t", "fillers")
     i: int
     l: int
     r: int
     t: int
     fillers: tuple[Word, ...]
-    filler_prefixes: tuple[Word, ...]
-    word_after: Word
 
-    def __init__(
-        self,
-        i: int,
-        l: int,
-        r: int,
-        t: int,
-        fillers: tuple[Word, ...],
-        filler_prefixes: tuple[Word, ...],
-        word_after: Word,
-    ) -> None:
+    def __init__(self, i: int, l: int, r: int, t: int, fillers: tuple[Word, ...]) -> None:
         _set(self, "i", i)
         _set(self, "l", l)
         _set(self, "r", r)
         _set(self, "t", t)
         _set(self, "fillers", fillers)
-        _set(self, "filler_prefixes", filler_prefixes)
-        _set(self, "word_after", word_after)
 
 
 def _pick_absent(index: WindowIndex) -> Word:
@@ -145,15 +138,12 @@ def _encode(
         # A filler lookup must see every symbol before it, so the symbols
         # between two lookups go to the index in one append.
         fillers: list[Word] = []
-        prefixes: list[Word] = []
         run = bytes(to_digits(i, params))
         for k in range(r):
             if k == r - 1:
                 run += bytes(t)  # the 0^t padding precedes the last filler
             put(run)
             word = _pick_absent(index)
-            if trace is not None:
-                prefixes.append(tuple(w))
             fillers.append(word)
             run = bytes(word)
         put(run + bytes(to_digits(l, params) + (1,)))
@@ -163,17 +153,7 @@ def _encode(
         if self_check:
             index.audit(w)
         if trace is not None:
-            trace.append(
-                BlockRecord(
-                    i=i,
-                    l=l,
-                    r=r,
-                    t=t,
-                    fillers=tuple(fillers),
-                    filler_prefixes=tuple(prefixes),
-                    word_after=tuple(w),
-                )
-            )
+            trace.append(BlockRecord(i, l, r, t, tuple(fillers)))
         dup = find_leftmost_long(w, K)
     return _as_word(bytes(w))
 
@@ -193,7 +173,12 @@ def encode(
 
 
 def encode_with_trace(x: Sequence[int], params: CodeParams) -> tuple[Word, list[BlockRecord]]:
-    """Encode with per-iteration records and self-checks enabled."""
+    """Encode, returning the codeword and one BlockRecord per iteration.
+
+    The records hold what the encoder decided, (i, l, r, t, fillers); the
+    word after each iteration follows by replaying them. The trace takes
+    O(n) memory. self_check=True is forced, so every iteration is audited.
+    """
     trace: list[BlockRecord] = []
     y = _encode(x, params, self_check=True, trace=trace)
     return y, trace
@@ -231,10 +216,7 @@ def decode(y: Sequence[int], params: CodeParams) -> Word:
     what the blocks before it left. So on every input the replay copies
     at most n + 1 symbols and the cursor travels at most 3(n + 1). The
     budget also ends every replay: each l is at least K, so the block
-    that would overrun it comes by the (m // K + 1)-th. A word that once
-    replayed without end, such as a tail block (n + 1 - 2l, l) behind a
-    copy of itself, is refused by the budget; there is no separate
-    "block structure does not terminate" refusal.
+    that would overrun it comes by the (m // K + 1)-th.
     """
     _check_params(params)
     q, n, L, K = params.q, params.n, params.L, params.K

@@ -244,13 +244,14 @@ def check_word(symbols: Iterable[int], q: int) -> bytes:
         if not isinstance(symbols, (bytes, bytearray, tuple, list)):
             symbols = _listed(symbols)
         # Fast path: bytes() checks 0..255 in C and translate() deletes the
-        # symbols below q, so a word in range leaves nothing behind. Any
-        # failure falls through to the loop below, which reports it.
+        # symbols below q, so a word in range leaves nothing behind; at
+        # q = 256 every byte is in range. Any failure falls through to the
+        # loop below, which reports it.
         try:
             packed = bytes(symbols)
         except (TypeError, ValueError):
             packed = None
-    if packed is not None and not packed.translate(None, _BELOW[max(q, 0)]):
+    if packed is not None and (q == MAX_ALPHABET or not packed.translate(None, _BELOW[max(q, 0)])):
         return packed
     word = []
     for pos, s in enumerate(symbols):

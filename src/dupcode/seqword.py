@@ -38,17 +38,6 @@ from typing import Iterator, Sequence
 from .core import MAX_ALPHABET, _integer, check_word
 
 
-def _pack(symbols: Sequence[int]) -> bytearray:
-    if isinstance(symbols, (bytes, bytearray, tuple, list)):
-        try:
-            return bytearray(symbols)
-        except (TypeError, ValueError):
-            pass
-    # check_word reads any other iterable, such as a numpy array, symbol by
-    # symbol rather than as raw memory, and names the first bad symbol.
-    return bytearray(check_word(symbols, MAX_ALPHABET))
-
-
 class EditableWord:
     """Mutable word with O(1) point access and splices at a moving cursor.
 
@@ -66,7 +55,7 @@ class EditableWord:
     def from_word(cls, symbols: Sequence[int]) -> "EditableWord":
         """Build in O(len), with the cursor at the end."""
         t = cls()
-        t._left = _pack(symbols)
+        t._left = bytearray(check_word(symbols, MAX_ALPHABET))
         return t
 
     def __len__(self) -> int:
@@ -130,7 +119,7 @@ class EditableWord:
             i = _integer(i, "offset")
         if i < 0 or i > len(self):
             raise IndexError(f"insert offset {i} out of range for length {len(self)}")
-        data = _pack(symbols)
+        data = check_word(symbols, MAX_ALPHABET)
         if data:
             self._seek(i)
             self._left += data
@@ -160,12 +149,7 @@ class EditableWord:
         m = len(self)
         if not (0 <= a <= b <= m):
             raise IndexError(f"range [{a}, {b}) invalid for word of length {m}")
-        left, right = self._left, self._right
-        nl = len(left)
-        if b <= nl:
-            return tuple(left[a:b])
-        tail = right[m - b : m - max(a, nl)][::-1]
-        return tuple(left[a:nl] + tail) if a < nl else tuple(tail)
+        return tuple(self._bytes(a, b))
 
     def split(self, k: int) -> tuple["EditableWord", "EditableWord"]:
         """Split into the first k symbols and the rest. Consumes self."""

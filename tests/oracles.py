@@ -116,6 +116,32 @@ def ref_encode(x: Sequence[int], q: int, n: int) -> tuple[int, ...]:
         assert len(w) == n + 1
 
 
+def replay_trace(x: Sequence[int], trace, q: int, n: int) -> tuple[int, ...]:
+    """Rebuild the codeword from the message and the encoder's records.
+
+    Each record (i, l, r, t, fillers) cuts w[i:i+l] and appends
+    i's digits, the fillers with 0^t before the last one, l's digits and a
+    final 1. Every filler must be absent from the word it is appended to.
+    """
+    L, _ = params_for(q, n)
+    assert len(x) == n
+    w = list(x) + [0]
+    for rec in trace:
+        assert len(rec.fillers) == rec.r
+        del w[rec.i : rec.i + rec.l]
+        w += digits_of(rec.i, q, L)
+        for k, filler in enumerate(rec.fillers):
+            if k == rec.r - 1:
+                w += [0] * rec.t
+            assert len(filler) == L
+            assert window_tally(w, L)[tuple(filler)] == 0, (rec, filler)
+            w += list(filler)
+        w += digits_of(rec.l, q, L)
+        w += [1]
+        assert len(w) == n + 1
+    return tuple(w)
+
+
 def ref_decode(y: Sequence[int], q: int, n: int) -> tuple[int, ...]:
     """List-splicing re-implementation of the decoder."""
     L, K = params_for(q, n)

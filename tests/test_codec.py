@@ -3,6 +3,7 @@
 import hashlib
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from dupcode.repeats import is_dup_free
 from dupcode.seqword import EditableWord
 from dupcode.windows import WindowIndex
 
-from oracles import naive_leftmost, ref_decode, ref_encode
+from oracles import naive_leftmost, ref_decode, ref_encode, replay_trace
 
 
 P16 = derive_params(16, 16)
@@ -40,10 +41,8 @@ def test_encode_anchor_trace():
     assert (rec.i, rec.l) == (0, 5)  # 00000|00000 at the front
     assert (rec.r, rec.t) == (2, 0)
     assert rec.fillers == ((1,), (2,))
-    assert rec.word_after == y
     # each filler was genuinely missing from the word it was chosen against
-    for filler, prefix in zip(rec.fillers, rec.filler_prefixes):
-        assert filler[0] not in prefix
+    assert replay_trace(x, trace, 16, 16) == y
 
 
 def test_no_duplication_message_gets_flag_zero():
@@ -94,6 +93,7 @@ def test_encode_matches_reference_over_many_iterations(q, n, family):
     y, trace = codec.encode_with_trace(x, params)
     assert len(trace) >= 2
     assert y == ref_encode(x, q, n)
+    assert replay_trace(x, trace, q, n) == y
 
 
 @pytest.mark.parametrize("family", ["constant", "runs"])
@@ -111,6 +111,7 @@ def test_roundtrip_at_q256_with_the_top_symbol(family):
     assert len(trace) >= 2
     assert 255 in y
     assert y == ref_encode(x, q, n)
+    assert replay_trace(x, trace, q, n) == y
     assert codec.decode(y, params) == x
 
 
@@ -185,14 +186,38 @@ def test_codec_returns_tuples_for_bytes_like_input(convert):
 
 
 def test_trace_records_hold_tuples():
+    """A record holds the encoder's decisions and nothing else."""
+    assert codec.BlockRecord.__slots__ == ("i", "l", "r", "t", "fillers")
     params = derive_params(4, 300)
     y, trace = codec.encode_with_trace((0,) * 300, params)
     assert _is_word(y) and len(trace) >= 2
     for rec in trace:
-        assert _is_word(rec.word_after)
-        assert type(rec.filler_prefixes) is tuple and rec.filler_prefixes
-        assert all(_is_word(prefix) for prefix in rec.filler_prefixes)
-        assert all(_is_word(filler) for filler in rec.fillers)
+        match rec:
+            case codec.BlockRecord(i, l, r, t, fillers):
+                assert all(type(v) is int for v in (i, l, r, t))
+                assert type(fillers) is tuple and fillers
+                assert all(_is_word(filler) for filler in fillers)
+            case _:
+                pytest.fail("BlockRecord does not match its positional pattern")
+    assert replay_trace((0,) * 300, trace, 4, 300) == y
+
+
+def test_trace_memory_stays_linear():
+    """The records keep no copy of the word, so at n = 2^13 (281
+    iterations) the trace peaks far below one word copy per filler."""
+    n = 1 << 13
+    params = derive_params(4, n)
+    x = (0,) * n
+    codec.encode(x, params)  # imports and lazy tables outside the measurement
+    tracemalloc.start()
+    try:
+        y, trace = codec.encode_with_trace(x, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 281
+    assert peak < 4 << 20, peak
+    assert replay_trace(x, trace, 4, n) == y
 
 
 def test_self_check_audits_the_array_store_every_iteration(monkeypatch):
@@ -255,7 +280,7 @@ def test_all_zeros_block_structure():
         assert rec.r >= 2
         assert 2 * params.L + rec.r * params.L + rec.t + 1 == rec.l
         assert len(rec.fillers) == rec.r
-        assert len(rec.word_after) == n + 1
+    assert replay_trace((0,) * n, trace, q, n) == y
     assert codec.decode(y, params) == (0,) * n
 
 

@@ -14,7 +14,7 @@ import pytest
 from dupcode import ChannelSpec, CodeParams, Duplication, derive_params
 from dupcode.codec import BlockRecord
 
-RECORD = BlockRecord(1, 37, 6, 0, ((0, 1, 2),), ((3, 3),), (0, 1, 2, 3))
+RECORD = BlockRecord(1, 37, 6, 0, ((0, 1, 2),))
 
 # (value, an equal value built another way, a different value of the same class)
 CASES = [
@@ -23,10 +23,8 @@ CASES = [
     (ChannelSpec(7), ChannelSpec(seed=7, l_min=None, l_max=None), ChannelSpec(7, 5)),
     (
         RECORD,
-        BlockRecord(
-            i=1, l=37, r=6, t=0, fillers=((0, 1, 2),), filler_prefixes=((3, 3),), word_after=(0, 1, 2, 3)
-        ),
-        BlockRecord(1, 37, 6, 1, ((0, 1, 2),), ((3, 3),), (0, 1, 2, 3)),
+        BlockRecord(i=1, l=37, r=6, t=0, fillers=((0, 1, 2),)),
+        BlockRecord(1, 37, 6, 1, ((0, 1, 2),)),
     ),
 ]
 IDS = ["CodeParams", "Duplication", "ChannelSpec", "BlockRecord"]
@@ -40,11 +38,7 @@ def test_fields_read_back_as_constructed():
     d = Duplication(5, 13)
     assert (d.i, d.l) == (5, 13)
     assert (RECORD.i, RECORD.l, RECORD.r, RECORD.t) == (1, 37, 6, 0)
-    assert (RECORD.fillers, RECORD.filler_prefixes, RECORD.word_after) == (
-        ((0, 1, 2),),
-        ((3, 3),),
-        (0, 1, 2, 3),
-    )
+    assert RECORD.fillers == ((0, 1, 2),)
     match d:
         case Duplication(i, l):
             assert (i, l) == (5, 13)
@@ -123,8 +117,7 @@ def test_classes_never_compare_equal_to_each_other_or_to_tuples():
         (ChannelSpec(seed=3, l_min=5), "ChannelSpec(seed=3, l_min=5, l_max=None)"),
         (
             RECORD,
-            "BlockRecord(i=1, l=37, r=6, t=0, fillers=((0, 1, 2),), "
-            "filler_prefixes=((3, 3),), word_after=(0, 1, 2, 3))",
+            "BlockRecord(i=1, l=37, r=6, t=0, fillers=((0, 1, 2),))",
         ),
     ],
 )
