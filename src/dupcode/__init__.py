@@ -27,9 +27,9 @@ from .seqword import EditableWord
 
 __version__ = "0.1.0"
 
-# The brute-force checkers and the window index compute with numpy; they are
-# imported on first access (PEP 562), so `import dupcode` and the decode and
-# channel paths run without loading numpy.
+# The brute-force checkers (numpy) and the window index (needed only once an
+# encode finds a long square) are imported on first access (PEP 562), so
+# `import dupcode` and the decode and channel paths load neither, nor numpy.
 _LAZY = {
     "BadWordReport": "analysis",
     "BallReport": "analysis",

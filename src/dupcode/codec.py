@@ -10,17 +10,19 @@ the block cannot complete a new long square:
     i_digits | r-1 absent L-words | 0^t | 1 absent L-word | l_digits | 1
 
 with r = (l - 2L - 1) // L and t = (l - 1) % L, which makes the block
-exactly l symbols long (r >= 2 whenever l >= K). The word length is
-n + 1 after every iteration, and the unprocessed prefix shrinks by at
-least K per iteration, so the loop runs at most (n + 1) / K times.
+exactly l symbols long (r >= 2 whenever l >= K). Each absent L-word is
+the lexicographically smallest L-word missing from the word it joins.
+The word length is n + 1 after every iteration, and the unprocessed
+prefix shrinks by at least K per iteration, so the loop runs at most
+(n + 1) / K times.
 
 Decoding walks blocks right to left: a trailing 1 announces a block,
 whose digits say which segment to re-duplicate; a trailing 0 says the
 word is the plain message plus the redundancy symbol.
 
-numpy enters only where the work computes with it: the hashed square
-search (repeats), which a word free of long squares never reaches in a
-process without numpy, and the window index, imported once an encode
+numpy enters only through the hashed square search (repeats), which a
+word free of long squares never reaches in a process without numpy. The
+window index computes in plain Python and is imported once an encode
 finds its first square. correct's period search XORs the word with its
 shift as one big integer. decode runs on core and the byte gap buffer
 alone. So decode, and an encode or correct whose words hold no long

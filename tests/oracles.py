@@ -8,6 +8,7 @@ these and the real implementations is what the oracle tests check.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from typing import Sequence
 
@@ -72,21 +73,12 @@ def window_tally(w: Sequence[int], L: int) -> Counter:
 
 
 def tally_find_absent(tally: Counter, q: int, L: int) -> tuple[int, ...]:
-    """Descend digit by digit, taking the smallest digit whose extension is
-    hit by fewer than q**(remaining-1) windows; that branch must contain an
-    unused word."""
-    prefix: tuple[int, ...] = ()
-    for depth in range(L):
-        threshold = q ** (L - depth - 1)
-        for c in range(q):
-            cand = prefix + (c,)
-            cnt = sum(v for k, v in tally.items() if k[: depth + 1] == cand)
-            if cnt < threshold:
-                prefix = cand
-                break
-        else:
-            raise AssertionError("descent stuck: total window count >= q**L")
-    return prefix
+    """The lexicographically smallest L-word the tally does not hold: the
+    first word of itertools.product(range(q), repeat=L) with count zero."""
+    for word in itertools.product(range(q), repeat=L):
+        if tally[word] == 0:
+            return word
+    raise AssertionError("every L-word occurs")
 
 
 def ref_encode(x: Sequence[int], q: int, n: int) -> tuple[int, ...]:

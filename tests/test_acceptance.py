@@ -269,7 +269,7 @@ def test_criterion_7_data_structure_oracles(report):
     repeats_ok = _repeats_battery()
     took = time.perf_counter() - t0
     report(
-        "criterion 7: trie vs tally and buffer vs list after 10^5 ops each; square "
+        "criterion 7: window index vs tally and buffer vs list after 10^5 ops each; square "
         "scanner vs naive on all binary words <= 14 and 1000 random words <= 300",
         windows_ok and seqword_ok and repeats_ok,
         f"windows={windows_ok} seqword={seqword_ok} repeats={repeats_ok}, {took:.1f}s",

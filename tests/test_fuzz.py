@@ -247,8 +247,6 @@ def test_window_index_survives_hostile_edits(data):
         refuses_params(WindowIndex, params)
         refuses_params(WindowIndex.build, draw_word(data, 4), params)
         return
-    if params.q**params.L > 1 << 16:
-        return  # a hand-built L makes the dense trie too large to build per example
     index = survives(WindowIndex.build, codec_word(data, params), params)
     if index is None:
         return

@@ -1,4 +1,4 @@
-"""Counter trie against a from-scratch sliding-window tally."""
+"""Flat window counts against a from-scratch sliding-window tally."""
 
 import random
 import re
@@ -6,8 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from dupcode.core import CodeParams, InternalDefectError
-from dupcode.windows import DENSE_LEAF_LIMIT, QUEUE_LIMIT, WindowIndex
+from dupcode.core import CodeParams
+from dupcode.windows import WindowIndex
 
 from oracles import tally_find_absent, window_tally
 
@@ -58,31 +58,101 @@ def test_add_remove_window():
 def test_find_absent_requires_room():
     p = _params(2, 1)
     idx = WindowIndex.build((0, 1), p)  # both length-1 windows present
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="every L-word occurs"):
         idx.find_absent()
+    # q**L windows that repeat one word still leave the others absent
+    assert WindowIndex.build((0,) * 5, _params(2, 2)).find_absent() == (0, 1)
 
 
-def test_find_absent_follows_counter_descent_not_lex_order():
-    """The descent may skip a lexicographically smaller absent word when a
-    sibling subtree is below its occupancy threshold first; the tally
-    reference must make the same choice."""
+def test_find_absent_returns_the_smallest_absent_word():
+    """01 occurs twice and 10 once, so 00 and 11 are absent: the smallest,
+    00, is the answer, whether the word is built or appended."""
     p = _params(2, 2)
-    word = (0, 1, 0, 1)  # counters 00:0, 01:2, 10:1, 11:0 -> picks 11, although 00 is absent
-    assert WindowIndex.build(word, p).find_absent() == (1, 1)
+    word = (0, 1, 0, 1)
+    assert WindowIndex.build(word, p).find_absent() == (0, 0)
     staged = WindowIndex.build(word[:2], p)
     staged.apply_append(word[:2], word[2:])
-    assert staged.find_absent() == (1, 1)
-    assert tally_find_absent(window_tally(word, 2), 2, 2) == (1, 1)
+    assert staged.find_absent() == (0, 0)
+    assert tally_find_absent(window_tally(word, 2), 2, 2) == (0, 0)
+
+
+def _past_the_cursor() -> tuple[WindowIndex, list[int]]:
+    """An index of 0 0 1 0 2 (q = 3, L = 2) whose cursor a lookup has moved
+    past 00, 01, 02 and 10 to 11, the smallest absent word."""
+    word = [0, 0, 1, 0, 2]
+    idx = WindowIndex.build(word, _params(3, 2))
+    assert idx.find_absent() == (1, 1) and idx._lo == 4
+    return idx, word
+
+
+def test_a_cut_frees_a_code_below_the_cursor():
+    """Cutting the first 0 removes the only 00, which lies below the
+    cursor; it goes on the heap and is the next word found."""
+    idx, word = _past_the_cursor()
+    idx.apply_delete(word, 0, 1)
+    del word[0]
+    assert idx._gaps == [0]
+    assert idx.find_absent() == (0, 0) == tally_find_absent(window_tally(word, 2), 3, 2)
+    idx.audit(word)
+
+
+def test_a_stale_gap_is_skipped():
+    """After 00 is freed, cutting the 1 out of 0 1 0 2 removes 01 and 10
+    and its junction window re-adds 00: the heap's top, 00, is stale, and
+    the lookup passes it for 01."""
+    idx, word = _past_the_cursor()
+    idx.apply_delete(word, 0, 1)
+    del word[0]
+    idx.apply_delete(word, 1, 2)
+    del word[1]
+    assert word == [0, 0, 2] and idx._gaps[0] == 0 and idx.window_count((0, 0)) == 1
+    assert idx.find_absent() == (0, 1) == tally_find_absent(window_tally(word, 2), 3, 2)
+    assert 0 not in idx._gaps
+    idx.audit(word)
+
+
+def test_stale_gaps_restart_the_cursor():
+    """Cutting and re-appending the last symbol frees and re-adds 02 below
+    the cursor each time, and no lookup pops the stale entries; once they
+    outnumber the counted codes by 64 the cursor starts again at 0."""
+    idx, word = _past_the_cursor()
+    for _ in range(500):
+        idx.apply_delete(word, len(word) - 1, len(word))
+        idx.apply_append(word[:-1], [2])
+        assert len(idx._gaps) <= len(idx._counts) + 64
+    assert idx._lo == 0
+    idx.audit(word)
+    assert idx.find_absent() == (1, 1) == tally_find_absent(window_tally(word, 2), 3, 2)
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (lambda idx: setattr(idx, "_lo", 5), r"window \(1, 1\) lies below the cursor 5"),
+        (lambda idx: idx._gaps.clear(), r"window \(0, 0\) lies below the cursor 4"),
+        (lambda idx: idx._gaps.append(4), r"cursor 4 must lie in \[0, 9\] above every gap, gaps \[0, 4\]"),
+        (lambda idx: setattr(idx, "_lo", 10), r"cursor 10 must lie in \[0, 9\]"),
+        (lambda idx: idx._counts.update([8]), r"window \(2, 2\): stored 1, rebuilt 0"),
+        (lambda idx: idx._counts.update({8: 0}), r"window \(2, 2\): stored 0, rebuilt 0"),
+    ],
+    ids=["cursor-past-a-gap", "gap-lost", "gap-at-cursor", "cursor-past-top", "count", "zero"],
+)
+def test_audit_finds_a_corrupted_cursor_or_count(corrupt, message):
+    idx, word = _past_the_cursor()
+    idx.apply_delete(word, 0, 1)
+    del word[0]
+    idx.audit(word)
+    corrupt(idx)
+    with pytest.raises(ValueError, match=message):
+        idx.audit(word)
 
 
 @pytest.mark.parametrize("q,L", [(2, 3), (3, 2), (4, 2), (2, 23), (256, 3)])
 def test_edits_match_fresh_rebuild(q, L):
     p = _params(q, L)
-    sparse_expected = q**L > DENSE_LEAF_LIMIT
     rng = random.Random(1000 * q + L)
     word = [rng.randrange(q) for _ in range(30)]
     idx = WindowIndex.build(word, p)
-    assert idx._dense == (not sparse_expected)
     for _ in range(120):
         if rng.random() < 0.55 or len(word) < 2:
             suffix = [rng.randrange(q) for _ in range(rng.randint(1, 4))]
@@ -134,12 +204,11 @@ def test_build_matches_tally(q, L):
     for length in (0, L - 1, L, L + 1, 60, 400):
         word = [rng.randrange(q) for _ in range(length)]
         idx = WindowIndex.build(word, p)
-        assert idx._dense == (q**L <= DENSE_LEAF_LIMIT)
         tally = window_tally(word, L)
         assert idx.root_count == sum(tally.values()) == max(0, length - L + 1)
         for w, c in tally.items():
             assert idx.window_count(w) == c
-        idx.audit(word)  # child sums hold, so no leaf outside the tally counts
+        idx.audit(word)  # so no window outside the tally counts
 
 
 @pytest.mark.parametrize(
@@ -239,7 +308,7 @@ def test_delete_against_a_different_word_raises(q, L):
     idx.audit(word)
 
 
-@pytest.mark.parametrize("q,L", [(2, 2), (200, 3)], ids=["dense", "sparse"])
+@pytest.mark.parametrize("q,L", [(2, 2), (200, 3)])
 def test_delete_of_a_window_repeated_more_often_than_stored(q, L):
     """Every window of the cut is stored, but fewer times than the cut
     holds it; the removal must be refused as a whole."""
@@ -253,11 +322,10 @@ def test_delete_of_a_window_repeated_more_often_than_stored(q, L):
 
 
 def test_node_addresses_past_int64():
-    """q**L beyond 2**63: codes and node addresses stay Python ints."""
+    """q**L beyond 2**63: window codes stay Python ints."""
     p = _params(256, 8)
     word = [255] * 10 + [0, 1, 2]
     idx = WindowIndex.build(word, p)
-    assert idx._first_leaf + 256**8 > np.iinfo(np.int64).max
     idx.apply_append(word, [255, 254])
     word += [255, 254]
     idx.apply_delete(word, 1, 4)
@@ -284,10 +352,12 @@ def _refusal(tally, word, a, b, L):
 
 @pytest.mark.parametrize("q,L", [(3, 3), (256, 3)], ids=["dense", "sparse"])
 def test_queued_edits_match_tally(q, L):
-    """Edits queue up between reads, which come only every few edits. Cuts
-    reach into windows appended since the last read, appends repeat runs,
-    and cuts of a word the index does not hold are refused at once, with
-    the window a one-by-one removal would meet at zero, and change nothing."""
+    """Reads come only every few edits, so runs of public edits lie between
+    them. Cuts reach into windows appended since the last read, appends
+    repeat runs, and cuts of a word the index does not hold are refused at
+    once, with the window a one-by-one removal would meet at zero, and
+    change nothing. The ids name the small (3**3) and the large (256**3)
+    space of L-words."""
     p = _params(q, L)
     rng = random.Random(q * 31 + L)
     symbols = [0, 1, 2] if q == 3 else [0, 1, 2, 255]
@@ -315,7 +385,7 @@ def test_queued_edits_match_tally(q, L):
             a = rng.randint(0, len(word) - 1)
             b = rng.randint(a + 1, min(len(word), a + rng.choice((4, 16))))
             other = list(word)
-            other[rng.randrange(a, b)] = 1 if q == 3 else 7  # 7 never occurs in the sparse word
+            other[rng.randrange(a, b)] = 1 if q == 3 else 7  # 7 never occurs in the q = 256 word
             missing = _refusal(window_tally(word, L), other, a, b, L)
             if missing is not None:
                 with pytest.raises(ValueError, match=re.escape(f"window {missing} has zero count")):
@@ -337,41 +407,42 @@ def test_queued_edits_match_tally(q, L):
     assert refused > 10 and reads > 50
 
 
-def test_a_long_queue_is_applied_before_it_passes_the_limit():
-    p = _params(2, 3)
-    word = [0, 1, 1]
-    idx = WindowIndex.build(word, p)
-    for step in range(QUEUE_LIMIT + 10):
-        idx.apply_append(word, [step % 2])
-        word.append(step % 2)
-        assert len(idx._add) + len(idx._sub) <= QUEUE_LIMIT
-    assert idx.root_count == len(word) - 2
-    idx.audit(word)
-
-
-@pytest.mark.parametrize("q,L", [(2, 3), (3, 2), (4, 2), (2, 23), (256, 3)])
+@pytest.mark.parametrize("q,L", [(2, 3), (3, 2), (3, 3), (4, 2), (2, 23), (256, 3)])
 def test_private_edits_match_tally(q, L):
     """_append and _cut, the unchecked edits the encoder calls, take a
-    bytearray word as it is. Random appends and cuts keep the index equal to
-    a tally of the word, and a cut of a word the index does not hold is
-    refused with the window the public apply_delete names."""
+    bytearray word as it is, and the public edits pack and check theirs
+    first; the two are mixed at random. Appends repeat runs, half the cuts
+    reach into the last symbols appended, and a cut of a word the index
+    does not hold is refused at once, by both, with the window a
+    one-by-one removal meets at zero, and changes nothing. After every
+    step the counts and the smallest absent word match a tally."""
     p = _params(q, L)
     rng = random.Random(7 * q + L)
     symbols = range(q) if q < 256 else (0, 1, 2, 255)
     word = bytearray(rng.choice(symbols) for _ in range(30))
     idx = WindowIndex.build(word, p)
-    assert idx._dense == (q**L <= DENSE_LEAF_LIMIT)
     refused = 0
-    for _ in range(200):
+    for _ in range(300):
         roll = rng.random()
-        if roll < 0.5 or len(word) < 8:
-            suffix = bytes(rng.choice(symbols) for _ in range(rng.randint(1, 6)))
-            idx._append(word, suffix)
+        private = rng.random() < 0.5
+        if roll < 0.45 or len(word) < 8:
+            if rng.random() < 0.5:
+                suffix = bytes([rng.choice(symbols)]) * rng.randint(1, 9)
+            else:
+                suffix = bytes(rng.choice(symbols) for _ in range(rng.randint(1, 6)))
+            if private:
+                idx._append(word, suffix)
+            else:
+                idx.apply_append(list(word), list(suffix))
             word += suffix
         elif roll < 0.85:
-            a = rng.randrange(len(word))
+            lo = max(0, len(word) - 8) if rng.random() < 0.5 else 0
+            a = rng.randrange(lo, len(word))
             b = rng.randint(a + 1, min(len(word), a + 7))
-            idx._cut(word, a, b)
+            if private:
+                idx._cut(word, a, b)
+            else:
+                idx.apply_delete(list(word), a, b)
             del word[a:b]
         else:
             # a run holds one window more often than the word may
@@ -386,34 +457,20 @@ def test_private_edits_match_tally(q, L):
             with pytest.raises(ValueError, match=message):
                 idx._cut(other, a, b)
             with pytest.raises(ValueError, match=message):
-                idx.apply_delete(other, a, b)
+                idx.apply_delete(list(other), a, b)
             refused += 1
         if len(word) > 60:
             idx._cut(word, 0, 30)
             del word[:30]
         idx.audit(word)
         tally = window_tally(word, L)
-        assert idx.root_count == sum(tally.values())
-        if idx.root_count < q**L:
-            found = idx.find_absent()
-            assert tally[found] == 0
-            assert found == tally_find_absent(tally, q, L)
+        assert idx.root_count == max(0, len(word) - L + 1) == sum(tally.values())
+        assert all(idx.window_count(w) == c for w, c in tally.items())
+        if len(tally) == q**L:
+            with pytest.raises(ValueError, match="every L-word occurs"):
+                idx.find_absent()
+            continue
+        found = idx.find_absent()
+        assert tally[found] == 0
+        assert found == tally_find_absent(tally, q, L)
     assert refused > 10
-
-
-@pytest.mark.parametrize("q,L", [(3, 3), (256, 3)], ids=["dense", "sparse"])
-@pytest.mark.parametrize("depth", [0, 2])
-def test_descent_past_the_last_child_is_a_defect(q, L, depth):
-    """Counters that say every child of a node on the path is full, while
-    the node itself has room, stop the descent after q hops; it never
-    walks into the next node's children."""
-    p = _params(q, L)
-    idx = WindowIndex.build([0, 1, 0], p)
-    v = 0
-    for _ in range(depth):
-        v = v * q + 1  # the descent takes digit 0 down to the corrupted node
-    first = v * q + 1
-    for child in range(first, first + q):
-        idx._counts[child] = q ** (L - depth - 1)
-    with pytest.raises(InternalDefectError, match="^absent-window descent found no viable child$"):
-        idx.find_absent()
