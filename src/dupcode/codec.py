@@ -31,7 +31,7 @@ square, never load numpy.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .core import (
     CodeParams,
@@ -49,9 +49,6 @@ from .core import (
 )
 from .repeats import Duplication, find_leftmost_long, is_dup_free
 from .seqword import EditableWord
-
-if TYPE_CHECKING:
-    from .windows import WindowIndex
 
 
 class BlockRecord(_Value):
@@ -77,15 +74,6 @@ class BlockRecord(_Value):
         _set(self, "r", r)
         _set(self, "t", t)
         _set(self, "fillers", fillers)
-
-
-def _pick_absent(index: WindowIndex) -> Word:
-    try:
-        return index.find_absent()
-    except ValueError:
-        raise InternalDefectError(
-            "no absent window available; encoder precondition broken"
-        ) from None
 
 
 def _encode(
@@ -114,12 +102,6 @@ def _encode(
     d_len = n + 1  # length of the not-yet-rewritten prefix
     max_iters = (n + 1) // K + 1
 
-    # w and every run put holds symbols below q (a checked message, digits
-    # and fillers), so the index takes them through its unchecked edits.
-    def put(seq: bytes) -> None:
-        index._append(w, seq)
-        w.extend(seq)
-
     iters = 0
     while dup is not None:
         iters += 1
@@ -137,25 +119,26 @@ def _encode(
         del w[i : i + l]
         d_len -= l
 
-        # A filler lookup must see every symbol before it, so the symbols
-        # between two lookups go to the index in one append.
-        fillers: list[Word] = []
-        run = bytes(to_digits(i, params))
-        for k in range(r):
-            if k == r - 1:
-                run += bytes(t)  # the 0^t padding precedes the last filler
-            put(run)
-            word = _pick_absent(index)
-            fillers.append(word)
-            run = bytes(word)
-        put(run + bytes(to_digits(l, params) + (1,)))
+        # One private call counts the block's windows: its runs, i digits,
+        # r - 2 empty runs, 0^t, then l digits and the flag, with a filler
+        # looked up between each two once every symbol before it is counted.
+        # w holds symbols below q, so the unchecked edit takes its tail as it
+        # is. A lookup sees at most n symbols, fewer than q**L windows, so an
+        # absent L-word always exists.
+        runs = [bytes(to_digits(i, params)), *[b""] * (r - 2), bytes(t)]
+        runs.append(bytes(to_digits(l, params) + (1,)))
+        fillers = index._fill(w[len(w) - L + 1 :], runs)
+        w += runs[0]
+        for filler, run in zip(fillers, runs[1:]):
+            w += filler
+            w += run
 
         if len(w) != n + 1:
             raise InternalDefectError(f"length invariant broken: {len(w)} != {n + 1}")
         if self_check:
             index.audit(w)
         if trace is not None:
-            trace.append(BlockRecord(i, l, r, t, tuple(fillers)))
+            trace.append(BlockRecord(i, l, r, t, tuple(map(tuple, fillers))))
         dup = find_leftmost_long(w, K)
     return _as_word(bytes(w))
 

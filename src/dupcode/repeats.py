@@ -201,16 +201,19 @@ def find_leftmost_long(w: Sequence[int], K: int) -> Duplication | None:
     or when w has 2**32 or more symbols, the length at which the int64
     hash sums and packed keys could overflow.
     """
-    K = _integer(K, "threshold K")
+    if type(K) is not int:
+        K = _integer(K, "threshold K")
     if K < 1:
         raise ValueError(f"threshold K must be >= 1, got {K}")
-    if hasattr(w, "__len__") and len(w) >= _MAX_LENGTH:
-        raise ValueError(f"word of length {len(w)} exceeds the hashed search's limit of 2**32 - 1")
     # The encoder's bytearray holds bytes already, so its all-equal prefix
     # test below costs O(K) where packing the whole word would cost O(n).
     if not isinstance(w, bytearray):
-        w = check_word(w, MAX_ALPHABET)
+        # a sized word past the limit is refused unread, any other once packed
+        if not hasattr(w, "__len__") or len(w) < _MAX_LENGTH:
+            w = check_word(w, MAX_ALPHABET)
     m = len(w)
+    if m >= _MAX_LENGTH:
+        raise ValueError(f"word of length {m} exceeds the hashed search's limit of 2**32 - 1")
     if m < 2 * K:
         return None
     if w.count(w[0], 0, 2 * K) == 2 * K:

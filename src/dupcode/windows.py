@@ -15,8 +15,10 @@ removals paid for. So an edit or a lookup costs amortised O(log n) per
 window it touches, and the heap holds O(n) codes.
 
 apply_append and apply_delete check and pack their arguments, then make
-the private edit _append or _cut that the encoder calls directly. A cut
-is checked before it changes anything, so a refused cut changes nothing.
+the private edit _fill or _cut that the encoder calls directly. _fill
+appends a block's runs and looks up the filler between each two, so the
+encoder writes a block in one call. A cut is checked before it changes
+anything, so a refused cut changes nothing.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ class WindowIndex:
         _check_params(params)
         self.params = params
         self._top = params.q**params.L
+        self._places = [params.q**e for e in range(params.L - 1, -1, -1)]
         self._counts: Counter[int] = Counter()
         self._total = 0
         self._lo = 0
@@ -65,9 +68,9 @@ class WindowIndex:
             code = code * q + x
         return [code := (code * q + x) % top for x in seg[L - 1 :]]
 
-    def _digits(self, code: int) -> Word:
-        q, L = self.params.q, self.params.L
-        return tuple([code // q**e % q for e in range(L - 1, -1, -1)])
+    def _digits(self, code: int) -> bytes:
+        q = self.params.q
+        return bytes([code // place % q for place in self._places])
 
     @property
     def root_count(self) -> int:
@@ -87,7 +90,7 @@ class WindowIndex:
             return
         w_before = _sliceable(w_before, q)
         tail = w_before[max(0, len(w_before) - self.params.L + 1) :]
-        self._append(check_word(tail, q), suffix)
+        self._fill(check_word(tail, q), [suffix])
 
     def apply_delete(self, w_before: Sequence[int], a: int, b: int) -> None:
         """Account for positions [a, b) being cut out of w_before.
@@ -108,32 +111,57 @@ class WindowIndex:
         seg = check_word(w_before[base : min(b + L - 1, m)], self.params.q)
         self._cut(seg, a - base, b - base)
 
-    # The private edits check nothing: w and suffix are bytes or bytearray
-    # holding symbols below q, and 0 <= a < b <= len(w).
+    # The private edits check nothing: w, tail and the runs are bytes or
+    # bytearray holding symbols below q, and 0 <= a < b <= len(w).
 
-    def _append(self, w: bytes | bytearray, suffix: bytes) -> None:
-        codes = self._codes(w[max(0, len(w) - self.params.L + 1) :] + suffix)
-        self._counts.update(codes)
-        self._total += len(codes)
+    def _fill(self, tail: bytes | bytearray, runs: list[bytes]) -> list[bytes]:
+        """Append the runs, with the smallest absent L-word between each two,
+        to a word ending in tail: its last L - 1 symbols, or all of it when
+        shorter. Each filler is looked up once every symbol before it is
+        counted. Returns the fillers; a lookup that finds every L-word
+        raises ValueError, with the runs before it counted."""
+        q, top, counts = self.params.q, self._top, self._counts
+        code = 0
+        for x in tail:
+            code = code * q + x
+        skip = self.params.L - 1 - len(tail)  # symbols before the first whole window
+        fillers: list[bytes] = []
+        for k, run in enumerate(runs):
+            if k:
+                fillers.append(self._absent())
+                run = fillers[-1] + run
+            codes = [code := (code * q + x) % top for x in run]
+            if skip > 0:
+                del codes[:skip]
+                skip -= len(run)
+            counts.update(codes)
+            self._total += len(codes)
+        return fillers
 
     def _cut(self, w: bytes | bytearray, a: int, b: int) -> None:
-        L = self.params.L
+        q, L, top = self.params.q, self.params.L, self._top
         base = max(0, a - L + 1)
         seg = w[base : b + L - 1]
-        cut = self._codes(seg)
         counts = self._counts
-        removed = Counter(cut)
-        if any(counts[code] < k for code, k in removed.items()):
-            # name the first window a one-by-one removal finds at count zero
-            left = {code: counts[code] for code in removed}
-            for k, code in enumerate(cut):
-                left[code] -= 1
-                if left[code] < 0:
-                    raise ValueError(f"window {tuple(seg[k : k + L])} has zero count, cannot remove")
+        removed: dict[int, int] = {}  # code: windows of seg that hold it
+        code = 0
+        for x in seg[: L - 1]:
+            code = code * q + x
+        for x in seg[L - 1 :]:
+            code = (code * q + x) % top
+            removed[code] = removed.get(code, 0) + 1
+        for code, k in removed.items():
+            if counts[code] < k:  # name the first window a one-by-one removal finds at zero
+                seen: dict[int, int] = {}
+                for j, c in enumerate(self._codes(seg)):
+                    seen[c] = seen.get(c, 0) + 1
+                    if seen[c] > counts[c]:
+                        raise ValueError(f"window {tuple(seg[j : j + L])} has zero count, cannot remove")
         # the junction's windows go in first, so no code they keep drops to 0
         junction = self._codes(seg[: a - base] + seg[b - base :])
-        counts.update(junction)
-        self._total += len(junction) - len(cut)
+        if junction:
+            counts.update(junction)
+        self._total += len(junction) - max(0, len(seg) - L + 1)
         lo, gaps = self._lo, self._gaps
         for code, k in removed.items():
             k = counts[code] - k
@@ -148,6 +176,9 @@ class WindowIndex:
 
     def find_absent(self) -> Word:
         """The lexicographically smallest L-word with count zero."""
+        return tuple(self._absent())
+
+    def _absent(self) -> bytes:
         counts, gaps = self._counts, self._gaps
         while gaps and gaps[0] in counts:
             heappop(gaps)
@@ -168,11 +199,13 @@ class WindowIndex:
         counts, lo, gaps = self._counts, self._lo, self._gaps
         if counts.items() != fresh._counts.items():
             code = min(counts.items() ^ fresh._counts.items())[0]
-            raise ValueError(f"window {self._digits(code)}: stored {counts[code]}, rebuilt {fresh._counts[code]}")
+            window = tuple(self._digits(code))
+            raise ValueError(f"window {window}: stored {counts[code]}, rebuilt {fresh._counts[code]}")
         if self._total != fresh._total:
             raise ValueError(f"window total: stored {self._total}, rebuilt {fresh._total}")
         if not (0 <= lo <= self._top and all(0 <= code < lo for code in gaps)):
             raise ValueError(f"cursor {lo} must lie in [0, {self._top}] above every gap, gaps {sorted(gaps)}")
         lost = set(range(lo)).difference(counts, gaps)
         if lost:
-            raise ValueError(f"window {self._digits(min(lost))} lies below the cursor {lo}, uncounted and no gap")
+            window = tuple(self._digits(min(lost)))
+            raise ValueError(f"window {window} lies below the cursor {lo}, uncounted and no gap")

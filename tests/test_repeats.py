@@ -83,6 +83,17 @@ def test_words_beyond_the_hash_domain_are_refused():
         find_leftmost_long(Huge(), 37)
 
 
+def test_the_length_limit_holds_for_a_word_without_len(monkeypatch):
+    """A generator has no len(), so its length is checked once it is packed;
+    it is refused exactly as the list of the same symbols is."""
+    monkeypatch.setattr(repeats, "_MAX_LENGTH", 200)
+    word = [0] * 300
+    for w in (word, iter(word), (s for s in word)):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            find_leftmost_long(w, 3)
+    assert find_leftmost_long(iter(word[:199]), 3) == Duplication(0, 3)
+
+
 def test_duplication_validates():
     with pytest.raises(ValueError):
         Duplication(-1, 3)

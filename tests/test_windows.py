@@ -407,35 +407,63 @@ def test_queued_edits_match_tally(q, L):
     assert refused > 10 and reads > 50
 
 
+def _oracle_fill(word, runs, q, L):
+    """The word after a fill of runs and the fillers written between them,
+    each the tally's smallest absent L-word at its lookup; the runs are cut
+    back to those before the first lookup that finds every L-word."""
+    grown = bytearray(word) + runs[0]
+    fillers = []
+    for run in runs[1:]:
+        tally = window_tally(grown, L)
+        if len(tally) == q**L:
+            break
+        fillers.append(bytes(tally_find_absent(tally, q, L)))
+        grown += fillers[-1] + run
+    return grown, runs[: len(fillers) + 1], fillers
+
+
 @pytest.mark.parametrize("q,L", [(2, 3), (3, 2), (3, 3), (4, 2), (2, 23), (256, 3)])
 def test_private_edits_match_tally(q, L):
-    """_append and _cut, the unchecked edits the encoder calls, take a
+    """_fill and _cut, the unchecked edits the encoder calls, take a
     bytearray word as it is, and the public edits pack and check theirs
-    first; the two are mixed at random. Appends repeat runs, half the cuts
-    reach into the last symbols appended, and a cut of a word the index
-    does not hold is refused at once, by both, with the window a
-    one-by-one removal meets at zero, and changes nothing. After every
-    step the counts and the smallest absent word match a tally."""
+    first; the two are mixed at random. A private append fills up to four
+    runs, some empty, and each filler it returns is the bytes of the
+    tally's smallest absent L-word on the word as it stood at that lookup.
+    Appends repeat runs, half the cuts reach into the last symbols
+    appended, some cuts leave fewer than L - 1 symbols so the next append
+    starts from a short tail, and a cut of a word the index does not hold
+    is refused at once, by both, with the window a one-by-one removal
+    meets at zero, and changes nothing. After every step the counts and
+    the smallest absent word match a tally."""
     p = _params(q, L)
     rng = random.Random(7 * q + L)
     symbols = range(q) if q < 256 else (0, 1, 2, 255)
+
+    def some_run(longest):
+        if rng.random() < 0.5:
+            return bytes([rng.choice(symbols)]) * rng.randint(0, longest)
+        return bytes(rng.choice(symbols) for _ in range(rng.randint(0, longest)))
+
     word = bytearray(rng.choice(symbols) for _ in range(30))
     idx = WindowIndex.build(word, p)
-    refused = 0
+    refused = fillers_checked = short_tails = 0
     for _ in range(300):
         roll = rng.random()
         private = rng.random() < 0.5
         if roll < 0.45 or len(word) < 8:
-            if rng.random() < 0.5:
-                suffix = bytes([rng.choice(symbols)]) * rng.randint(1, 9)
-            else:
-                suffix = bytes(rng.choice(symbols) for _ in range(rng.randint(1, 6)))
+            suffix = some_run(9) or bytes([rng.choice(symbols)])
+            short_tails += len(word) < L - 1
             if private:
-                idx._append(word, suffix)
+                runs = [suffix] + [some_run(6) for _ in range(rng.randrange(4))]
+                grown, runs, expected = _oracle_fill(word, runs, q, L)
+                fillers = idx._fill(word[max(0, len(word) - L + 1) :], runs)
+                assert fillers == expected and all(type(f) is bytes for f in fillers)
+                fillers_checked += len(fillers)
+                word = grown
             else:
                 idx.apply_append(list(word), list(suffix))
-            word += suffix
-        elif roll < 0.85:
+                word += suffix
+        elif roll < 0.8:
             lo = max(0, len(word) - 8) if rng.random() < 0.5 else 0
             a = rng.randrange(lo, len(word))
             b = rng.randint(a + 1, min(len(word), a + 7))
@@ -444,6 +472,11 @@ def test_private_edits_match_tally(q, L):
             else:
                 idx.apply_delete(list(word), a, b)
             del word[a:b]
+        elif roll < 0.85:
+            # fewer than L - 1 symbols stay, so the next append's tail is short
+            keep = rng.randrange(min(L - 1, len(word)))
+            idx._cut(word, 0, len(word) - keep)
+            del word[: len(word) - keep]
         else:
             # a run holds one window more often than the word may
             a = rng.randrange(len(word))
@@ -473,4 +506,4 @@ def test_private_edits_match_tally(q, L):
         found = idx.find_absent()
         assert tally[found] == 0
         assert found == tally_find_absent(tally, q, L)
-    assert refused > 10
+    assert refused > 10 and fillers_checked > 20 and short_tails > 8
