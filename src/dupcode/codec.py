@@ -44,7 +44,7 @@ from .core import (
     _set,
     _Value,
     check_word,
-    from_digits,  # unused here; bench/tracing.py wraps codec.from_digits
+    from_digits,  # unused here, like to_digits: bench/tracing.py wraps both in codec
     to_digits,
 )
 from .repeats import Duplication, find_leftmost_long, is_dup_free
@@ -121,12 +121,12 @@ def _encode(
 
         # One private call counts the block's windows: its runs, i digits,
         # r - 2 empty runs, 0^t, then l digits and the flag, with a filler
-        # looked up between each two once every symbol before it is counted.
-        # w holds symbols below q, so the unchecked edit takes its tail as it
+        # looked up between each two once every symbol before it is counted;
+        # the index's digit writer writes i and l, both below n <= q**L. w
+        # holds symbols below q, so the unchecked edit takes its tail as it
         # is. A lookup sees at most n symbols, fewer than q**L windows, so an
         # absent L-word always exists.
-        runs = [bytes(to_digits(i, params)), *[b""] * (r - 2), bytes(t)]
-        runs.append(bytes(to_digits(l, params) + (1,)))
+        runs = [index._digits(i), *[b""] * (r - 2), bytes(t), index._digits(l) + b"\x01"]
         fillers = index._fill(w[len(w) - L + 1 :], runs)
         w += runs[0]
         for filler, run in zip(fillers, runs[1:]):

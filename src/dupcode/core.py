@@ -315,8 +315,14 @@ def format_word(word: Sequence[int], q: int) -> str:
 
 
 def to_digits(value: int, params: CodeParams) -> Word:
-    """Write value as exactly L base-q digits, most significant first."""
+    """Write value as exactly L base-q digits, most significant first.
+
+    ValueError unless params is a CodeParams and value an integer in
+    [0, q**L)."""
+    _check_params(params)
     q, L = params.q, params.L
+    if type(value) is not int:
+        value = _integer(value, "value")
     if value < 0 or value >= q**L:
         raise ValueError(f"value {value} does not fit in {L} base-{q} digits")
     digits = [0] * L
@@ -328,12 +334,18 @@ def to_digits(value: int, params: CodeParams) -> Word:
 
 
 def from_digits(digits: Sequence[int], params: CodeParams) -> int:
-    """Read an L-digit base-q block, most significant digit first."""
+    """Read an L-digit base-q block, most significant digit first.
+
+    ValueError unless params is a CodeParams and digits holds exactly L
+    integers in [0, q)."""
+    _check_params(params)
     q, L = params.q, params.L
     if len(digits) != L:
         raise ValueError(f"expected exactly {L} digits, got {len(digits)}")
     value = 0
     for d in digits:
+        if type(d) is not int:
+            d = _integer(d, "digit")
         if d < 0 or d >= q:
             raise ValueError(f"digit {d} outside [0, {q})")
         value = value * q + d

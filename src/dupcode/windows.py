@@ -16,14 +16,17 @@ window it touches, and the heap holds O(n) codes.
 
 apply_append and apply_delete check and pack their arguments, then make
 the private edit _fill or _cut that the encoder calls directly. _fill
-appends a block's runs and looks up the filler between each two, so the
-encoder writes a block in one call. A cut is checked before it changes
-anything, so a refused cut changes nothing.
+appends a block's runs, counted through Counter's C helper, and looks up
+the filler between each two, so the encoder writes a block in one call.
+The one digit writer, _digits, joins two cached byte tables' words for a
+code's high and low digits. A cut is checked before it changes anything,
+so a refused cut changes nothing.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, _count_elements
+from functools import cache
 from heapq import heappop, heappush
 from typing import Sequence
 
@@ -38,12 +41,33 @@ def _sliceable(w: Sequence[int], q: int) -> Sequence[int]:
     return check_word(w, q)
 
 
+@cache
+def _chunks(q: int, k: int) -> list[bytes] | _Chunks:
+    """Every k-digit base-q word (k >= 1) as bytes, in code order: a list of
+    at most 2**16 words, else a _Chunks joining two narrower tables' words."""
+    if q**k > 1 << 16:
+        return _Chunks(q, k)
+    words = ones = [bytes((d,)) for d in range(q)]
+    for _ in range(k - 1):
+        words = [w + d for w in words for d in ones]
+    return words
+
+
+class _Chunks:
+    """Word code of k digits is high[code // split] + low[code % split]."""
+    def __init__(self, q: int, k: int):
+        self._split, self._high, self._low = q ** (k // 2), _chunks(q, k - k // 2), _chunks(q, k // 2)
+
+    def __getitem__(self, code: int) -> bytes:
+        return self._high[code // self._split] + self._low[code % self._split]
+
+
 class WindowIndex:
     def __init__(self, params: CodeParams):
         _check_params(params)
         self.params = params
         self._top = params.q**params.L
-        self._places = [params.q**e for e in range(params.L - 1, -1, -1)]
+        self._digits = _chunks(params.q, params.L).__getitem__
         self._counts: Counter[int] = Counter()
         self._total = 0
         self._lo = 0
@@ -67,10 +91,6 @@ class WindowIndex:
         for x in seg[: L - 1]:
             code = code * q + x
         return [code := (code * q + x) % top for x in seg[L - 1 :]]
-
-    def _digits(self, code: int) -> bytes:
-        q = self.params.q
-        return bytes([code // place % q for place in self._places])
 
     @property
     def root_count(self) -> int:
@@ -134,7 +154,7 @@ class WindowIndex:
             if skip > 0:
                 del codes[:skip]
                 skip -= len(run)
-            counts.update(codes)
+            _count_elements(counts, codes)  # Counter.update's C helper, minus its Python dispatch
             self._total += len(codes)
         return fillers
 

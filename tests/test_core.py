@@ -344,6 +344,35 @@ def test_to_digits_range_checked():
         to_digits(-1, p)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda p: to_digits(5.0, p), "value must be an integer, got 5.0"),
+        (lambda p: to_digits("5", p), "value must be an integer, got '5'"),
+        (lambda p: to_digits(None, p), "value must be an integer, got None"),
+        (lambda p: to_digits(5, "x"), "params must be a CodeParams, got str"),
+        (lambda p: to_digits(64, p), "value 64 does not fit in 3 base-4 digits"),
+        (lambda p: from_digits((0, 1.5, 1), p), "digit must be an integer, got 1.5"),
+        (lambda p: from_digits((0, "1", 1), p), "digit must be an integer, got '1'"),
+        (lambda p: from_digits((0, 1, 1), None), "params must be a CodeParams, got NoneType"),
+        (lambda p: from_digits((0, 4, 1), p), r"digit 4 outside \[0, 4\)"),
+        (lambda p: from_digits((0, 1), p), "expected exactly 3 digits, got 2"),
+    ],
+)
+def test_digit_blocks_refuse_what_is_not_an_integer_or_params(call, message):
+    """A float or string is refused, never truncated or summed, and params
+    must be a CodeParams; range errors keep their messages."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(derive_params(4, 40))
+
+
+def test_digit_blocks_take_integer_types():
+    """Whatever operator.index accepts is an integer, as at every entry point."""
+    p = derive_params(4, 40)
+    assert to_digits(np.int64(5), p) == to_digits(True + 4, p) == (0, 1, 1)
+    assert from_digits((np.uint8(0), True, np.int64(1)), p) == 5
+
+
 def test_check_word_reuses_the_bytes_of_the_word_returned_last():
     """A hit returns the bytes the word was built from, equal to a fresh pack."""
     w = parse_word("0123012301", 4)

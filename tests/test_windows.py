@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from dupcode.core import CodeParams
+from dupcode import windows
+from dupcode.core import CodeParams, to_digits
 from dupcode.windows import WindowIndex
 
 from oracles import tally_find_absent, window_tally
@@ -336,6 +337,31 @@ def test_node_addresses_past_int64():
     with pytest.raises(ValueError):
         idx.apply_delete([255] * 12, 0, 4)
     idx.audit(word)
+
+
+@pytest.mark.parametrize("q,L", [(2, 1), (3, 2), (4, 3), (5, 4), (2, 7)])
+def test_digit_writer_matches_to_digits_on_every_code(q, L):
+    p = _params(q, L)
+    idx = WindowIndex(p)
+    assert [idx._digits(c) for c in range(q**L)] == [bytes(to_digits(c, p)) for c in range(q**L)]
+
+
+@pytest.mark.parametrize("q,L", [(256, 3), (4, 9), (2, 23), (256, 8)])
+def test_digit_writer_matches_to_digits_where_the_tables_meet(q, L):
+    """Codes at both ends and on either side of the split between the high
+    and the low digits' tables. q**L is above 2**16 in each case, so the
+    writer splits; at (256, 8) each half splits again."""
+    p = _params(q, L)
+    idx = WindowIndex(p)
+    split = q ** (L // 2)
+    for c in (0, 1, split - 1, split, split + 1, q**L - 1):
+        assert idx._digits(c) == bytes(to_digits(c, p)), c
+
+
+def test_digit_tables_are_built_once():
+    assert windows._chunks(4, 5) is windows._chunks(4, 5)
+    assert windows._chunks(256, 3) is windows._chunks(256, 3)
+    assert WindowIndex(_params(4, 9))._digits.__self__ is WindowIndex(_params(4, 9))._digits.__self__
 
 
 def _refusal(tally, word, a, b, L):
