@@ -346,11 +346,11 @@ def test_digit_writer_matches_to_digits_on_every_code(q, L):
     assert [idx._digits(c) for c in range(q**L)] == [bytes(to_digits(c, p)) for c in range(q**L)]
 
 
-@pytest.mark.parametrize("q,L", [(256, 3), (4, 9), (2, 23), (256, 8)])
+@pytest.mark.parametrize("q,L", [(256, 2), (256, 3), (4, 9), (16, 4), (2, 13), (2, 23), (256, 8)])
 def test_digit_writer_matches_to_digits_where_the_tables_meet(q, L):
     """Codes at both ends and on either side of the split between the high
-    and the low digits' tables. q**L is above 2**16 in each case, so the
-    writer splits; at (256, 8) each half splits again."""
+    and the low digits' tables. q**L is above 2**12 in each case, so the
+    writer splits; at (256, 3) and (256, 8) a half splits again."""
     p = _params(q, L)
     idx = WindowIndex(p)
     split = q ** (L // 2)
@@ -362,6 +362,14 @@ def test_digit_tables_are_built_once():
     assert windows._chunks(4, 5) is windows._chunks(4, 5)
     assert windows._chunks(256, 3) is windows._chunks(256, 3)
     assert WindowIndex(_params(4, 9))._digits.__self__ is WindowIndex(_params(4, 9))._digits.__self__
+
+
+def test_a_digit_table_holds_at_most_2_to_the_12_words():
+    """Wider words join two tables on each lookup; (256, 2) joins two
+    one-digit tables."""
+    assert len(windows._chunks(2, 12)) == len(windows._chunks(16, 3)) == 4096
+    assert isinstance(windows._chunks(2, 13), windows._Chunks)
+    assert windows._chunks(256, 2)._high is windows._chunks(256, 2)._low is windows._chunks(256, 1)
 
 
 def _refusal(tally, word, a, b, L):
