@@ -307,6 +307,8 @@ def roundtrip_suite(
     params = derive_params(q, n)
     K = params.K
     trials = _integer(trials, "trials")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     rng = random.Random(_integer(seed, "seed"))
     enc_t: list[float] = []
     dec_t: list[float] = []

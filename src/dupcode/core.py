@@ -272,8 +272,9 @@ def parse_word(text: str, q: int) -> Word:
 
     For q <= 36 a word is a string over 0-9a-z, one character per symbol
     (uppercase accepted). For larger alphabets it is a comma-separated
-    list of decimal integers. Raises MalformedWordError when text is not
-    a string, and ValueError when q is not an integer.
+    list of decimal integers, each only ASCII digits 0-9, with spaces
+    allowed around a comma. Raises MalformedWordError when text is not a
+    string, and ValueError when q is not an integer.
     """
     if not isinstance(text, str):
         raise MalformedWordError(f"a word's text must be a string, got {type(text).__name__}")
@@ -299,10 +300,12 @@ def parse_word(text: str, q: int) -> Word:
                 raise MalformedWordError(f"invalid symbol character {ch!r} at position {pos}")
             symbols.append(v)
     else:
-        try:
-            symbols = [int(part.strip()) for part in text.split(",")]
-        except ValueError as exc:
-            raise MalformedWordError(f"invalid comma-separated word: {exc}") from None
+        parts = [part.strip() for part in text.split(",")]
+        for pos, part in enumerate(parts):
+            # int() alone would also take "1_0", "+1", "-0" and non-ASCII digits
+            if not (part.isascii() and part.isdigit()):
+                raise MalformedWordError(f"invalid comma-separated word: part {pos} is {part!r}, not decimal digits")
+        symbols = [int(part) for part in parts]
     return _as_word(check_word(symbols, q))
 
 

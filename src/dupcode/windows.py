@@ -21,10 +21,20 @@ the filler between each two, so the encoder writes a block in one call.
 The one digit writer, _digits, joins two cached byte tables' words for a
 code's high and low digits. A cut is checked before it changes anything,
 so a refused cut changes nothing.
+
+A run of m >= L copies of one symbol s holds m - L + 1 windows, each with
+the code s * _ones, where _ones = (q**L - 1) // (q - 1) is the code of
+1^L; such a run is counted in one step, not rolled symbol by symbol.
+build finds the runs of at least L equal symbols with one regex scan of
+the XOR of the word and its shift by one, and rolls codes only over the
+symbols between them, each gap widened by L - 1 symbols into its runs.
+_cut tells by one C-level count when its segment is one symbol
+throughout, and then removes it as one code with one count.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter, _count_elements
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -67,6 +77,7 @@ class WindowIndex:
         _check_params(params)
         self.params = params
         self._top = params.q**params.L
+        self._ones = (self._top - 1) // (params.q - 1)  # code of 1^L: s^L's is s * _ones
         self._digits = _chunks(params.q, params.L).__getitem__
         self._counts: Counter[int] = Counter()
         self._total = 0
@@ -77,8 +88,23 @@ class WindowIndex:
     def build(cls, word: Sequence[int], params: CodeParams) -> "WindowIndex":
         """Index every length-L window of word."""
         ix = cls(params)
-        codes = ix._codes(check_word(word, params.q))
-        ix._counts, ix._total = Counter(codes), len(codes)
+        w, L, counts = check_word(word, params.q), params.L, ix._counts
+        # same[j] is 0 exactly where w[j] == w[j + 1], so k zeros in a row
+        # span k + 1 equal symbols: each match is a run of at least L symbols
+        # (at least 2 when L = 1). Its leading zeros are spelt out, so the
+        # matcher skips to each candidate by a literal prefix search. A regex
+        # backreference such as (.)\1{L-1,} finds the runs too, but keeps a
+        # backtracking entry per symbol of a run, about 10 MB for a run of 2^17.
+        pairs = max(len(w) - 1, 0)
+        same = (int.from_bytes(w[1:], "big") ^ int.from_bytes(w[:-1], "big")).to_bytes(pairs, "big")
+        start = 0  # first symbol of the next gap's windows
+        for run in re.finditer(rb"\x00" * max(L - 1, 1) + rb"\x00*", same):
+            s, e = run.start(), run.end() + 1
+            _count_elements(counts, ix._codes(w[start : s + L - 1]))
+            counts[w[s] * ix._ones] += e - s - L + 1
+            start = e - L + 1
+        _count_elements(counts, ix._codes(w[start:]))
+        ix._total = max(0, len(w) - L + 1)
         return ix
 
     def _codes(self, seg: bytes) -> list[int]:
@@ -163,13 +189,20 @@ class WindowIndex:
         base = max(0, a - L + 1)
         seg = w[base : b + L - 1]
         counts = self._counts
-        removed: dict[int, int] = {}  # code: windows of seg that hold it
-        code = 0
-        for x in seg[: L - 1]:
-            code = code * q + x
-        for x in seg[L - 1 :]:
-            code = (code * q + x) % top
-            removed[code] = removed.get(code, 0) + 1
+        if len(seg) >= L and seg.count(seg[0]) == len(seg):
+            # one symbol throughout: every window of seg and of the junction is its L-word
+            code = seg[0] * self._ones
+            removed = {code: len(seg) - L + 1}
+            junction = [code] * (len(seg) - (b - a) - L + 1)
+        else:
+            removed = {}  # code: windows of seg that hold it
+            code = 0
+            for x in seg[: L - 1]:
+                code = code * q + x
+            for x in seg[L - 1 :]:
+                code = (code * q + x) % top
+                removed[code] = removed.get(code, 0) + 1
+            junction = self._codes(seg[: a - base] + seg[b - base :])
         for code, k in removed.items():
             if counts[code] < k:  # name the first window a one-by-one removal finds at zero
                 seen: dict[int, int] = {}
@@ -178,7 +211,6 @@ class WindowIndex:
                     if seen[c] > counts[c]:
                         raise ValueError(f"window {tuple(seg[j : j + L])} has zero count, cannot remove")
         # the junction's windows go in first, so no code they keep drops to 0
-        junction = self._codes(seg[: a - base] + seg[b - base :])
         if junction:
             counts.update(junction)
         self._total += len(junction) - max(0, len(seg) - L + 1)

@@ -144,6 +144,11 @@ def test_roundtrip_suite_empty():
     assert rep.encode_ms == {"p50": 0.0, "p90": 0.0, "max": 0.0}
 
 
+def test_roundtrip_suite_refuses_negative_trials():
+    with pytest.raises(ValueError, match=r"^trials must be >= 0, got -1$"):
+        analysis.roundtrip_suite(16, 16, trials=-1, seed=0)
+
+
 def test_roundtrip_detects_a_broken_codec(monkeypatch):
     from dupcode import codec
 

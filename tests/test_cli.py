@@ -24,7 +24,7 @@ def run_cli(*argv: str, stdin: str | None = None, monkeypatch=None, capsys=None)
     """Invoke main() in-process; returns (exit_code, stdout, stderr)."""
     if stdin is not None:
         assert monkeypatch is not None
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin.encode())))
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
@@ -72,6 +72,32 @@ def test_word_via_stdin_and_files(tmp_path, monkeypatch, capsys):
     )
     assert code == EXIT_OK and out == ""
     assert dst.read_text() == "00000abcdef001251\n"
+
+
+@pytest.mark.parametrize("route", ["word", "stdin", "in"])
+def test_non_ascii_word_is_malformed_by_every_route(route, tmp_path, monkeypatch, capsys):
+    """A symbol outside the alphabet exits 3 and is named, whether the word
+    comes from --word, stdin or --in."""
+    word = "01\u00e92"
+    args = ["decode", "--q", "4", "--n", "3"]
+    if route == "word":
+        code, _, err = run_cli(*args, "--word", word, capsys=capsys)
+    elif route == "stdin":
+        code, _, err = run_cli(*args, stdin=word + "\n", monkeypatch=monkeypatch, capsys=capsys)
+    else:
+        src = tmp_path / "word.txt"
+        src.write_bytes(word.encode() + b"\n")
+        code, _, err = run_cli(*args, "--in", str(src), capsys=capsys)
+    assert code == EXIT_MALFORMED
+    assert "error MALFORMED: invalid symbol character '\u00e9' at position 2" in err
+
+
+def test_roundtrip_refuses_negative_trials(capsys):
+    code, out, err = run_cli(
+        "roundtrip", "--q", "16", "--n", "16", "--trials", "-1", "--seed", "0", capsys=capsys
+    )
+    assert code == EXIT_USAGE and out == ""
+    assert "trials must be >= 0, got -1" in err
 
 
 def test_corrupt_explicit_and_json(capsys):

@@ -69,7 +69,22 @@ def test_parse_format_wide_alphabet():
     assert parse_word(text, 256) == w
 
 
-@pytest.mark.parametrize("text,q", [("012", 2), ("0x1", 16), ("", 4), ("1,2", 4), ("1,,2", 256), ("300,1", 256)])
+@pytest.mark.parametrize(
+    "text,q",
+    [
+        ("012", 2),
+        ("0x1", 16),
+        ("", 4),
+        ("1,2", 4),
+        ("1,,2", 256),
+        ("300,1", 256),
+        # int() takes each of these parts; parse_word takes only ASCII digits
+        ("1_0,2", 256),
+        ("+1,2", 256),
+        ("\u0661,2", 256),
+        ("-0,2", 256),
+    ],
+)
 def test_parse_rejects(text, q):
     with pytest.raises(MalformedWordError):
         parse_word(text, q)

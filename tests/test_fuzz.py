@@ -292,7 +292,7 @@ def _refuse_constant(name: str):
 def run_main(argv: list[str]) -> tuple[int, str]:
     """main(argv) with an empty stdin; returns (exit code, stdout)."""
     out, err = io.StringIO(), io.StringIO()
-    stdin, sys.stdin = sys.stdin, io.StringIO("")
+    stdin, sys.stdin = sys.stdin, io.TextIOWrapper(io.BytesIO(b""))
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
