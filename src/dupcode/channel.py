@@ -61,6 +61,11 @@ class DuplicationChannel:
         self._rng = random.Random(spec.seed)
 
     def corrupt(self, w: Sequence[int]) -> tuple[Word, Duplication]:
+        z, dup = self._draw(w)
+        return _as_word(z), dup
+
+    def _draw(self, w: Sequence[int]) -> tuple[bytes, Duplication]:
+        """corrupt with the corrupted word as bytes."""
         w = check_word(w, self.params.q)
         l_lo = self.spec.l_min if self.spec.l_min is not None else self.params.K
         l_hi = self.spec.l_max if self.spec.l_max is not None else len(w)
@@ -72,7 +77,7 @@ class DuplicationChannel:
             )
         l = self._rng.randint(l_lo, l_hi)
         i = self._rng.randint(0, len(w) - l)
-        return _as_word(_duplicate(w, i, l)), Duplication(i, l)
+        return _duplicate(w, i, l), Duplication(i, l)
 
 
 def random_duplication(

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Sequence
 # themselves; decode and corrupt then start without numpy. The same goes for
 # json (--json only) and random, statistics and time (bench only).
 from . import codec, core
-from .channel import ChannelSpec, DuplicationChannel, apply_duplication
+from .channel import ChannelSpec, DuplicationChannel, _duplicate, apply_duplication
 from .core import (
     GuardExceededError,
     InternalDefectError,
@@ -182,10 +182,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The word commands call the byte-level cores behind the public functions
+# (codec._encode, _decode and _correct, DuplicationChannel._draw and
+# channel._duplicate): the same results as bytes, with the same errors and
+# messages, which format_word takes as they are. So no tuple is built for a
+# result. The input is still parsed by the public parse_word, whose tuple
+# hands the cores its bytes through check_word's memo; the benchmark's
+# tracer (bench/tracing.py) records the parse under that name.
+
+
 def _cmd_encode(args: argparse.Namespace) -> int:
     params = core.derive_params(args.q, args.n)
     x = core.parse_word(_read_word_text(args), args.q)
-    y = codec.encode(x, params)
+    y = codec._encode(x, params)
     text = core.format_word(y, args.q)
     _emit(args, {"command": "encode", "q": args.q, "n": args.n, "word": text}, text)
     return EXIT_OK
@@ -194,7 +203,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 def _cmd_decode(args: argparse.Namespace) -> int:
     params = core.derive_params(args.q, args.n)
     y = core.parse_word(_read_word_text(args), args.q)
-    x = codec.decode(y, params)
+    x = codec._decode(y, params)
     text = core.format_word(x, args.q)
     _emit(args, {"command": "decode", "q": args.q, "n": args.n, "word": text}, text)
     return EXIT_OK
@@ -208,12 +217,12 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
         if args.i is None or args.l is None:
             raise _UsageError("--i and --l must be given together")
         i, l = args.i, args.l
-        z = apply_duplication(w, i, l)
+        z = _duplicate(core.check_word(w, args.q), i, l)
     else:
         if args.seed is None:
             raise _UsageError("either --seed or both --i and --l are required")
         spec = ChannelSpec(seed=args.seed, l_min=args.l_min, l_max=args.l_max)
-        z, dup = DuplicationChannel(spec, params).corrupt(w)
+        z, dup = DuplicationChannel(spec, params)._draw(w)
         i, l = dup.i, dup.l
     text = core.format_word(z, args.q)
     if not args.json:
@@ -232,7 +241,7 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
 def _cmd_correct(args: argparse.Namespace) -> int:
     params = core.derive_params(args.q, args.n)
     y = core.parse_word(_read_word_text(args), args.q)
-    fixed, removal = codec.correct_with_position(y, params)
+    fixed, removal = codec._correct(y, params)
     text = core.format_word(fixed, args.q)
     if not args.json and removal is not None:
         print(

@@ -27,6 +27,11 @@ finds its first square. correct's period search XORs the word with its
 shift as one big integer. decode runs on core and the byte gap buffer
 alone. So decode, and an encode or correct whose words hold no long
 square, never load numpy.
+
+encode, decode and correct_with_position return core._as_word of a
+private core (_encode, _decode, _correct) that returns the word as bytes;
+the CLI calls the cores and formats their bytes, so it builds no tuple
+for a result.
 """
 
 from __future__ import annotations
@@ -79,9 +84,10 @@ class BlockRecord(_Value):
 def _encode(
     x: Sequence[int],
     params: CodeParams,
-    self_check: bool,
-    trace: list[BlockRecord] | None,
-) -> Word:
+    self_check: bool = False,
+    trace: list[BlockRecord] | None = None,
+) -> bytes:
+    """encode's codeword as bytes, for callers that pass it on as bytes."""
     _check_params(params)
     q, n, L, K = params.q, params.n, params.L, params.K
     xw = check_word(x, q)
@@ -94,7 +100,7 @@ def _encode(
     w.append(0)
     dup = find_leftmost_long(w, K)
     if dup is None:
-        return _as_word(bytes(w))
+        return bytes(w)
 
     from .windows import WindowIndex
 
@@ -140,7 +146,7 @@ def _encode(
         if trace is not None:
             trace.append(BlockRecord(i, l, r, t, tuple(map(tuple, fillers))))
         dup = find_leftmost_long(w, K)
-    return _as_word(bytes(w))
+    return bytes(w)
 
 
 def encode(
@@ -154,7 +160,7 @@ def encode(
     self_check=True re-verifies the window index against the word after
     every iteration (slow; meant for differential testing).
     """
-    return _encode(x, params, self_check=self_check, trace=None)
+    return _as_word(_encode(x, params, self_check))
 
 
 def encode_with_trace(x: Sequence[int], params: CodeParams) -> tuple[Word, list[BlockRecord]]:
@@ -166,7 +172,7 @@ def encode_with_trace(x: Sequence[int], params: CodeParams) -> tuple[Word, list[
     """
     trace: list[BlockRecord] = []
     y = _encode(x, params, self_check=True, trace=trace)
-    return y, trace
+    return _as_word(y), trace
 
 
 def decode(y: Sequence[int], params: CodeParams) -> Word:
@@ -203,13 +209,18 @@ def decode(y: Sequence[int], params: CodeParams) -> Word:
     budget also ends every replay: each l is at least K, so the block
     that would overrun it comes by the (m // K + 1)-th.
     """
+    return _as_word(_decode(y, params))
+
+
+def _decode(y: Sequence[int], params: CodeParams) -> bytes:
+    """decode's result as bytes, for callers that pass it on as bytes."""
     _check_params(params)
     q, n, L, K = params.q, params.n, params.L, params.K
     yw = check_word(y, q)
     if len(yw) != n + 1:
         raise MalformedCodewordError(f"codeword must have length {n + 1}, got {len(yw)}")
     if yw[-1] == 0:
-        return _as_word(yw[:-1])
+        return yw[:-1]
 
     # The replay keeps the word at m = n + 1 symbols, and every symbol
     # passed check_word, so the digits need no range check of their own.
@@ -222,7 +233,7 @@ def decode(y: Sequence[int], params: CodeParams) -> Word:
         flag = head[-1]
         if flag == 0:
             buf.delete_range(m - 1, m)
-            return _as_word(buf._packed())
+            return buf._packed()
         if flag != 1:
             raise MalformedCodewordError(f"trailing flag must be 0 or 1, got {flag}")
         if m - 1 < L:
@@ -283,12 +294,18 @@ def correct_with_position(
     mechanically, but uniqueness of the result is only guaranteed in the
     l >= K regime the code is designed for.
     """
+    fixed, removal = _correct(y, params)
+    return _as_word(fixed), removal
+
+
+def _correct(y: Sequence[int], params: CodeParams) -> tuple[bytes, Duplication | None]:
+    """correct_with_position with the repaired word as bytes."""
     _check_params(params)
     q, n, K = params.q, params.n, params.K
     yw = check_word(y, q)
     m = len(yw)
     if m == n + 1:
-        return _as_word(yw), None
+        return yw, None
     if m < n + 1:
         raise MalformedCodewordError(
             f"received word of length {m} is shorter than a codeword ({n + 1})"
@@ -303,7 +320,7 @@ def correct_with_position(
             "removing the duplication leaves a long square; "
             "input is not a single corruption of a codeword"
         )
-    return _as_word(res), Duplication(p, l)
+    return res, Duplication(p, l)
 
 
 def correct(y: Sequence[int], params: CodeParams) -> Word:
@@ -325,7 +342,7 @@ def is_codeword(y: Sequence[int], params: CodeParams) -> bool:
     if len(yw) != params.n + 1:
         return False
     try:
-        x = decode(yw, params)
+        x = _decode(yw, params)
     except (MalformedWordError, MalformedCodewordError):
         return False
-    return check_word(encode(x, params), params.q) == yw
+    return _encode(x, params) == yw

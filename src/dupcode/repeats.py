@@ -15,18 +15,26 @@ so the result is exact however the hash collides. A word whose first 2K
 symbols are all equal is answered immediately with (0, K).
 
 In a process that has not loaded numpy, a longer word is first offered to
-a certificate of absence (_samples_distinct), which needs no hashing.
-numpy enters only on the hashed path, imported when a word longer than
-the cutoff fails that certificate. Duplication, the all-equal test, the
-small-word scan and the certificate run without it, so neither the
+two certificates of absence, which need no hashing. Each samples the word
+at a difference cover of Z_s and proves it square-free when no two samples
+are equal. The sparse plan (_blocks_distinct) cuts each sampled residue
+class into non-overlapping s-symbol blocks, split in C by struct, with the
+largest s such that 2s <= K + 1. Its blocks are short enough that a random
+word repeats one now and then, so a refusal falls back to the dense plan
+(_samples_distinct): a smaller s, about K/3, and overlapping grams of
+K - s + 1 symbols. numpy enters only on the hashed path, imported when a
+word longer than the cutoff fails both. Duplication, the all-equal test,
+the small-word scan and the certificates run without it, so neither the
 channel nor an encode or correct of words free of long squares loads
-numpy. A process holding numpy skips the certificate: its warm hashed
+numpy. A process holding numpy skips the certificates: its warm hashed
 scan is faster.
 """
 
 from __future__ import annotations
 
+import struct
 import sys
+from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 from .core import MAX_ALPHABET, _integer, _set, _Value, check_word
@@ -52,6 +60,50 @@ _COVERS = (
     (21, (0, 1, 4, 14, 16)),
     (13, (0, 1, 3, 9)),
     (7, (0, 1, 3)),
+    (3, (0, 1)),
+    (1, (0,)),
+)
+
+
+# Minimal difference covers (s, D) of Z_s for the sparse plan, one per odd
+# s, largest first; no smaller set covers Z_s (exhaustive search over the
+# sets holding 0 and 1, which every cover has a translate of). The code's
+# K = 4L + 1 takes s = 2L + 1, the largest s the proof allows, so its blocks
+# are as long as they can be and a uniform word repeats one least often.
+# s stops at 65 = (129 + 1)/2: K = 129 at q = 2 for the longest message
+# whose codeword the search takes.
+_SPARSE_COVERS = (
+    (65, (0, 1, 2, 6, 10, 28, 35, 51, 54)),
+    (63, (0, 1, 2, 6, 8, 20, 38, 41, 54)),
+    (61, (0, 1, 2, 3, 7, 15, 25, 36, 45)),
+    (59, (0, 1, 2, 3, 6, 13, 21, 35, 44)),
+    (57, (0, 1, 3, 13, 32, 36, 43, 52)),
+    (55, (0, 1, 2, 3, 4, 6, 19, 26, 47)),
+    (53, (0, 1, 2, 3, 4, 7, 21, 29, 44)),
+    (51, (0, 1, 2, 5, 11, 18, 30, 38)),
+    (49, (0, 1, 2, 5, 24, 33, 36, 44)),
+    (47, (0, 1, 2, 3, 5, 16, 22, 40)),
+    (45, (0, 1, 2, 3, 5, 12, 18, 26)),
+    (43, (0, 1, 2, 3, 4, 10, 15, 26)),
+    (41, (0, 1, 2, 3, 4, 9, 15, 25)),
+    (39, (0, 1, 2, 4, 13, 18, 33)),
+    (37, (0, 1, 2, 4, 10, 15, 22)),
+    (35, (0, 1, 2, 3, 8, 12, 21)),
+    (33, (0, 1, 2, 3, 6, 16, 27)),
+    (31, (0, 1, 3, 8, 12, 18)),
+    (29, (0, 1, 2, 3, 4, 9, 14)),
+    (27, (0, 1, 2, 5, 13, 22)),
+    (25, (0, 1, 2, 3, 8, 12)),
+    (23, (0, 1, 2, 3, 7, 11)),
+    (21, (0, 1, 4, 14, 16)),
+    (19, (0, 1, 2, 6, 9)),
+    (17, (0, 1, 2, 4, 12)),
+    (15, (0, 1, 2, 3, 7)),
+    (13, (0, 1, 3, 9)),
+    (11, (0, 1, 2, 5)),
+    (9, (0, 1, 2, 4)),
+    (7, (0, 1, 3)),
+    (5, (0, 1, 2)),
     (3, (0, 1)),
     (1, (0,)),
 )
@@ -155,6 +207,39 @@ def _samples_distinct(w: bytes, K: int) -> bool:
     return True
 
 
+def _sparse_cover(K: int) -> tuple[int, tuple[int, ...]]:
+    """The largest cover (s, D) in _SPARSE_COVERS with 2s <= K + 1."""
+    return next(c for c in _SPARSE_COVERS if 2 * c[0] <= K + 1)
+
+
+def _blocks_distinct(w: bytes, K: int) -> bool:
+    """True when the sampled s-symbol blocks of w are pairwise distinct,
+    which proves that w has no square of half-length >= K.
+
+    For (s, D) = _sparse_cover(K), each residue x in D is cut into the
+    blocks [x + j*s, x + (j+1)*s) that fit in w, split in C. The proof is
+    _samples_distinct's with gram length s: a square (p, l) with l >= K
+    holds a block at a in [p, p + s) with a = x (mod s), and one at a + l
+    with a + l = y (mod s), y - x = l (mod s). Since a + s <= p + 2s - 1
+    <= p + K <= p + l, the two blocks lie in the two copies and are equal.
+    A repeated block proves nothing; the caller then tries the dense plan.
+    """
+    s, cover = _sparse_cover(K)
+    # One block per unpack: a format of k blocks would compile a format per
+    # word length.
+    blocks = struct.Struct(f"{s}s").iter_unpack
+    view = memoryview(w)
+    seen: set[bytes] = set()
+    size = 0
+    for x in cover:
+        k = (len(w) - x) // s
+        seen.update(map(itemgetter(0), blocks(view[x : x + k * s])))
+        size += k
+        if len(seen) != size:
+            return False
+    return True
+
+
 def _scan_hashed(arr: np.ndarray, K: int) -> Duplication | None:
     import numpy as np
 
@@ -193,10 +278,11 @@ def find_leftmost_long(w: Sequence[int], K: int) -> Duplication | None:
 
     Symbols must lie in 0..255; MalformedWordError names the first one
     that does not. Returns None when w has no such square. Exact for any
-    input: the sampled-gram certificate only proves absence, and hashing
-    only prunes the candidate set; neither decides a match. Words longer
-    than 96 symbols are first tried against the certificate while numpy is
-    not loaded, so a word free of long squares is answered without
+    input: the two sampled certificates only prove absence, and hashing
+    only prunes the candidate set; none decides a match. While numpy is not
+    loaded, a word longer than 96 symbols is first offered to the sparse
+    plan (_blocks_distinct), then, if a block repeats, to the dense plan
+    (_samples_distinct), so a word free of long squares is answered without
     importing numpy. Raises ValueError when K is not an integer or K < 1,
     or when w has 2**32 or more symbols, the length at which the int64
     hash sums and packed keys could overflow.
@@ -221,7 +307,7 @@ def find_leftmost_long(w: Sequence[int], K: int) -> Duplication | None:
     w = bytes(w)
     if m <= _SMALL_CUTOFF:
         return _scan_small(w, K)
-    if "numpy" not in sys.modules and _samples_distinct(w, K):
+    if "numpy" not in sys.modules and (_blocks_distinct(w, K) or _samples_distinct(w, K)):
         return None
     import numpy as np
 

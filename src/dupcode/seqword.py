@@ -165,7 +165,14 @@ class EditableWord:
 
     @staticmethod
     def join(left: "EditableWord", right: "EditableWord") -> "EditableWord":
-        """Concatenate two words. Consumes both operands."""
+        """Concatenate two words. Consumes both operands.
+
+        ValueError, with both operands unchanged, when either is not an
+        EditableWord or both are the same word.
+        """
+        for operand in (left, right):
+            if not isinstance(operand, EditableWord):
+                raise ValueError(f"join takes two EditableWords, got {type(operand).__name__}")
         if left is right:
             raise ValueError("cannot join a word to itself")
         left._seek(len(left))

@@ -2,12 +2,22 @@
 
 import io
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
-from dupcode import analysis
+from dupcode import (
+    ChannelSpec,
+    analysis,
+    correct_with_position,
+    decode,
+    derive_params,
+    encode,
+    format_word,
+    random_duplication,
+)
 from dupcode.cli import (
     EXIT_GUARD,
     EXIT_MALFORMED,
@@ -116,6 +126,50 @@ def test_corrupt_explicit_and_json(capsys):
     assert payload["word"] == "0012123312"
     assert (payload["i"], payload["l"]) == (2, 2)
     assert err == ""  # diagnostics live inside the JSON payload
+
+
+def _message(q, n, family):
+    """A zeros message, or a random one holding the top symbol and a planted
+    square of half-length K + 3, so that its codeword has blocks."""
+    if family == "zeros":
+        return (0,) * n
+    rng = random.Random(q)
+    K = derive_params(q, n).K
+    x = [rng.randrange(q) for _ in range(n - K - 3)]
+    x[-1] = q - 1
+    return tuple(x[: 43 + K] + x[40:])  # x[40 : 43 + K] twice
+
+
+@pytest.mark.parametrize(
+    "q,n,family", [(37, 200, "random"), (256, 300, "random"), (4, 1 << 10, "zeros")]
+)
+def test_word_commands_match_the_library(q, n, family, capsys):
+    """encode, corrupt --seed, correct and decode print, in text and in
+    --json, format_word of the matching library call, in both word formats."""
+    params = derive_params(q, n)
+    x = _message(q, n, family)
+    assert len(x) == n
+    y = encode(x, params)
+    assert y[-1] == 1  # the codeword holds blocks
+    z, dup = random_duplication(y, ChannelSpec(seed=7), params)
+    fixed, removal = correct_with_position(z, params)
+    assert fixed == y and decode(y, params) == x
+    common = ("--q", str(q), "--n", str(n))
+    cases = [
+        (("encode", "--word", format_word(x, q)), y, {}),
+        (("corrupt", "--seed", "7", "--word", format_word(y, q)), z, {"i": dup.i, "l": dup.l}),
+        (("correct", "--word", format_word(z, q)), y, {"i": removal.i, "l": removal.l}),
+        (("decode", "--word", format_word(y, q)), x, {}),
+    ]
+    for (command, *rest), want, fields in cases:
+        text = format_word(want, q)
+        assert (q > 36) == ("," in text)
+        code, out, _ = run_cli(command, *common, *rest, capsys=capsys)
+        assert code == EXIT_OK and out == text + "\n", command
+        code, out, _ = run_cli(command, *common, *rest, "--json", capsys=capsys)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload == {"schema": SCHEMA, "command": command, "q": q, "n": n, "word": text, **fields}
 
 
 def test_corrupt_requires_seed_or_pair(capsys):

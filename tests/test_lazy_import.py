@@ -142,25 +142,31 @@ def _random_word(q: int, m: int, seed: int) -> tuple:
 
 
 def test_encode_and_correct_of_square_free_words_leave_numpy_unloaded(tmp_path):
-    """A random message past the direct-scan cutoff has no long square, so
-    encode and correct prove that with the sampled-gram certificate alone."""
-    params = derive_params(4, 300)
-    x = _random_word(4, params.n, 12)
-    y = encode(x, params)
-    z = apply_duplication(y, 40, 150)
-    assert correct(z, params) == y
-    (tmp_path / "x").write_text(format_word(x, 4))
-    (tmp_path / "z").write_text(format_word(z, 4))
+    """Random messages past the direct-scan cutoff have no long square, so
+    encode and correct prove that with the sampled certificates alone, at
+    n = 300 and at n = 2**14."""
+    sizes = (300, 1 << 14)
+    want = {}
+    for n in sizes:
+        params = derive_params(4, n)
+        x = _random_word(4, n, 12)
+        y = encode(x, params)
+        z = apply_duplication(y, 40, 150)
+        assert correct(z, params) == y
+        (tmp_path / f"x{n}").write_text(format_word(x, 4))
+        (tmp_path / f"z{n}").write_text(format_word(z, 4))
+        want[n] = format_word(y, 4)
     code = (
         "import sys, dupcode.cli\n"
         f"d = {str(tmp_path)!r}\n"
-        "codes = [dupcode.cli.main([cmd, '--q', '4', '--n', '300', '--in', f'{d}/{src}', '--out', f'{d}/{dst}'])\n"
-        "         for cmd, src, dst in (('encode', 'x', 'y'), ('correct', 'z', 'fixed'))]\n"
+        "codes = [dupcode.cli.main([cmd, '--q', '4', '--n', str(n), '--in', f'{d}/{src}{n}', '--out', f'{d}/{dst}{n}'])\n"
+        f"         for n in {sizes!r} for cmd, src, dst in (('encode', 'x', 'y'), ('correct', 'z', 'fixed'))]\n"
         f"print(codes, {LOADED})"
     )
-    assert run_fresh(code) == "[0, 0] []"
-    assert (tmp_path / "y").read_text().strip() == format_word(y, 4)
-    assert (tmp_path / "fixed").read_text().strip() == format_word(y, 4)
+    assert run_fresh(code) == "[0, 0, 0, 0] []"
+    for n in sizes:
+        assert (tmp_path / f"y{n}").read_text().strip() == want[n]
+        assert (tmp_path / f"fixed{n}").read_text().strip() == want[n]
 
 
 def test_a_long_square_past_the_cutoff_still_takes_the_numpy_scan():

@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from dupcode import repeats
 from dupcode.codec import _leftmost_period_square
-from dupcode.core import MalformedWordError
+from dupcode.core import MalformedWordError, derive_params
 from dupcode.repeats import (
     Duplication,
+    _blocks_distinct,
     _samples_distinct,
     _scan_hashed,
     _scan_small,
@@ -262,29 +263,91 @@ def test_cover_choice_keeps_the_gram_inside_the_threshold():
     assert {repeats._cover(K) for K in range(1, 200)} == set(repeats._COVERS)
 
 
+@pytest.mark.parametrize("s,cover", repeats._SPARSE_COVERS)
+def test_each_sparse_cover_is_a_difference_cover(s, cover):
+    assert list(cover) == sorted(set(cover)) and cover[-1] < s
+    assert {(y - x) % s for x in cover for y in cover} == set(range(s))
+
+
+def test_sparse_cover_choice_keeps_each_block_inside_the_threshold():
+    assert repeats._sparse_cover(37) == (19, (0, 1, 2, 6, 9))  # q = 4, n = 2**18
+    for K in range(1, 200):
+        s, _ = repeats._sparse_cover(K)
+        assert 1 <= s and 2 * s <= K + 1
+    for L in range(1, 33):  # the code's own thresholds get the largest s
+        assert repeats._sparse_cover(4 * L + 1)[0] == 2 * L + 1
+    assert {repeats._sparse_cover(K) for K in range(1, 200)} == set(repeats._SPARSE_COVERS)
+
+
+# q divides 256 for every q drawn below, so b % q is uniform.
+_MOD = {q: bytes(b % q for b in range(256)) for q in (2, 4, 256)}
+
+
+def _uniform(rng, q, m):
+    return rng.randbytes(m).translate(_MOD[q])
+
+
 def _planted(rng, q, p, l, tail):
-    u = [rng.randrange(q) for _ in range(l)]
-    return tuple([rng.randrange(q) for _ in range(p)] + u + u + [rng.randrange(q) for _ in range(tail)])
+    u = _uniform(rng, q, l)
+    return _uniform(rng, q, p) + u + u + _uniform(rng, q, tail)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+_PLANS = {
+    "sparse": (repeats._sparse_cover, _blocks_distinct),
+    "dense": (repeats._cover, _samples_distinct),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(
+    plan=st.sampled_from(sorted(_PLANS)),
     q=st.sampled_from([2, 4, 256]),
-    K=st.one_of(st.integers(5, 73), st.integers(91, 100)),
+    K=st.one_of(st.integers(5, 73), st.integers(89, 101), st.integers(113, 131)),
     extra=st.integers(0, 40),
     seed=st.integers(0, 2**32),
 )
-def test_a_planted_square_always_repeats_a_sample(q, K, extra, seed):
+def test_a_planted_square_always_repeats_a_sample(plan, q, K, extra, seed):
     """A square of half-length l >= K, for every residue of its start and of
-    l mod s (the cover's modulus), repeats a sampled gram, so the
-    certificate never vouches for a word that holds one. K reaches every
-    cover in the table."""
+    l mod s (the cover's modulus), repeats a sample, so neither plan vouches
+    for a word that holds one. K reaches every cover in both tables."""
+    cover_of, distinct = _PLANS[plan]
     rng = random.Random(seed)
-    s, _ = repeats._cover(K)
+    s, _ = cover_of(K)
     for r in range(s):
         for l in range(K + extra, K + extra + s):
-            w = bytes(_planted(rng, q, s * rng.randrange(3) + r, l, rng.randrange(2 * s)))
-            assert not _samples_distinct(w, K), (r, l, w)
+            w = _planted(rng, q, s * rng.randrange(3) + r, l, rng.randrange(2 * s))
+            assert not distinct(w, K), (r, l, w)
+
+
+@pytest.mark.parametrize(
+    "plan,K",
+    [("sparse", 2 * s - 1) for s, _ in repeats._SPARSE_COVERS]
+    + [("dense", 3 * s - 2) for s, _ in repeats._COVERS],
+)
+def test_every_row_catches_squares_at_its_smallest_threshold(plan, K):
+    """At the smallest K that picks a row, a sample must fit in the first
+    copy from every start residue: the proof's inequality is tight there."""
+    cover_of, distinct = _PLANS[plan]
+    s, _ = cover_of(K)
+    assert K == 1 or cover_of(K - 1)[0] < s
+    rng = random.Random(K)
+    for r in range(s):
+        for l in range(K, K + s):
+            w = _planted(rng, 4, s + r, l, rng.randrange(2 * s))
+            assert not distinct(w, K), (r, l, w)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_the_sparse_plan_vouches_for_most_uniform_words(q):
+    """At the code's own K, the sparse plan alone proves at least 95% of
+    uniform words square-free, and with the dense plan behind it all."""
+    n = 1 << 12
+    K = derive_params(q, n).K
+    rng = random.Random(40 + q)
+    words = [_uniform(rng, q, n) for _ in range(200)]
+    refused = [w for w in words if not _blocks_distinct(w, K)]
+    assert len(refused) <= 10
+    assert all(_samples_distinct(w, K) for w in refused)
 
 
 @pytest.mark.parametrize("q", [2, 4, 256])

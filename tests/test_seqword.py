@@ -99,6 +99,19 @@ def test_split_and_join_consume_their_operands():
         EditableWord.join(back, back)
 
 
+@pytest.mark.parametrize("other", [(2,), [2], b"\x02", None])
+def test_join_refuses_an_operand_that_is_not_a_word(other):
+    """Either operand may be the stray one; the word operand keeps its
+    symbols and its cursor."""
+    w = EditableWord.from_word((0, 1, 2, 3))
+    w.insert(1, (7,))  # leaves the cursor inside the word
+    cursor = len(w._left)
+    for args in ((w, other), (other, w)):
+        with pytest.raises(ValueError, match=f"got {type(other).__name__}"):
+            EditableWord.join(*args)
+        assert w.to_word() == (0, 7, 1, 2, 3) and len(w._left) == cursor
+
+
 def test_reads_on_both_sides_of_the_cursor():
     model = list(range(0, 120, 3))
     w = EditableWord.from_word(model)
