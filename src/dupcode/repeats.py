@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import struct
 import sys
-from operator import itemgetter
+from itertools import chain
 from typing import TYPE_CHECKING, Sequence
 
 from .core import MAX_ALPHABET, _integer, _set, _Value, check_word
@@ -66,46 +66,52 @@ _COVERS = (
 
 
 # Minimal difference covers (s, D) of Z_s for the sparse plan, one per odd
-# s, largest first; no smaller set covers Z_s (exhaustive search over the
-# sets holding 0 and 1, which every cover has a translate of). The code's
-# K = 4L + 1 takes s = 2L + 1, the largest s the proof allows, so its blocks
-# are as long as they can be and a uniform word repeats one least often.
-# s stops at 65 = (129 + 1)/2: K = 129 at q = 2 for the longest message
-# whose codeword the search takes.
-_SPARSE_COVERS = (
-    (65, (0, 1, 2, 6, 10, 28, 35, 51, 54)),
-    (63, (0, 1, 2, 6, 8, 20, 38, 41, 54)),
-    (61, (0, 1, 2, 3, 7, 15, 25, 36, 45)),
-    (59, (0, 1, 2, 3, 6, 13, 21, 35, 44)),
-    (57, (0, 1, 3, 13, 32, 36, 43, 52)),
-    (55, (0, 1, 2, 3, 4, 6, 19, 26, 47)),
-    (53, (0, 1, 2, 3, 4, 7, 21, 29, 44)),
-    (51, (0, 1, 2, 5, 11, 18, 30, 38)),
-    (49, (0, 1, 2, 5, 24, 33, 36, 44)),
-    (47, (0, 1, 2, 3, 5, 16, 22, 40)),
-    (45, (0, 1, 2, 3, 5, 12, 18, 26)),
-    (43, (0, 1, 2, 3, 4, 10, 15, 26)),
-    (41, (0, 1, 2, 3, 4, 9, 15, 25)),
-    (39, (0, 1, 2, 4, 13, 18, 33)),
-    (37, (0, 1, 2, 4, 10, 15, 22)),
-    (35, (0, 1, 2, 3, 8, 12, 21)),
-    (33, (0, 1, 2, 3, 6, 16, 27)),
-    (31, (0, 1, 3, 8, 12, 18)),
-    (29, (0, 1, 2, 3, 4, 9, 14)),
-    (27, (0, 1, 2, 5, 13, 22)),
-    (25, (0, 1, 2, 3, 8, 12)),
-    (23, (0, 1, 2, 3, 7, 11)),
-    (21, (0, 1, 4, 14, 16)),
-    (19, (0, 1, 2, 6, 9)),
-    (17, (0, 1, 2, 4, 12)),
-    (15, (0, 1, 2, 3, 7)),
-    (13, (0, 1, 3, 9)),
-    (11, (0, 1, 2, 5)),
-    (9, (0, 1, 2, 4)),
-    (7, (0, 1, 3)),
-    (5, (0, 1, 2)),
-    (3, (0, 1)),
-    (1, (0,)),
+# s, largest first, one "s: D" per line; no smaller set covers Z_s
+# (exhaustive search over the sets holding 0 and 1, which every cover has a
+# translate of). The code's K = 4L + 1 takes s = 2L + 1, the largest s the
+# proof allows, so its blocks are as long as they can be and a uniform word
+# repeats one least often. s stops at 65 = (129 + 1)/2: K = 129 at q = 2
+# for the longest message whose codeword the search takes. The table is
+# text because a process without cached bytecode compiles it on every
+# import: as nested tuple literals it added about 1 ms to `import dupcode`,
+# as text about 0.2 ms.
+_SPARSE_COVERS = tuple(
+    (int(s), tuple(map(int, cover.split())))
+    for s, cover in (row.split(":") for row in """
+65: 0 1 2 6 10 28 35 51 54
+63: 0 1 2 6 8 20 38 41 54
+61: 0 1 2 3 7 15 25 36 45
+59: 0 1 2 3 6 13 21 35 44
+57: 0 1 3 13 32 36 43 52
+55: 0 1 2 3 4 6 19 26 47
+53: 0 1 2 3 4 7 21 29 44
+51: 0 1 2 5 11 18 30 38
+49: 0 1 2 5 24 33 36 44
+47: 0 1 2 3 5 16 22 40
+45: 0 1 2 3 5 12 18 26
+43: 0 1 2 3 4 10 15 26
+41: 0 1 2 3 4 9 15 25
+39: 0 1 2 4 13 18 33
+37: 0 1 2 4 10 15 22
+35: 0 1 2 3 8 12 21
+33: 0 1 2 3 6 16 27
+31: 0 1 3 8 12 18
+29: 0 1 2 3 4 9 14
+27: 0 1 2 5 13 22
+25: 0 1 2 3 8 12
+23: 0 1 2 3 7 11
+21: 0 1 4 14 16
+19: 0 1 2 6 9
+17: 0 1 2 4 12
+15: 0 1 2 3 7
+13: 0 1 3 9
+11: 0 1 2 5
+9: 0 1 2 4
+7: 0 1 3
+5: 0 1 2
+3: 0 1
+1: 0
+""".strip().splitlines())
 )
 
 
@@ -218,22 +224,27 @@ def _blocks_distinct(w: bytes, K: int) -> bool:
 
     For (s, D) = _sparse_cover(K), each residue x in D is cut into the
     blocks [x + j*s, x + (j+1)*s) that fit in w, split in C. The proof is
-    _samples_distinct's with gram length s: a square (p, l) with l >= K
-    holds a block at a in [p, p + s) with a = x (mod s), and one at a + l
-    with a + l = y (mod s), y - x = l (mod s). Since a + s <= p + 2s - 1
-    <= p + K <= p + l, the two blocks lie in the two copies and are equal.
-    A repeated block proves nothing; the caller then tries the dense plan.
+    _samples_distinct's with gram length s: for a square (p, l) with
+    l >= K, pick x, y in D with y - x = l (mod s), and the a in [p, p + s)
+    with a = x (mod s). Blocks start at a and at a + l = y (mod s), and
+    a + s <= p + 2s - 1 <= p + K <= p + l, so the two blocks lie at one
+    offset in the two copies and are equal. A repeated block proves
+    nothing; the caller then tries the dense plan.
     """
     s, cover = _sparse_cover(K)
-    # One block per unpack: a format of k blocks would compile a format per
-    # word length.
-    blocks = struct.Struct(f"{s}s").iter_unpack
+    # Blocks are unpacked 64 to a tuple, the last k % 64 one to a tuple. A
+    # tuple per block would cost about a quarter of the split; a format of
+    # all k blocks would compile a new format per word length.
+    many = struct.Struct(f"{s}s" * 64).iter_unpack
+    one = struct.Struct(f"{s}s").iter_unpack
     view = memoryview(w)
     seen: set[bytes] = set()
     size = 0
     for x in cover:
         k = (len(w) - x) // s
-        seen.update(map(itemgetter(0), blocks(view[x : x + k * s])))
+        mid = x + (k - k % 64) * s
+        seen.update(chain.from_iterable(many(view[x:mid])))
+        seen.update(chain.from_iterable(one(view[mid : x + k * s])))
         size += k
         if len(seen) != size:
             return False

@@ -250,8 +250,9 @@ def test_is_dup_free_consistent(word, K):
     assert is_dup_free(w, K) == (naive_leftmost(w, K) is None)
 
 
-@pytest.mark.parametrize("s,cover", repeats._COVERS)
+@pytest.mark.parametrize("s,cover", repeats._COVERS + repeats._SPARSE_COVERS)
 def test_each_cover_is_a_difference_cover(s, cover):
+    assert list(cover) == sorted(set(cover)) and cover[-1] < s
     assert {(y - x) % s for x in cover for y in cover} == set(range(s))
 
 
@@ -261,12 +262,6 @@ def test_cover_choice_keeps_the_gram_inside_the_threshold():
         s, _ = repeats._cover(K)
         assert 1 <= s <= K and 3 * s <= K + 2
     assert {repeats._cover(K) for K in range(1, 200)} == set(repeats._COVERS)
-
-
-@pytest.mark.parametrize("s,cover", repeats._SPARSE_COVERS)
-def test_each_sparse_cover_is_a_difference_cover(s, cover):
-    assert list(cover) == sorted(set(cover)) and cover[-1] < s
-    assert {(y - x) % s for x in cover for y in cover} == set(range(s))
 
 
 def test_sparse_cover_choice_keeps_each_block_inside_the_threshold():
@@ -326,14 +321,16 @@ def test_a_planted_square_always_repeats_a_sample(plan, q, K, extra, seed):
 )
 def test_every_row_catches_squares_at_its_smallest_threshold(plan, K):
     """At the smallest K that picks a row, a sample must fit in the first
-    copy from every start residue: the proof's inequality is tight there."""
+    copy from every start residue: the proof's inequality is tight there.
+    The square starts up to 130 blocks in, so the sparse plan meets it in
+    its 64-block unpacks, in the blocks after them and across the two."""
     cover_of, distinct = _PLANS[plan]
     s, _ = cover_of(K)
     assert K == 1 or cover_of(K - 1)[0] < s
     rng = random.Random(K)
     for r in range(s):
         for l in range(K, K + s):
-            w = _planted(rng, 4, s + r, l, rng.randrange(2 * s))
+            w = _planted(rng, 4, s * rng.randrange(130) + r, l, rng.randrange(2 * s))
             assert not distinct(w, K), (r, l, w)
 
 
