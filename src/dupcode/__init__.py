@@ -7,29 +7,15 @@ duplication of any length >= K can then be located and removed uniquely.
 
 from importlib import import_module
 
-from .channel import ChannelSpec, DuplicationChannel, apply_duplication, random_duplication
-from .codec import correct, correct_with_position, decode, encode, encode_with_trace, is_codeword
-from .core import (
-    CodeParams,
-    DupcodeError,
-    GuardExceededError,
-    InternalDefectError,
-    MalformedCodewordError,
-    MalformedWordError,
-    VerificationError,
-    Word,
-    derive_params,
-    format_word,
-    parse_word,
-)
-from .repeats import Duplication, find_leftmost_long, is_dup_free
-from .seqword import EditableWord
-
 __version__ = "0.1.0"
 
-# The brute-force checkers (numpy) and the window index (needed only once an
-# encode finds a long square) are imported on first access (PEP 562), so
-# `import dupcode` and the decode and channel paths load neither, nor numpy.
+# `import dupcode` imports no submodule. Each public name is imported from
+# its module below on first access (PEP 562) and kept in this module's
+# globals; each of those modules is an attribute too (dupcode.codec). So a
+# process compiles only the modules its calls run: a decode loads core,
+# repeats and codec, and seqword once it replays a block; the brute-force
+# checkers load analysis and numpy; the window index loads once an encode
+# finds a long square.
 _LAZY = {
     "BadWordReport": "analysis",
     "BallReport": "analysis",
@@ -41,52 +27,42 @@ _LAZY = {
     "enumerate_code0": "analysis",
     "roundtrip_suite": "analysis",
     "verify_ball_disjointness": "analysis",
+    "ChannelSpec": "channel",
+    "DuplicationChannel": "channel",
+    "apply_duplication": "channel",
+    "random_duplication": "channel",
+    "correct": "codec",
+    "correct_with_position": "codec",
+    "decode": "codec",
+    "encode": "codec",
+    "encode_with_trace": "codec",
+    "is_codeword": "codec",
+    "CodeParams": "core",
+    "DupcodeError": "core",
+    "GuardExceededError": "core",
+    "InternalDefectError": "core",
+    "MalformedCodewordError": "core",
+    "MalformedWordError": "core",
+    "VerificationError": "core",
+    "Word": "core",
+    "derive_params": "core",
+    "format_word": "core",
+    "parse_word": "core",
+    "Duplication": "repeats",
+    "find_leftmost_long": "repeats",
+    "is_dup_free": "repeats",
+    "EditableWord": "seqword",
     "WindowIndex": "windows",
 }
 
-__all__ = [
-    "BadWordReport",
-    "BallReport",
-    "ChannelSpec",
-    "Code0Report",
-    "CodeParams",
-    "ConverseReport",
-    "Duplication",
-    "DupcodeError",
-    "DuplicationChannel",
-    "EditableWord",
-    "GuardExceededError",
-    "InternalDefectError",
-    "MalformedCodewordError",
-    "MalformedWordError",
-    "RoundtripReport",
-    "VerificationError",
-    "WindowIndex",
-    "Word",
-    "apply_duplication",
-    "converse_gap",
-    "correct",
-    "correct_with_position",
-    "count_bad_words",
-    "decode",
-    "derive_params",
-    "encode",
-    "encode_with_trace",
-    "enumerate_code0",
-    "find_leftmost_long",
-    "format_word",
-    "is_codeword",
-    "is_dup_free",
-    "parse_word",
-    "random_duplication",
-    "roundtrip_suite",
-    "verify_ball_disjointness",
-]
+__all__ = sorted(_LAZY)
 
 
 def __getattr__(name: str):
     module = _LAZY.get(name)
     if module is None:
+        if name in _LAZY.values():
+            return import_module(f".{name}", __name__)  # the import binds it as an attribute
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(import_module(f".{module}", __name__), name)
     globals()[name] = value

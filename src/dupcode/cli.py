@@ -23,11 +23,12 @@ import os
 import sys
 from typing import TYPE_CHECKING, Sequence
 
-# analysis loads numpy, so the brute-force and roundtrip commands import it
-# themselves; decode and corrupt then start without numpy. The same goes for
-# json (--json only) and random, statistics and time (bench only).
-from . import codec, core
-from .channel import ChannelSpec, DuplicationChannel, _duplicate, apply_duplication
+# Each command imports the modules it runs, so a process compiles no other:
+# encode, decode and correct import codec, corrupt imports channel, bench
+# both, and the brute-force and roundtrip commands analysis, which loads
+# numpy. The same goes for json (--json only) and random, statistics and
+# time (bench only).
+from . import core
 from .core import (
     GuardExceededError,
     InternalDefectError,
@@ -192,6 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
+    from . import codec
     params = core.derive_params(args.q, args.n)
     x = core.parse_word(_read_word_text(args), args.q)
     y = codec._encode(x, params)
@@ -201,6 +203,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
+    from . import codec
     params = core.derive_params(args.q, args.n)
     y = core.parse_word(_read_word_text(args), args.q)
     x = codec._decode(y, params)
@@ -210,6 +213,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _cmd_corrupt(args: argparse.Namespace) -> int:
+    from .channel import ChannelSpec, DuplicationChannel, _duplicate
     params = core.derive_params(args.q, args.n)
     w = core.parse_word(_read_word_text(args), args.q)
     explicit = args.i is not None or args.l is not None
@@ -239,6 +243,7 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
 
 
 def _cmd_correct(args: argparse.Namespace) -> int:
+    from . import codec
     params = core.derive_params(args.q, args.n)
     y = core.parse_word(_read_word_text(args), args.q)
     fixed, removal = codec._correct(y, params)
@@ -356,6 +361,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     import random
     import statistics
     import time
+
+    from . import codec
+    from .channel import apply_duplication
 
     params = core.derive_params(args.q, args.n)
     if args.reps < 1:

@@ -24,9 +24,11 @@ numpy enters only through the hashed square search (repeats), which a
 word free of long squares never reaches in a process without numpy. The
 window index computes in plain Python and is imported once an encode
 finds its first square. correct's period search XORs the word with its
-shift as one big integer. decode runs on core and the byte gap buffer
-alone. So decode, and an encode or correct whose words hold no long
-square, never load numpy.
+shift as one big integer. decode runs on core alone, and imports the
+byte gap buffer (seqword) once it finds a block to replay. So decode,
+and an encode or correct whose words hold no long square, never load
+numpy, and a process that meets no square or block compiles neither
+windows nor seqword.
 
 encode, decode and correct_with_position return core._as_word of a
 private core (_encode, _decode, _correct) that returns the word as bytes;
@@ -53,7 +55,6 @@ from .core import (
     to_digits,
 )
 from .repeats import Duplication, find_leftmost_long, is_dup_free
-from .seqword import EditableWord
 
 
 class BlockRecord(_Value):
@@ -221,6 +222,8 @@ def _decode(y: Sequence[int], params: CodeParams) -> bytes:
         raise MalformedCodewordError(f"codeword must have length {n + 1}, got {len(yw)}")
     if yw[-1] == 0:
         return yw[:-1]
+
+    from .seqword import EditableWord
 
     # The replay keeps the word at m = n + 1 symbols, and every symbol
     # passed check_word, so the digits need no range check of their own.

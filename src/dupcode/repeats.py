@@ -73,8 +73,8 @@ _COVERS = (
 # repeats one least often. s stops at 65 = (129 + 1)/2: K = 129 at q = 2
 # for the longest message whose codeword the search takes. The table is
 # text because a process without cached bytecode compiles it on every
-# import: as nested tuple literals it added about 1 ms to `import dupcode`,
-# as text about 0.2 ms.
+# import: as nested tuple literals it added about 1 ms to the import of
+# this module, as text about 0.2 ms.
 _SPARSE_COVERS = tuple(
     (int(s), tuple(map(int, cover.split())))
     for s, cover in (row.split(":") for row in """

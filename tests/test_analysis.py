@@ -1,6 +1,10 @@
 """Enumeration counts, bound checks, and the randomized harness."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -199,3 +203,22 @@ def test_enumerators_refuse_an_alphabet_above_256():
         analysis.enumerate_code0(300, 2, 1)
     with pytest.raises(ValueError, match=refusal):
         analysis.verify_ball_disjointness(300, 2, [1])
+
+
+def test_bounds_grid_script_prints_one_row_per_grid_point():
+    """scripts/bounds_grid.py in a fresh interpreter: a 3 x 3 grid of (n, K),
+    each row's two counts splitting all q**n words."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "bounds_grid.py"
+    src = str(Path(analysis.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(script), "--q", "2", "--n", "4", "6", "--K", "1", "3"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split()[:2] == ["n", "K"]
+    cells = [row.split() for row in rows]
+    assert [(int(c[0]), int(c[1])) for c in cells] == [(n, K) for n in (4, 5, 6) for K in (1, 2, 3)]
+    assert all(int(c[2]) + int(c[4]) == 2 ** int(c[0]) for c in cells)

@@ -1,8 +1,12 @@
-"""numpy, and the stdlib modules only some commands use, are loaded only
-by the code that computes with them.
+"""dupcode's own modules, numpy, and the stdlib modules only some commands
+use are loaded only by the code that computes with them.
+
+`import dupcode` imports no submodule: each public name is imported from
+its defining module on first access. Each CLI command imports the modules
+it runs, so a process compiles no module it has no use for.
 
 Each check runs in a fresh interpreter, since the test process itself has
-numpy loaded long before these tests run.
+every module loaded long before these tests run.
 """
 
 import json
@@ -27,6 +31,8 @@ SRC = str(Path(dupcode.__file__).resolve().parent.parent)
 # bench (statistics with decimal and fractions) would pull in.
 HEAVY = ("numpy", "dataclasses", "inspect", "json", "statistics")
 LOADED = f"sorted(m for m in {HEAVY!r} if m in sys.modules)"
+# The dupcode submodules a process has imported, by their short names.
+OWN = "sorted(m.split('.')[1] for m in sys.modules if m.startswith('dupcode.'))"
 
 
 def run_fresh(code: str, openblas_threads: str | None = None) -> str:
@@ -62,6 +68,37 @@ def test_decode_and_corrupt_leave_numpy_unloaded(argv):
         f"print(code, {LOADED})"
     )
     assert run_fresh(code) == "0 []"
+
+
+# A square-free codeword (flag 0), a codeword with one block, a message whose
+# codeword is the word plus a 0, and one duplication of (3, 7) in that codeword.
+FLAG0 = "0123456789abcdef0"
+BLOCK = "00000abcdef001251"
+SQUARE_FREE = "0123456789abcdef"
+DUPLICATED = "012" + "3456789" * 2 + "abcdef0"
+WORD_STAGE = ["cli", "codec", "core", "repeats"]
+
+
+@pytest.mark.parametrize(
+    "argv,modules",
+    [
+        ([], []),
+        (["decode", "--word", FLAG0], WORD_STAGE),
+        (["decode", "--word", BLOCK], [*WORD_STAGE, "seqword"]),
+        (["corrupt", "--seed", "7", "--word", BLOCK], ["channel", "cli", "core", "repeats"]),
+        (["encode", "--word", SQUARE_FREE], WORD_STAGE),
+        (["correct", "--word", DUPLICATED], WORD_STAGE),
+    ],
+    ids=["import", "decode-flag0", "decode-blocks", "corrupt", "encode", "correct"],
+)
+def test_each_process_loads_only_the_modules_it_runs(argv, modules):
+    """The exact set, so a module imported eagerly again fails here."""
+    if argv:
+        argv = [argv[0], "--q", "16", "--n", "16", *argv[1:]]
+        code = f"import sys, dupcode.cli\ncode = dupcode.cli.main({argv!r})\nprint(code, {OWN})"
+        assert run_fresh(code) == f"0 {modules!r}"
+    else:
+        assert run_fresh(f"import sys, dupcode\nprint({OWN})") == "[]"
 
 
 def test_decode_json_still_writes_its_report():
@@ -111,13 +148,32 @@ def test_library_import_leaves_the_environment_alone():
     assert run_fresh(code) == "None"
 
 
-def test_lazy_names_resolve():
+def test_every_public_name_resolves_from_its_defining_module():
+    """Each name in __all__ is the object its defining module holds, and the
+    lazy table names that module rather than one that imports the name."""
     code = (
-        "import dupcode, dupcode.analysis, dupcode.windows\n"
-        "print(dupcode.WindowIndex is dupcode.windows.WindowIndex,"
-        " dupcode.roundtrip_suite is dupcode.analysis.roundtrip_suite)"
+        "import importlib, dupcode\n"
+        "homes = {'Word': 'dupcode.core'}  # a type alias carries no __module__ of its own\n"
+        "bad = []\n"
+        "for name in dupcode.__all__:\n"
+        "    value = getattr(dupcode, name)\n"
+        "    home = homes.get(name, getattr(value, '__module__', None))\n"
+        "    if value is not getattr(importlib.import_module(home), name) or home != f'dupcode.{dupcode._LAZY[name]}':\n"
+        "        bad.append(name)\n"
+        "print(bad)"
     )
-    assert run_fresh(code) == "True True"
+    assert run_fresh(code) == "[]"
+
+
+def test_submodules_are_attributes_after_a_bare_import():
+    code = (
+        "import dupcode\n"
+        "names = [m.__name__ for m in (dupcode.codec, dupcode.core, dupcode.channel, dupcode.repeats, dupcode.seqword)]\n"
+        "from dupcode import analysis\n"
+        "print(names + [analysis.__name__, analysis.count_bad_words is dupcode.count_bad_words])"
+    )
+    expect = [f"dupcode.{m}" for m in ("codec", "core", "channel", "repeats", "seqword", "analysis")]
+    assert run_fresh(code) == repr([*expect, True])
 
 
 def test_star_import_and_dir_cover_all():
