@@ -39,6 +39,7 @@ _LAZY = {
     "is_codeword": "codec",
     "CodeParams": "core",
     "DupcodeError": "core",
+    "Duplication": "core",
     "GuardExceededError": "core",
     "InternalDefectError": "core",
     "MalformedCodewordError": "core",
@@ -48,7 +49,6 @@ _LAZY = {
     "derive_params": "core",
     "format_word": "core",
     "parse_word": "core",
-    "Duplication": "repeats",
     "find_leftmost_long": "repeats",
     "is_dup_free": "repeats",
     "EditableWord": "seqword",

@@ -5,8 +5,18 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .core import MAX_ALPHABET, CodeParams, Word, _as_word, _check_params, _integer, _set, _Value, check_word
-from .repeats import Duplication
+from .core import (
+    MAX_ALPHABET,
+    CodeParams,
+    Duplication,
+    Word,
+    _as_word,
+    _check_params,
+    _integer,
+    _set,
+    _Value,
+    check_word,
+)
 
 
 class ChannelSpec(_Value):

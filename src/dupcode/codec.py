@@ -42,6 +42,7 @@ from typing import Sequence
 
 from .core import (
     CodeParams,
+    Duplication,
     InternalDefectError,
     MalformedCodewordError,
     MalformedWordError,
@@ -54,7 +55,7 @@ from .core import (
     from_digits,  # unused here, like to_digits: bench/tracing.py wraps both in codec
     to_digits,
 )
-from .repeats import Duplication, find_leftmost_long, is_dup_free
+from .repeats import find_leftmost_long, is_dup_free
 
 
 class BlockRecord(_Value):

@@ -1,4 +1,4 @@
-"""Code parameters, symbol words, and fixed-width base-q digit blocks.
+"""Code parameters, symbol words, duplications, and fixed-width base-q digit blocks.
 
 A word is a sequence of symbols 0..q-1 with q <= 256. Public functions take
 any sequence of ints and return tuples of ints (Word); below them every
@@ -15,8 +15,8 @@ from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
 
-#: Largest supported alphabet. Words are held as bytes inside the encoder
-#: and the decode buffer, and it keeps hashing arithmetic in 64-bit range.
+#: Largest supported alphabet: words are held as bytes inside the encoder
+#: and the decode buffer.
 MAX_ALPHABET = 256
 
 _CHAR_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -25,8 +25,8 @@ _CHAR_VALUE = {c: v for v, c in enumerate(_CHAR_ALPHABET)}
 _PARSE_TABLE = bytes(_CHAR_VALUE.get(chr(b).lower(), 0xFF) for b in range(128)).ljust(256, b"\xff")
 # symbol -> its character; only symbols below 36 are ever looked up.
 _FORMAT_TABLE = _CHAR_ALPHABET.encode("ascii").ljust(256, b"?")
-# q -> the bytes 0..q-1, which check_word deletes from a packed word.
-_BELOW = [bytes(range(q)) for q in range(MAX_ALPHABET + 1)]
+# The bytes 0..255; _ALL[:q] are the symbols check_word deletes from a packed word.
+_ALL = bytes(range(MAX_ALPHABET))
 
 
 class DupcodeError(Exception):
@@ -181,6 +181,22 @@ def derive_params(q: int, n: int) -> CodeParams:
     return CodeParams(q=q, n=n, L=L, K=4 * L + 1)
 
 
+class Duplication(_Value):
+    """A tandem duplication: i symbols precede the left copy of half-length l."""
+
+    __slots__ = __match_args__ = ("i", "l")
+    i: int
+    l: int
+
+    def __init__(self, i: int, l: int) -> None:
+        if type(i) is not int or type(l) is not int:  # the search makes one per square
+            i, l = _integer(i, "offset i"), _integer(l, "half-length l")
+        if i < 0 or l < 1:
+            raise ValueError(f"invalid duplication (i={i}, l={l})")
+        _set(self, "i", i)
+        _set(self, "l", l)
+
+
 def _listed(symbols: Iterable[int]) -> list:
     """The symbols of a word given as neither bytes nor a tuple or list."""
     # bytes() would read a buffer such as a numpy array as raw memory;
@@ -251,7 +267,7 @@ def check_word(symbols: Iterable[int], q: int) -> bytes:
             packed = bytes(symbols)
         except (TypeError, ValueError):
             packed = None
-    if packed is not None and (q == MAX_ALPHABET or not packed.translate(None, _BELOW[max(q, 0)])):
+    if packed is not None and (q == MAX_ALPHABET or not packed.translate(None, _ALL[: max(q, 0)])):
         return packed
     word = []
     for pos, s in enumerate(symbols):
@@ -291,7 +307,7 @@ def parse_word(text: str, q: int) -> Word:
             packed = text.encode("ascii").translate(_PARSE_TABLE)
         except UnicodeEncodeError:
             packed = None
-        if packed is not None and not packed.translate(None, _BELOW[max(q, 0)]):
+        if packed is not None and not packed.translate(None, _ALL[: max(q, 0)]):
             return _as_word(packed)
         symbols = []
         for pos, ch in enumerate(text):

@@ -6,13 +6,14 @@ returns the square minimizing i, breaking ties by the smallest l >= K.
 Offsets count the symbols before the left copy, so i = 0 is allowed.
 
 Strategy: words shorter than a cutoff get a direct ordered scan. Longer
-words get a candidate scan built on one K-gram rolling hash. Every square
-(i, l) forces the K-gram at i to reappear at i + l, so matching-gram
-pairs are a superset of the squares. One in-place sort of the keys
-hash << 32 | position groups equal hashes, positions ascending. Candidates
-are visited in (i, l) order and verified exactly, the two K-grams first,
-so the result is exact however the hash collides. A word whose first 2K
-symbols are all equal is answered immediately with (0, K).
+words get a candidate scan built on one K-gram polynomial hash, taken mod
+2**64 by numpy's wrapping uint64 arithmetic, so it needs no modulo pass.
+Every square (i, l) forces the K-gram at i to reappear at i + l, so
+matching-gram pairs are a superset of the squares. One in-place sort of
+the keys hash << 32 | position groups equal hashes, positions ascending.
+Candidates are visited in (i, l) order and verified exactly, the two
+K-grams first, so the result is exact however the hash collides. A word
+whose first 2K symbols are all equal is answered immediately with (0, K).
 
 In a process that has not loaded numpy, a longer word is first offered to
 two certificates of absence, which need no hashing. Each samples the word
@@ -23,11 +24,10 @@ largest s such that 2s <= K + 1. Its blocks are short enough that a random
 word repeats one now and then, so a refusal falls back to the dense plan
 (_samples_distinct): a smaller s, about K/3, and overlapping grams of
 K - s + 1 symbols. numpy enters only on the hashed path, imported when a
-word longer than the cutoff fails both. Duplication, the all-equal test,
-the small-word scan and the certificates run without it, so neither the
-channel nor an encode or correct of words free of long squares loads
-numpy. A process holding numpy skips the certificates: its warm hashed
-scan is faster.
+word longer than the cutoff fails both. The all-equal test, the
+small-word scan and the certificates run without it, so an encode or
+correct of words free of long squares loads no numpy. A process holding
+numpy skips the certificates: its warm hashed scan is faster.
 """
 
 from __future__ import annotations
@@ -37,21 +37,23 @@ import sys
 from itertools import chain
 from typing import TYPE_CHECKING, Sequence
 
-from .core import MAX_ALPHABET, _integer, _set, _Value, check_word
+from .core import MAX_ALPHABET, Duplication, _integer, check_word
 
 if TYPE_CHECKING:
     import numpy as np
 
 _SMALL_CUTOFF = 96
 
-# One modulus below 2**31 keeps every product of two residues inside int64,
-# and the prefix sum of m reduced terms below m * 2**31, which fits int64
-# for m < 2**32. A packed key hash << 32 | position also stays below 2**63
-# for m < 2**32, the limit find_leftmost_long enforces.
+# Gram hashes are polynomials in one odd base, taken mod 2**64 by numpy's
+# wrapping uint64 arithmetic; an odd base is invertible mod 2**64. Each key
+# keeps the top 31 bits of its gram's hash, so the packed key
+# hash << 32 | position stays below 2**63 for m < 2**32, the limit
+# find_leftmost_long enforces.
 _MAX_LENGTH = 1 << 32
-_MOD1, _BASE1 = 2147483647, 1000003
+_BASE = 0x9E3779B97F4A7C15
+_INVERSE = pow(_BASE, -1, 1 << 64)
 
-_pow_cache: dict[tuple[int, int], np.ndarray] = {}
+_pow_cache: dict[int, np.ndarray] = {}
 
 # Difference covers (s, D) of Z_s, largest s first: every residue mod s is
 # y - x for some x, y in D. Each D is a perfect difference set.
@@ -115,60 +117,45 @@ _SPARSE_COVERS = tuple(
 )
 
 
-class Duplication(_Value):
-    """A tandem duplication: i symbols precede the left copy of half-length l."""
-
-    __slots__ = __match_args__ = ("i", "l")
-    i: int
-    l: int
-
-    def __init__(self, i: int, l: int) -> None:
-        if type(i) is not int or type(l) is not int:  # the search makes one per square
-            i, l = _integer(i, "offset i"), _integer(l, "half-length l")
-        if i < 0 or l < 1:
-            raise ValueError(f"invalid duplication (i={i}, l={l})")
-        _set(self, "i", i)
-        _set(self, "l", l)
-
-
-def _powers(mod: int, base: int, length: int) -> np.ndarray:
+def _powers(base: int, length: int) -> np.ndarray:
+    """base**t mod 2**64 for t = 0, 1, ..., at least length of them, cached."""
     import numpy as np
 
-    cached = _pow_cache.get((mod, base))
+    cached = _pow_cache.get(base)
     if cached is None or len(cached) < length:
         size = max(length, 1024)
         if cached is not None:
             size = max(size, 2 * len(cached))
-        out = np.empty(size, dtype=np.int64)
+        out = np.empty(size, dtype=np.uint64)
         out[0] = 1
         done = 1
         while done < size:
-            # out[done + t] = base**t * base**done; both factors are below
-            # mod < 2**31, so the product fits int64. In place: no temporaries.
+            # out[done + t] = base**t * base**done, wrapping; in place, no temporaries
             step = min(done, size - done)
-            chunk = out[done : done + step]
-            np.multiply(out[:step], pow(base, done, mod), out=chunk)
-            chunk %= mod
+            factor = np.uint64(pow(base, done, 1 << 64))
+            np.multiply(out[:step], factor, out=out[done : done + step])
             done += step
-        _pow_cache[(mod, base)] = out
-        cached = out
+        _pow_cache[base] = cached = out
     return cached
 
 
 def _gram_hashes(arr: np.ndarray, K: int) -> np.ndarray:
+    """The top 31 bits of sum(arr[p + t] * _BASE**(K - 1 - t)) mod 2**64 for
+    each K-gram p, as int64.
+
+    The word is cast to uint64 first: numpy promotes an int64 times a uint64
+    to float64, which would lose the low bits the identity needs.
+    """
     import numpy as np
 
     m = len(arr)
-    invs = _powers(_MOD1, pow(_BASE1, -1, _MOD1), m)
-    sums = np.zeros(m + 1, dtype=np.int64)
-    np.multiply(arr, invs[:m], out=sums[1:])
-    sums %= _MOD1
+    sums = np.zeros(m + 1, dtype=np.uint64)
+    np.multiply(arr, _powers(_INVERSE, m)[:m], out=sums[1:], dtype=np.uint64, casting="unsafe")
     np.cumsum(sums, out=sums)
     grams = sums[K:] - sums[: m - K + 1]
-    grams %= _MOD1
-    grams *= _powers(_MOD1, _BASE1, m)[K - 1 : m]
-    grams %= _MOD1
-    return grams
+    grams *= _powers(_BASE, m)[K - 1 : m]
+    grams >>= 33
+    return grams.view(np.int64)
 
 
 def _scan_small(w: Sequence[int], K: int) -> Duplication | None:
@@ -295,8 +282,8 @@ def find_leftmost_long(w: Sequence[int], K: int) -> Duplication | None:
     plan (_blocks_distinct), then, if a block repeats, to the dense plan
     (_samples_distinct), so a word free of long squares is answered without
     importing numpy. Raises ValueError when K is not an integer or K < 1,
-    or when w has 2**32 or more symbols, the length at which the int64
-    hash sums and packed keys could overflow.
+    or when w has 2**32 or more symbols, the length at which a gram
+    position would overflow its 32-bit field of a packed key.
     """
     if type(K) is not int:
         K = _integer(K, "threshold K")

@@ -85,7 +85,7 @@ WORD_STAGE = ["cli", "codec", "core", "repeats"]
         ([], []),
         (["decode", "--word", FLAG0], WORD_STAGE),
         (["decode", "--word", BLOCK], [*WORD_STAGE, "seqword"]),
-        (["corrupt", "--seed", "7", "--word", BLOCK], ["channel", "cli", "core", "repeats"]),
+        (["corrupt", "--seed", "7", "--word", BLOCK], ["channel", "cli", "core"]),
         (["encode", "--word", SQUARE_FREE], WORD_STAGE),
         (["correct", "--word", DUPLICATED], WORD_STAGE),
     ],

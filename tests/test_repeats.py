@@ -48,20 +48,32 @@ def test_frozen_examples(word, K, expect):
     assert naive_leftmost(w, K) == expect
 
 
-@pytest.mark.parametrize(
-    "mod,base",
-    [
-        (repeats._MOD1, repeats._BASE1),
-        (repeats._MOD1, pow(repeats._BASE1, -1, repeats._MOD1)),
-    ],
-)
-def test_power_tables_hold_every_power(monkeypatch, mod, base):
+@pytest.mark.parametrize("base", [repeats._BASE, repeats._INVERSE], ids=["base", "inverse"])
+def test_power_tables_hold_every_power(monkeypatch, base):
     monkeypatch.setattr(repeats, "_pow_cache", {})
     # 1 fills the cache, 1024 reads it, 1025 and 5000 make it grow
     for length in (1, 1024, 1025, 5000):
-        table = repeats._powers(mod, base, length)
-        assert table.dtype == np.int64 and len(table) >= length
-        assert table.tolist() == [pow(base, t, mod) for t in range(len(table))]
+        table = repeats._powers(base, length)
+        assert table.dtype == np.uint64 and len(table) >= length
+        assert table.tolist() == [pow(base, t, 2**64) for t in range(len(table))]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+@pytest.mark.parametrize("q", [2, 4, 256])
+@pytest.mark.parametrize("K", [1, 5, 37, 129])
+def test_gram_hashes_match_the_polynomial(dtype, q, K):
+    """Each key is the top 31 bits of sum(a_t * B**(K - 1 - t)) mod 2**64.
+    An int64 word must not be promoted to float64 on the way."""
+    rng = random.Random(q * 1000 + K)
+    w = [rng.randrange(q) for _ in range(K + 200)]
+    powers = [pow(repeats._BASE, K - 1 - t, 2**64) for t in range(K)]
+    expect = [
+        sum(a * b for a, b in zip(w[p : p + K], powers)) % 2**64 >> 33
+        for p in range(len(w) - K + 1)
+    ]
+    got = repeats._gram_hashes(np.array(w, dtype=dtype), K)
+    assert got.dtype == np.int64
+    assert got.tolist() == expect
 
 
 @pytest.mark.parametrize("word", [(300,) * 10, (300,) * 9 + (1,)])
@@ -209,11 +221,10 @@ def test_planted_square_is_found(data):
 
 @pytest.mark.parametrize("q", [2, 4])
 def test_forced_collisions_keep_the_search_exact(monkeypatch, q):
-    """With the modulus cut to 11 nearly every pair of K-grams shares a
-    hash, so only the exact comparisons decide which candidate is a square."""
-    assert repeats._BASE1 % 11 == 4  # the base stays invertible mod 11
-    monkeypatch.setattr(repeats, "_MOD1", 11)
-    monkeypatch.setattr(repeats, "_pow_cache", {})
+    """With every hash cut to 11 values nearly every pair of K-grams shares
+    one, so only the exact comparisons decide which candidate is a square."""
+    gram_hashes = repeats._gram_hashes
+    monkeypatch.setattr(repeats, "_gram_hashes", lambda arr, K: gram_hashes(arr, K) % 11)
     rng = random.Random(97 * q)
     outcomes = set()
     for _ in range(60):
