@@ -3,8 +3,10 @@
 Everything here trades speed for transparency: word spaces are enumerated
 exhaustively (in value-range shards, vectorized per shard) and compared
 against the closed-form bounds. A guard caps the enumerated space at
-q**length <= 2**26 unless explicitly overridden. Digits are held as uint8,
-so the enumerators refuse q > 256 with ValueError, as CodeParams does.
+q**length <= 2**26 unless max_space overrides it; a negative max_space
+raises ValueError. Digits are held as uint8, so the enumerators refuse
+q > 256 with ValueError, as CodeParams does. Listed words and collision
+witnesses are bytes, as every word the package returns.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ _SHARD = 1 << 16
 def _require_space(q: int, length: int, max_space: int | None) -> int:
     space = q**length
     limit = DEFAULT_SPACE_GUARD if max_space is None else _integer(max_space, "max_space")
+    if limit < 0:
+        raise ValueError(f"max_space must be >= 0, got {limit}")
     if space > limit:
         raise GuardExceededError(
             f"enumeration of q**length = {space} words exceeds the guard {limit}; "
@@ -161,7 +165,7 @@ def enumerate_code0(
         count += int(good.sum())
         if words is not None:
             for row in mat[good]:
-                words.append(tuple(row.tobytes()))
+                words.append(row.tobytes())
     n = length - 1
     bound = Fraction(q**length) - Fraction(n * q ** (length + 1), q**K)
     return Code0Report(
@@ -239,7 +243,7 @@ def verify_ball_disjointness(
             mat = _digit_matrix(q, n, lo, hi)
             free = ~_square_mask(mat, [l]) if 2 * l <= n else np.ones(hi - lo, dtype=bool)
             for row in mat[free]:
-                x = row.tobytes()  # the word, packed as the codec packs it
+                x = row.tobytes()
                 eligible += 1
                 for i in range(0, n - l + 1):
                     y = _duplicate(x, i, l)
@@ -247,7 +251,7 @@ def verify_ball_disjointness(
                     if prev is None:
                         seen[y] = x
                     elif prev != x:
-                        collisions.append((tuple(prev), tuple(x), tuple(y)))
+                        collisions.append((prev, x, y))
         entries.append(
             BallEntry(
                 l=l,
@@ -315,7 +319,7 @@ def roundtrip_suite(
     cor_t: list[float] = []
     checked = 0
     for trial in range(trials):
-        x = tuple(rng.randrange(q) for _ in range(n))
+        x = bytes(rng.randrange(q) for _ in range(n))
         witness = f"trial={trial} q={q} n={n} seed={seed} x={format_word(x, q)}"
         t0 = time.perf_counter()
         y = codec.encode(x, params)

@@ -10,7 +10,6 @@ from .core import (
     CodeParams,
     Duplication,
     Word,
-    _as_word,
     _check_params,
     _integer,
     _set,
@@ -58,7 +57,7 @@ def apply_duplication(w: Sequence[int], i: int, l: int) -> Word:
     duplication does not fit.
     """
     i, l = _integer(i, "offset i"), _integer(l, "length l")
-    return _as_word(_duplicate(check_word(w, MAX_ALPHABET), i, l))
+    return _duplicate(check_word(w, MAX_ALPHABET), i, l)
 
 
 class DuplicationChannel:
@@ -71,11 +70,6 @@ class DuplicationChannel:
         self._rng = random.Random(spec.seed)
 
     def corrupt(self, w: Sequence[int]) -> tuple[Word, Duplication]:
-        z, dup = self._draw(w)
-        return _as_word(z), dup
-
-    def _draw(self, w: Sequence[int]) -> tuple[bytes, Duplication]:
-        """corrupt with the corrupted word as bytes."""
         w = check_word(w, self.params.q)
         l_lo = self.spec.l_min if self.spec.l_min is not None else self.params.K
         l_hi = self.spec.l_max if self.spec.l_max is not None else len(w)

@@ -183,20 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The word commands call the byte-level cores behind the public functions
-# (codec._encode, _decode and _correct, DuplicationChannel._draw and
-# channel._duplicate): the same results as bytes, with the same errors and
-# messages, which format_word takes as they are. So no tuple is built for a
-# result. The input is still parsed by the public parse_word, whose tuple
-# hands the cores its bytes through check_word's memo; the benchmark's
-# tracer (bench/tracing.py) records the parse under that name.
-
-
 def _cmd_encode(args: argparse.Namespace) -> int:
     from . import codec
     params = core.derive_params(args.q, args.n)
     x = core.parse_word(_read_word_text(args), args.q)
-    y = codec._encode(x, params)
+    y = codec.encode(x, params)
     text = core.format_word(y, args.q)
     _emit(args, {"command": "encode", "q": args.q, "n": args.n, "word": text}, text)
     return EXIT_OK
@@ -206,14 +197,14 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     from . import codec
     params = core.derive_params(args.q, args.n)
     y = core.parse_word(_read_word_text(args), args.q)
-    x = codec._decode(y, params)
+    x = codec.decode(y, params)
     text = core.format_word(x, args.q)
     _emit(args, {"command": "decode", "q": args.q, "n": args.n, "word": text}, text)
     return EXIT_OK
 
 
 def _cmd_corrupt(args: argparse.Namespace) -> int:
-    from .channel import ChannelSpec, DuplicationChannel, _duplicate
+    from .channel import ChannelSpec, DuplicationChannel, apply_duplication
     params = core.derive_params(args.q, args.n)
     w = core.parse_word(_read_word_text(args), args.q)
     explicit = args.i is not None or args.l is not None
@@ -221,12 +212,12 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
         if args.i is None or args.l is None:
             raise _UsageError("--i and --l must be given together")
         i, l = args.i, args.l
-        z = _duplicate(core.check_word(w, args.q), i, l)
+        z = apply_duplication(w, i, l)
     else:
         if args.seed is None:
             raise _UsageError("either --seed or both --i and --l are required")
         spec = ChannelSpec(seed=args.seed, l_min=args.l_min, l_max=args.l_max)
-        z, dup = DuplicationChannel(spec, params)._draw(w)
+        z, dup = DuplicationChannel(spec, params).corrupt(w)
         i, l = dup.i, dup.l
     text = core.format_word(z, args.q)
     if not args.json:
@@ -246,7 +237,7 @@ def _cmd_correct(args: argparse.Namespace) -> int:
     from . import codec
     params = core.derive_params(args.q, args.n)
     y = core.parse_word(_read_word_text(args), args.q)
-    fixed, removal = codec._correct(y, params)
+    fixed, removal = codec.correct_with_position(y, params)
     text = core.format_word(fixed, args.q)
     if not args.json and removal is not None:
         print(
@@ -311,12 +302,14 @@ def _cmd_count_bad(args: argparse.Namespace) -> int:
 
 def _cmd_verify_ball(args: argparse.Namespace) -> int:
     from . import analysis
-    try:
-        l_set = [int(part) for part in args.l.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise _UsageError(f"--l expects comma-separated integers: {exc}") from exc
-    if not l_set:
+    parts = [part.strip() for part in args.l.split(",") if part.strip() != ""]
+    for part in parts:
+        # int() alone would also take "1_0", "+1" and non-ASCII digits
+        if not (part.isascii() and part.isdigit()):
+            raise _UsageError(f"--l expects comma-separated integers, got {part!r}")
+    if not parts:
         raise _UsageError("--l expects at least one half-length")
+    l_set = [int(part) for part in parts]
     report = analysis.verify_ball_disjointness(args.q, args.n, l_set, max_space=args.max_space)
     d = report.to_dict()
     lines = [
@@ -345,16 +338,16 @@ def _cmd_converse(args: argparse.Namespace) -> int:
 
 def _bench_message(pattern: str, q: int, n: int, K: int, rng: random.Random) -> core.Word:
     if pattern == "zeros":
-        return (0,) * n
+        return bytes(n)
     if pattern == "random":
-        return tuple(rng.randrange(q) for _ in range(n))
+        return bytes(rng.randrange(q) for _ in range(n))
     # run-heavy: cycle the alphabet in runs of 2K symbols. Most encoder
     # iterations find their square at the front (70 of 75 at n = 2^14,
     # q = 4), but through a full hashed scan (75 scans), not the all-equal
     # prefix test; few squares have half-length K (6 of 75), so there are
     # far fewer iterations than the (n + 1) / K bound.
     run = 2 * K
-    return tuple((j // run) % q for j in range(n))
+    return bytes((j // run) % q for j in range(n))
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

@@ -30,10 +30,8 @@ and an encode or correct whose words hold no long square, never load
 numpy, and a process that meets no square or block compiles neither
 windows nor seqword.
 
-encode, decode and correct_with_position return core._as_word of a
-private core (_encode, _decode, _correct) that returns the word as bytes;
-the CLI calls the cores and formats their bytes, so it builds no tuple
-for a result.
+Every word these functions return is bytes, which the CLI formats as it
+is and any of them takes back without packing it again.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ from .core import (
     MalformedCodewordError,
     MalformedWordError,
     Word,
-    _as_word,
     _check_params,
     _set,
     _Value,
@@ -86,10 +83,11 @@ class BlockRecord(_Value):
 def _encode(
     x: Sequence[int],
     params: CodeParams,
-    self_check: bool = False,
-    trace: list[BlockRecord] | None = None,
-) -> bytes:
-    """encode's codeword as bytes, for callers that pass it on as bytes."""
+    self_check: bool,
+    trace: list[BlockRecord] | None,
+) -> Word:
+    """encode's body; appends one BlockRecord per iteration to trace unless
+    it is None."""
     _check_params(params)
     q, n, L, K = params.q, params.n, params.L, params.K
     xw = check_word(x, q)
@@ -146,7 +144,7 @@ def _encode(
         if self_check:
             index.audit(w)
         if trace is not None:
-            trace.append(BlockRecord(i, l, r, t, tuple(map(tuple, fillers))))
+            trace.append(BlockRecord(i, l, r, t, tuple(fillers)))
         dup = find_leftmost_long(w, K)
     return bytes(w)
 
@@ -162,7 +160,7 @@ def encode(
     self_check=True re-verifies the window index against the word after
     every iteration (slow; meant for differential testing).
     """
-    return _as_word(_encode(x, params, self_check))
+    return _encode(x, params, self_check, None)
 
 
 def encode_with_trace(x: Sequence[int], params: CodeParams) -> tuple[Word, list[BlockRecord]]:
@@ -173,8 +171,7 @@ def encode_with_trace(x: Sequence[int], params: CodeParams) -> tuple[Word, list[
     O(n) memory. self_check=True is forced, so every iteration is audited.
     """
     trace: list[BlockRecord] = []
-    y = _encode(x, params, self_check=True, trace=trace)
-    return _as_word(y), trace
+    return _encode(x, params, True, trace), trace
 
 
 def decode(y: Sequence[int], params: CodeParams) -> Word:
@@ -211,11 +208,6 @@ def decode(y: Sequence[int], params: CodeParams) -> Word:
     budget also ends every replay: each l is at least K, so the block
     that would overrun it comes by the (m // K + 1)-th.
     """
-    return _as_word(_decode(y, params))
-
-
-def _decode(y: Sequence[int], params: CodeParams) -> bytes:
-    """decode's result as bytes, for callers that pass it on as bytes."""
     _check_params(params)
     q, n, L, K = params.q, params.n, params.L, params.K
     yw = check_word(y, q)
@@ -236,8 +228,7 @@ def _decode(y: Sequence[int], params: CodeParams) -> bytes:
         head = buf._bytes(max(m - 1 - L, 0), m)  # length digits and flag
         flag = head[-1]
         if flag == 0:
-            buf.delete_range(m - 1, m)
-            return buf._packed()
+            return bytes(buf._bytes(0, m - 1))
         if flag != 1:
             raise MalformedCodewordError(f"trailing flag must be 0 or 1, got {flag}")
         if m - 1 < L:
@@ -298,12 +289,6 @@ def correct_with_position(
     mechanically, but uniqueness of the result is only guaranteed in the
     l >= K regime the code is designed for.
     """
-    fixed, removal = _correct(y, params)
-    return _as_word(fixed), removal
-
-
-def _correct(y: Sequence[int], params: CodeParams) -> tuple[bytes, Duplication | None]:
-    """correct_with_position with the repaired word as bytes."""
     _check_params(params)
     q, n, K = params.q, params.n, params.K
     yw = check_word(y, q)
@@ -346,7 +331,7 @@ def is_codeword(y: Sequence[int], params: CodeParams) -> bool:
     if len(yw) != params.n + 1:
         return False
     try:
-        x = _decode(yw, params)
+        x = decode(yw, params)
     except (MalformedWordError, MalformedCodewordError):
         return False
-    return _encode(x, params) == yw
+    return encode(x, params) == yw

@@ -1,10 +1,11 @@
 """Code parameters, symbol words, duplications, and fixed-width base-q digit blocks.
 
-A word is a sequence of symbols 0..q-1 with q <= 256. Public functions take
-any sequence of ints and return tuples of ints (Word); below them every
-layer holds the word as bytes, packed and checked once by check_word. A word
-handed straight back to the library is not packed again (see check_word). All
-positions and offsets in this package are 0-based; ranges are half-open.
+A word is a sequence of symbols 0..q-1 with q <= 256, held as bytes (Word)
+above and below the public functions alike: they take any sequence of ints,
+pack and check it once by check_word, and return bytes. A word handed
+straight back to the library is not packed again, since bytes() of bytes
+is the same object. All positions and offsets in this package are 0-based;
+ranges are half-open.
 The command line layer keeps the same numbering, and documents it.
 """
 
@@ -13,10 +14,9 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Sequence
 
-Word = tuple[int, ...]
+Word = bytes
 
-#: Largest supported alphabet: words are held as bytes inside the encoder
-#: and the decode buffer.
+#: Largest supported alphabet: a symbol is one byte.
 MAX_ALPHABET = 256
 
 _CHAR_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -223,22 +223,6 @@ def _numpy_bool(s: object, pos: int) -> int:
     raise MalformedWordError(f"symbol {s!r} at position {pos} is not an integer")
 
 
-# The word the library returned last, with the bytes it was built from.
-# Holding the word keeps its id from being reused while the pair stands, and
-# both halves are immutable, so the bytes always equal a fresh pack of it.
-# The pair is read and replaced as one tuple, so a thread never sees a word
-# with another word's bytes.
-_last: tuple[Word, bytes] = ((), b"")
-
-
-def _as_word(packed: bytes) -> Word:
-    """The Word of packed bytes; every public function returns words this way."""
-    global _last
-    word = tuple(packed)
-    _last = (word, packed)
-    return word
-
-
 def check_word(symbols: Iterable[int], q: int) -> bytes:
     """Validate symbols against the alphabet [0, q) and pack them as bytes.
 
@@ -248,25 +232,20 @@ def check_word(symbols: Iterable[int], q: int) -> bytes:
     MalformedWordError naming the first symbol that is not an integer or
     lies outside the alphabet, or when symbols is not iterable.
 
-    The word the library returned last is not packed again: when symbols
-    is that very tuple, the bytes it was built from are checked against q
-    and returned. The memo keeps that one word and its bytes, about 9 bytes
-    per symbol, alive until the library returns its next word. An equal
-    tuple that is a different object is packed as usual.
+    A word given as bytes, such as one the library returned, is returned
+    as the same object once its symbols are checked against q.
     """
     q = _check_alphabet(q)
-    last, packed = _last
-    if symbols is not last:
-        if not isinstance(symbols, (bytes, bytearray, tuple, list)):
-            symbols = _listed(symbols)
-        # Fast path: bytes() checks 0..255 in C and translate() deletes the
-        # symbols below q, so a word in range leaves nothing behind; at
-        # q = 256 every byte is in range. Any failure falls through to the
-        # loop below, which reports it.
-        try:
-            packed = bytes(symbols)
-        except (TypeError, ValueError):
-            packed = None
+    if not isinstance(symbols, (bytes, bytearray, tuple, list)):
+        symbols = _listed(symbols)
+    # Fast path: bytes() checks 0..255 in C and returns a bytes word as the
+    # same object, and translate() deletes the symbols below q, so a word in
+    # range leaves nothing behind; at q = 256 every byte is in range. Any
+    # failure falls through to the loop below, which reports it.
+    try:
+        packed = bytes(symbols)
+    except (TypeError, ValueError):
+        packed = None
     if packed is not None and (q == MAX_ALPHABET or not packed.translate(None, _ALL[: max(q, 0)])):
         return packed
     word = []
@@ -308,7 +287,7 @@ def parse_word(text: str, q: int) -> Word:
         except UnicodeEncodeError:
             packed = None
         if packed is not None and not packed.translate(None, _ALL[: max(q, 0)]):
-            return _as_word(packed)
+            return packed
         symbols = []
         for pos, ch in enumerate(text):
             v = _CHAR_VALUE.get(ch.lower())
@@ -322,7 +301,7 @@ def parse_word(text: str, q: int) -> Word:
             if not (part.isascii() and part.isdigit()):
                 raise MalformedWordError(f"invalid comma-separated word: part {pos} is {part!r}, not decimal digits")
         symbols = [int(part) for part in parts]
-    return _as_word(check_word(symbols, q))
+    return check_word(symbols, q)
 
 
 def format_word(word: Sequence[int], q: int) -> str:
@@ -344,12 +323,12 @@ def to_digits(value: int, params: CodeParams) -> Word:
         value = _integer(value, "value")
     if value < 0 or value >= q**L:
         raise ValueError(f"value {value} does not fit in {L} base-{q} digits")
-    digits = [0] * L
+    digits = bytearray(L)
     v = value
     for slot in range(L - 1, -1, -1):
         digits[slot] = v % q
         v //= q
-    return tuple(digits)
+    return bytes(digits)
 
 
 def from_digits(digits: Sequence[int], params: CodeParams) -> int:

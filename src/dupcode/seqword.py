@@ -124,7 +124,7 @@ class EditableWord:
             self._seek(i)
             self._left += data
 
-    def delete_range(self, a: int, b: int) -> tuple[int, ...]:
+    def delete_range(self, a: int, b: int) -> bytes:
         """Remove positions [a, b) and return the removed symbols."""
         if type(a) is not int or type(b) is not int:
             a, b = _integer(a, "range start"), _integer(b, "range end")
@@ -133,23 +133,23 @@ class EditableWord:
             raise IndexError(f"range [{a}, {b}) invalid for word of length {m}")
         left, right = self._left, self._right
         if b <= len(left):
-            out = left[a:b]
+            out = bytes(left[a:b])
             del left[a:b]
-            return tuple(out)
+            return out
         if a < len(left):
             self._seek(a)
-        out = right[m - b : m - a]
+        out = bytes(right[m - b : m - a][::-1])
         del right[m - b : m - a]
-        return tuple(out[::-1])
+        return out
 
-    def slice(self, a: int, b: int) -> tuple[int, ...]:
+    def slice(self, a: int, b: int) -> bytes:
         """Read positions [a, b) without mutating; O(b - a)."""
         if type(a) is not int or type(b) is not int:
             a, b = _integer(a, "range start"), _integer(b, "range end")
         m = len(self)
         if not (0 <= a <= b <= m):
             raise IndexError(f"range [{a}, {b}) invalid for word of length {m}")
-        return tuple(self._bytes(a, b))
+        return bytes(self._bytes(a, b))
 
     def split(self, k: int) -> tuple["EditableWord", "EditableWord"]:
         """Split into the first k symbols and the rest. Consumes self."""
@@ -182,11 +182,8 @@ class EditableWord:
         left._left, right._right = bytearray(), bytearray()
         return t
 
-    def to_word(self) -> tuple[int, ...]:
-        return tuple(self._packed())
-
-    def _packed(self) -> bytes:
-        """The whole word as bytes, without moving the cursor."""
+    def to_word(self) -> bytes:
+        """The whole word, without moving the cursor."""
         return b"".join((self._left, self._right[::-1]))
 
     def __iter__(self) -> Iterator[int]:

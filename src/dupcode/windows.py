@@ -17,7 +17,8 @@ window it touches, and the heap holds O(n) codes.
 apply_append and apply_delete check and pack their arguments, then make
 the private edit _fill or _cut that the encoder calls directly. _fill
 appends a block's runs, counted through Counter's C helper, and looks up
-the filler between each two, so the encoder writes a block in one call.
+the filler between each two with find_absent, so the encoder writes a
+block in one call. Every word the index returns is bytes.
 The one digit writer, _digits, joins two cached byte tables' words for a
 code's high and low digits. A cut is checked before it changes anything,
 so a refused cut changes nothing.
@@ -40,7 +41,7 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from typing import Sequence
 
-from .core import CodeParams, Word, _check_params, _integer, check_word
+from .core import CodeParams, Word, _check_params, _integer, check_word, format_word
 
 
 def _sliceable(w: Sequence[int], q: int) -> Sequence[int]:
@@ -174,7 +175,7 @@ class WindowIndex:
         fillers: list[bytes] = []
         for k, run in enumerate(runs):
             if k:
-                fillers.append(self._absent())
+                fillers.append(self.find_absent())
                 run = fillers[-1] + run
             codes = [code := (code * q + x) % top for x in run]
             if skip > 0:
@@ -209,7 +210,7 @@ class WindowIndex:
                 for j, c in enumerate(self._codes(seg)):
                     seen[c] = seen.get(c, 0) + 1
                     if seen[c] > counts[c]:
-                        raise ValueError(f"window {tuple(seg[j : j + L])} has zero count, cannot remove")
+                        raise ValueError(f"window {format_word(seg[j : j + L], q)} has zero count, cannot remove")
         # the junction's windows go in first, so no code they keep drops to 0
         if junction:
             counts.update(junction)
@@ -228,9 +229,6 @@ class WindowIndex:
 
     def find_absent(self) -> Word:
         """The lexicographically smallest L-word with count zero."""
-        return tuple(self._absent())
-
-    def _absent(self) -> bytes:
         counts, gaps = self._counts, self._gaps
         while gaps and gaps[0] in counts:
             heappop(gaps)
@@ -251,7 +249,7 @@ class WindowIndex:
         counts, lo, gaps = self._counts, self._lo, self._gaps
         if counts.items() != fresh._counts.items():
             code = min(counts.items() ^ fresh._counts.items())[0]
-            window = tuple(self._digits(code))
+            window = format_word(self._digits(code), self.params.q)
             raise ValueError(f"window {window}: stored {counts[code]}, rebuilt {fresh._counts[code]}")
         if self._total != fresh._total:
             raise ValueError(f"window total: stored {self._total}, rebuilt {fresh._total}")
@@ -259,5 +257,5 @@ class WindowIndex:
             raise ValueError(f"cursor {lo} must lie in [0, {self._top}] above every gap, gaps {sorted(gaps)}")
         lost = set(range(lo)).difference(counts, gaps)
         if lost:
-            window = tuple(self._digits(min(lost)))
+            window = format_word(self._digits(min(lost)), self.params.q)
             raise ValueError(f"window {window} lies below the cursor {lo}, uncounted and no gap")

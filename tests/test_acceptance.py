@@ -47,7 +47,7 @@ def corpora():
     t0 = time.perf_counter()
     for q, n in CORPUS_SHAPES:
         params = derive_params(q, n)
-        messages = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(CORPUS_SIZE)]
+        messages = [bytes(rng.randrange(q) for _ in range(n)) for _ in range(CORPUS_SIZE)]
         codewords = [codec.encode(x, params) for x in messages]
         out[(q, n)] = (params, messages, codewords)
     out["build_seconds"] = time.perf_counter() - t0
@@ -83,7 +83,7 @@ def test_criterion_2_injectivity(corpora, report):
     for q, n in [(2, 10), (3, 6)]:
         params = derive_params(q, n)
         for digits in itertools.product(range(q), repeat=n):
-            if codec.decode(codec.encode(digits, params), params) != digits:
+            if codec.decode(codec.encode(digits, params), params) != bytes(digits):
                 mismatches += 1
             exhaustive += 1
     report(
@@ -101,7 +101,7 @@ def test_criterion_3_single_duplication_correction(report):
     failures = 0
     checked = 0
     for _ in range(1000):
-        x = tuple(rng.randrange(q) for _ in range(n))
+        x = bytes(rng.randrange(q) for _ in range(n))
         y = codec.encode(x, params)
         for l in range(params.K, n + 2):
             for i in range(0, n + 2 - l):
@@ -200,7 +200,7 @@ def _windows_battery(ops: int) -> bool:
             if any(idx.window_count(w) != c for w, c in tally.items()):
                 return False
             if len(tally) < 4**3:
-                if idx.find_absent() != tally_find_absent(tally, 4, 3):
+                if idx.find_absent() != bytes(tally_find_absent(tally, 4, 3)):
                     return False
             else:
                 try:
@@ -233,7 +233,7 @@ def _seqword_battery(ops: int) -> bool:
         elif roll < 0.8:
             a = rng.randint(0, m)
             b = rng.randint(a, min(m, a + 5))
-            if tree.delete_range(a, b) != tuple(model[a:b]):
+            if tree.delete_range(a, b) != bytes(model[a:b]):
                 return False
             del model[a:b]
         elif roll < 0.95:
@@ -249,9 +249,9 @@ def _seqword_battery(ops: int) -> bool:
             tree.delete_range(0, 3000)
         if step % 4000 == 0:
             tree.audit()
-            if tree.to_word() != tuple(model):
+            if tree.to_word() != bytes(model):
                 return False
-    return tree.to_word() == tuple(model)
+    return tree.to_word() == bytes(model)
 
 
 def _repeats_battery() -> bool:
@@ -292,7 +292,7 @@ def test_criterion_7_data_structure_oracles(report):
 def test_criterion_8_wall_clock_envelope(report):
     # adversarial all-zeros encode at (q=4, n=10^5)
     params = derive_params(4, 100_000)
-    zeros = (0,) * 100_000
+    zeros = bytes(100_000)
     t0 = time.perf_counter()
     y = codec.encode(zeros, params)
     encode_s = time.perf_counter() - t0
@@ -328,10 +328,10 @@ def test_criterion_9_worked_example_fidelity(report):
     first = apply_duplication(x, 2, 2)
     second = apply_duplication(x, 4, 2)
     ok = (
-        first == (0, 0, 1, 2, 1, 2, 3, 3, 1, 2)
-        and second == (0, 0, 1, 2, 3, 3, 3, 3, 1, 2)
-        and codec.correct(first, params) == x
-        and codec.correct(second, params) == x
+        first == bytes((0, 0, 1, 2, 1, 2, 3, 3, 1, 2))
+        and second == bytes((0, 0, 1, 2, 3, 3, 3, 3, 1, 2))
+        and codec.correct(first, params) == bytes(x)
+        and codec.correct(second, params) == bytes(x)
     )
     report(
         "criterion 9: the worked single-duplication example pair is reproduced and "

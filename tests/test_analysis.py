@@ -66,7 +66,7 @@ def test_enum_code0_anchors(q, length, K, expect):
 def test_enum_code0_words_listed():
     rep = analysis.enumerate_code0(2, 3, 1, want_words=True)
     assert rep.words is not None
-    assert sorted(rep.words) == [(0, 1, 0), (1, 0, 1)]
+    assert sorted(rep.words) == [bytes((0, 1, 0)), bytes((1, 0, 1))]
     assert all(naive_leftmost(w, 1) is None for w in rep.words)
 
 
@@ -89,6 +89,24 @@ def test_space_guard():
         analysis.enumerate_code0(2, 27, 5)
     with pytest.raises(GuardExceededError):
         analysis.verify_ball_disjointness(2, 27, [1])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda space: analysis.count_bad_words(2, 5, 1, max_space=space),
+        lambda space: analysis.enumerate_code0(2, 5, 1, max_space=space),
+        lambda space: analysis.verify_ball_disjointness(2, 5, [1], max_space=space),
+    ],
+    ids=["count_bad_words", "enumerate_code0", "verify_ball_disjointness"],
+)
+def test_negative_space_guard_is_a_value_error(call):
+    """A negative max_space is refused as a bad value, not reported as a
+    space past the guard; max_space=0 still trips the guard."""
+    with pytest.raises(ValueError, match="^max_space must be >= 0, got -1$"):
+        call(-1)
+    with pytest.raises(GuardExceededError):
+        call(0)
 
 
 def test_ball_disjointness_small():
@@ -114,7 +132,7 @@ def test_ball_disjointness_reports_collisions_as_words(monkeypatch):
     """Images are compared as packed bytes; a witness comes back as words."""
     monkeypatch.setattr(analysis, "_duplicate", lambda x, i, l: b"\x00\x00\x00")
     rep = analysis.verify_ball_disjointness(2, 2, [1])  # eligible: 01 and 10
-    assert rep.collisions == (((0, 1), (1, 0), (0, 0, 0)),) * 2
+    assert rep.collisions == ((bytes((0, 1)), bytes((1, 0)), bytes((0, 0, 0))),) * 2
     d = rep.to_dict()
     assert d["disjoint"] is False
     assert d["entries"][0]["collisions"][0] == ["01", "10", "000"]
@@ -187,7 +205,7 @@ def test_enumerators_keep_symbols_above_127():
     length-1 squares, and exactly the 200 words (a, a) are bad."""
     rep = analysis.enumerate_code0(200, 2, 1, want_words=True)
     assert rep.count == 200 * 199
-    assert set(rep.words) == {(a, b) for a in range(200) for b in range(200) if a != b}
+    assert set(rep.words) == {bytes((a, b)) for a in range(200) for b in range(200) if a != b}
     assert analysis.count_bad_words(200, 2, 1).count == 200
     ball = analysis.verify_ball_disjointness(200, 2, [1])
     assert ball.entries[0].eligible_words == 200 * 199

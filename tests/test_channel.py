@@ -12,9 +12,9 @@ from dupcode.core import derive_params
 
 def test_apply_duplication_examples():
     x = (0, 0, 1, 2, 3, 3, 1, 2)
-    assert apply_duplication(x, 2, 2) == (0, 0, 1, 2, 1, 2, 3, 3, 1, 2)
-    assert apply_duplication(x, 4, 2) == (0, 0, 1, 2, 3, 3, 3, 3, 1, 2)
-    assert apply_duplication((7,), 0, 1) == (7, 7)
+    assert apply_duplication(x, 2, 2) == bytes((0, 0, 1, 2, 1, 2, 3, 3, 1, 2))
+    assert apply_duplication(x, 4, 2) == bytes((0, 0, 1, 2, 3, 3, 3, 3, 1, 2))
+    assert apply_duplication((7,), 0, 1) == bytes((7, 7))
 
 
 def test_apply_duplication_validates():
@@ -31,7 +31,7 @@ def test_apply_duplication_validates():
     st.data(),
 )
 def test_apply_duplication_shape(word, data):
-    w = tuple(word)
+    w = bytes(word)
     l = data.draw(st.integers(1, len(w)), label="l")
     i = data.draw(st.integers(0, len(w) - l), label="i")
     out = apply_duplication(w, i, l)

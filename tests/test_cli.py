@@ -132,12 +132,12 @@ def _message(q, n, family):
     """A zeros message, or a random one holding the top symbol and a planted
     square of half-length K + 3, so that its codeword has blocks."""
     if family == "zeros":
-        return (0,) * n
+        return bytes(n)
     rng = random.Random(q)
     K = derive_params(q, n).K
     x = [rng.randrange(q) for _ in range(n - K - 3)]
     x[-1] = q - 1
-    return tuple(x[: 43 + K] + x[40:])  # x[40 : 43 + K] twice
+    return bytes(x[: 43 + K] + x[40:])  # x[40 : 43 + K] twice
 
 
 @pytest.mark.parametrize(
@@ -334,3 +334,67 @@ def test_bench_refuses_parameters_too_small_to_corrupt(capsys):
         "bench", "--q", "4", "--n", "4", "--reps", "1", "--pattern", "zeros", capsys=capsys
     )
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "owner,attr,argv",
+    [
+        ("codec", "encode", ("encode", "--word", "0000000000abcdef")),
+        ("codec", "decode", ("decode", "--word", "00000abcdef001251")),
+        ("codec", "correct_with_position", ("correct", "--word", "00000abcdefabcdef001251")),
+        ("DuplicationChannel", "corrupt", ("corrupt", "--seed", "7", "--word", "00000abcdef001251")),
+        ("channel", "apply_duplication", ("corrupt", "--i", "5", "--l", "6", "--word", "00000abcdef001251")),
+    ],
+)
+def test_word_commands_call_the_public_functions(owner, attr, argv, monkeypatch, capsys):
+    """Each word command runs the public library function, so a wrapper
+    installed on that name, as a tracer installs one, sees the call."""
+    import dupcode.channel
+    import dupcode.codec
+
+    target = {
+        "codec": dupcode.codec,
+        "channel": dupcode.channel,
+        "DuplicationChannel": dupcode.channel.DuplicationChannel,
+    }[owner]
+    real = vars(target)[attr]
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(target, attr, spy)
+    code, out, _ = run_cli(*argv[:1], "--q", "16", "--n", "16", *argv[1:], capsys=capsys)
+    assert code == EXIT_OK and out.strip()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("l", ["1_0", "+1", "-1", " 1, +2", "١", "1,２", "²"])
+def test_verify_ball_takes_only_ascii_digits_in_l(l, capsys):
+    """int() alone would read "1_0" as 10, "+1" as 1 and a non-ASCII digit
+    as its value; each part must be ASCII digits 0-9, as in parse_word."""
+    code, out, err = run_cli("verify-ball", "--q", "2", "--n", "6", f"--l={l}", capsys=capsys)
+    assert code == EXIT_USAGE
+    assert out == "" and "error USAGE: --l expects comma-separated integers" in err
+    code, out, _ = run_cli("verify-ball", "--q", "2", "--n", "6", "--l= 1, 2,,3 ", capsys=capsys)
+    assert code == EXIT_OK and out.strip().endswith("disjoint: yes")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enum-code0", "--q", "2", "--len", "3", "--K", "1"),
+        ("count-bad", "--q", "2", "--n", "3", "--K", "1"),
+        ("verify-ball", "--q", "2", "--n", "3", "--l", "1"),
+    ],
+)
+def test_negative_max_space_is_a_usage_error(argv, capsys):
+    """A negative guard is a bad value (exit 2), not a guard refusal; a
+    guard of 0 still refuses the enumeration (exit 5)."""
+    code, out, err = run_cli(*argv, "--max-space=-1", capsys=capsys)
+    assert code == EXIT_USAGE
+    assert out == "" and "error USAGE: max_space must be >= 0, got -1" in err
+    code, out, err = run_cli(*argv, "--max-space=0", capsys=capsys)
+    assert code == EXIT_GUARD
+    assert out == "" and "error GUARD" in err

@@ -40,15 +40,15 @@ def test_encode_anchor_trace():
     rec = trace[0]
     assert (rec.i, rec.l) == (0, 5)  # 00000|00000 at the front
     assert (rec.r, rec.t) == (2, 0)
-    assert rec.fillers == ((1,), (2,))
+    assert rec.fillers == (bytes((1,)), bytes((2,)))
     # each filler was genuinely missing from the word it was chosen against
-    assert replay_trace(x, trace, 16, 16) == y
+    assert bytes(replay_trace(x, trace, 16, 16)) == y
 
 
 def test_no_duplication_message_gets_flag_zero():
     x = parse_word("0123456789abcdef", 16)
     y = codec.encode(x, P16)
-    assert y == x + (0,)
+    assert y == x + bytes(1)
     assert codec.decode(y, P16) == x
 
 
@@ -64,23 +64,23 @@ def test_encode_matches_reference(q, n):
     params = derive_params(q, n)
     rng = random.Random(q * 1000 + n)
     for _ in range(25):
-        x = tuple(rng.randrange(q) for _ in range(n))
+        x = bytes(rng.randrange(q) for _ in range(n))
         y = codec.encode(x, params)
-        assert y == ref_encode(x, q, n)
+        assert y == bytes(ref_encode(x, q, n))
         assert len(y) == n + 1
         assert is_dup_free(y, params.K)
         assert codec.decode(y, params) == x
-        assert ref_decode(y, q, n) == x
+        assert bytes(ref_decode(y, q, n)) == x
 
 
-def _runs_message(q: int, n: int, seed: int) -> tuple[int, ...]:
+def _runs_message(q: int, n: int, seed: int) -> bytes:
     """Seeded runs of length 2K, one random symbol per run."""
     K = derive_params(q, n).K
     rng = random.Random(seed)
     out: list[int] = []
     while len(out) < n:
         out += [rng.randrange(q)] * (2 * K)
-    return tuple(out[:n])
+    return bytes(out[:n])
 
 
 @pytest.mark.parametrize("q,n", [(4, 300), (2, 256), (3, 200)])
@@ -89,11 +89,11 @@ def test_encode_matches_reference_over_many_iterations(q, n, family):
     """Messages that force several encoder iterations, so every filler the
     window index picks is checked against the Counter-based reference."""
     params = derive_params(q, n)
-    x = (0,) * n if family == "zeros" else _runs_message(q, n, q * n)
+    x = bytes(n) if family == "zeros" else _runs_message(q, n, q * n)
     y, trace = codec.encode_with_trace(x, params)
     assert len(trace) >= 2
-    assert y == ref_encode(x, q, n)
-    assert replay_trace(x, trace, q, n) == y
+    assert y == bytes(ref_encode(x, q, n))
+    assert bytes(replay_trace(x, trace, q, n)) == y
 
 
 @pytest.mark.parametrize("family", ["constant", "runs"])
@@ -106,12 +106,12 @@ def test_roundtrip_at_q256_with_the_top_symbol(family):
     runs: list[int] = []
     while len(runs) < n:
         runs += [255] * (2 * params.K) + [rng.randrange(q)] * (2 * params.K)
-    x = (255,) * n if family == "constant" else tuple(runs[:n])
+    x = bytes((255,)) * n if family == "constant" else bytes(runs[:n])
     y, trace = codec.encode_with_trace(x, params)
     assert len(trace) >= 2
     assert 255 in y
-    assert y == ref_encode(x, q, n)
-    assert replay_trace(x, trace, q, n) == y
+    assert y == bytes(ref_encode(x, q, n))
+    assert bytes(replay_trace(x, trace, q, n)) == y
     assert codec.decode(y, params) == x
 
 
@@ -132,7 +132,7 @@ def test_roundtrip_at_q256_with_the_top_symbol(family):
 def test_encode_output_is_pinned(q, n, family, digest):
     """Codewords are part of the contract: these digests must not move."""
     params = derive_params(q, n)
-    x = (0,) * n if family == "zeros" else _runs_message(q, n, 11)
+    x = bytes(n) if family == "zeros" else _runs_message(q, n, 11)
     assert hashlib.sha256(bytes(codec.encode(x, params))).hexdigest() == digest
 
 
@@ -142,32 +142,34 @@ def test_backends_agree_under_self_check(q, n):
     params = derive_params(q, n)
     rng = random.Random(n)
     for _ in range(10):
-        x = tuple(rng.randrange(q) for _ in range(n))
+        x = bytes(rng.randrange(q) for _ in range(n))
         assert codec.encode(x, params, self_check=True) == codec.encode(x, params)
 
 
 def _is_word(w) -> bool:
-    return type(w) is tuple and all(type(s) is int for s in w)
+    return type(w) is bytes
 
 
 @pytest.mark.parametrize("family", ["zeros", "random"])
 def test_encode_returns_a_tuple_of_ints(family):
-    """The working word is internal; the codeword is a plain Word, whether
-    the encoder iterates (all-zeros) or not (random, no long square)."""
+    """The working word is internal; the codeword is a plain Word (bytes),
+    whether the encoder iterates (all-zeros) or not (random, no long square)."""
     q, n = 4, 1 << 10
     params = derive_params(q, n)
     rng = random.Random(3)
-    x = (0,) * n if family == "zeros" else tuple(rng.randrange(q) for _ in range(n))
+    x = bytes(n) if family == "zeros" else tuple(rng.randrange(q) for _ in range(n))
     y = codec.encode(x, params)
     assert _is_word(y) and len(y) == n + 1
     assert (y[-1] == 1) == (family == "zeros")
 
 
-@pytest.mark.parametrize("convert", [bytes, bytearray, np.array], ids=["bytes", "bytearray", "ndarray"])
+@pytest.mark.parametrize(
+    "convert", [bytes, bytearray, lambda w: np.array(list(w))], ids=["bytes", "bytearray", "ndarray"]
+)
 def test_codec_returns_tuples_for_bytes_like_input(convert):
     """Bytes-likes and arrays are words too: every codec function gives the
-    same tuples of ints for them as for tuples, on words below and above
-    the small-word cutoff."""
+    same bytes for them as for tuples, on words below and above the
+    small-word cutoff."""
     for params, x in ((P16, parse_word("0000000000abcdef", 16)), (derive_params(4, 1 << 10), (0,) * (1 << 10))):
         y = codec.encode(x, params)
         z = apply_duplication(y, 3, 2 * params.K)
@@ -179,7 +181,7 @@ def test_codec_returns_tuples_for_bytes_like_input(convert):
             fixed,
             codec.correct_with_position(convert(y), params)[0],
         )
-        assert words == (y, x, y, y, y) and all(_is_word(w) for w in words)
+        assert words == (y, bytes(x), y, y, y) and all(_is_word(w) for w in words)
         assert removal == codec.correct_with_position(z, params)[1]
         assert codec.is_codeword(convert(y), params)
         assert not codec.is_codeword(convert(z), params)
@@ -199,7 +201,7 @@ def test_trace_records_hold_tuples():
                 assert all(_is_word(filler) for filler in fillers)
             case _:
                 pytest.fail("BlockRecord does not match its positional pattern")
-    assert replay_trace((0,) * 300, trace, 4, 300) == y
+    assert bytes(replay_trace((0,) * 300, trace, 4, 300)) == y
 
 
 def test_trace_memory_stays_linear():
@@ -217,7 +219,7 @@ def test_trace_memory_stays_linear():
         tracemalloc.stop()
     assert len(trace) == 281
     assert peak < 4 << 20, peak
-    assert replay_trace(x, trace, 4, n) == y
+    assert bytes(replay_trace(x, trace, 4, n)) == y
 
 
 def test_self_check_audits_every_iteration(monkeypatch):
@@ -282,8 +284,8 @@ def test_all_zeros_block_structure():
         assert rec.r >= 2
         assert 2 * params.L + rec.r * params.L + rec.t + 1 == rec.l
         assert len(rec.fillers) == rec.r
-    assert replay_trace((0,) * n, trace, q, n) == y
-    assert codec.decode(y, params) == (0,) * n
+    assert bytes(replay_trace((0,) * n, trace, q, n)) == y
+    assert codec.decode(y, params) == bytes(n)
 
 
 def test_decode_strips_plain_flag():
@@ -324,9 +326,9 @@ def test_decode_checks_structure_not_membership():
     assert codec.encode(x, P16) != y
 
 
-def _block(i: int, l: int, params) -> tuple[int, ...]:
+def _block(i: int, l: int, params) -> bytes:
     """A block in the encoder's layout, with zeros for the fillers."""
-    return to_digits(i, params) + (0,) * (l - 2 * params.L - 1) + to_digits(l, params) + (1,)
+    return to_digits(i, params) + bytes(l - 2 * params.L - 1) + to_digits(l, params) + b"\x01"
 
 
 @pytest.mark.parametrize("i_old,refused", [(25, False), (26, True), (30, True)])
@@ -336,7 +338,7 @@ def test_decode_enforces_the_encoder_block_order(i_old, refused):
     finds a square wholly inside the prefix it left square-free."""
     params = derive_params(4, 64)
     K = params.K
-    y = (0,) * (params.n + 1 - 2 * K) + _block(i_old, K, params) + _block(0, K, params)
+    y = bytes(params.n + 1 - 2 * K) + _block(i_old, K, params) + _block(0, K, params)
     assert len(y) == params.n + 1
     if refused:
         with pytest.raises(MalformedCodewordError, match="not below 26"):
@@ -345,11 +347,11 @@ def test_decode_enforces_the_encoder_block_order(i_old, refused):
         assert len(codec.decode(y, params)) == params.n
 
 
-def _loop_word(params, l: int) -> tuple[int, ...]:
+def _loop_word(params, l: int) -> bytes:
     """Two copies of the block (n + 1 - 2l, l) behind zeros: replaying the
     last copy re-creates both, so the replay never reaches a flag 0."""
     m = params.n + 1
-    return (0,) * (m - 2 * l) + _block(m - 2 * l, l, params) * 2
+    return bytes(m - 2 * l) + _block(m - 2 * l, l, params) * 2
 
 
 # (params, word, the exact refusal), one per check decode's docstring names,
@@ -375,7 +377,7 @@ _REFUSALS = [
     ),
     pytest.param(
         _P64,
-        (0,) * 39 + _block(26, 13, _P64) + _block(0, 13, _P64),
+        bytes(39) + _block(26, 13, _P64) + _block(0, 13, _P64),
         "block offset 26 is not below 26, where the next block's square ends",
         id="order",
     ),
@@ -395,23 +397,23 @@ def test_decode_reads_a_later_flag_after_a_replayed_block():
     the block (0, K) replays onto a word that ends in the symbol 2."""
     params = derive_params(4, 64)
     K = params.K
-    y = (0,) * (params.n - K) + (2,) + _block(0, K, params)
+    y = bytes(params.n - K) + b"\x02" + _block(0, K, params)
     with pytest.raises(MalformedCodewordError, match="^trailing flag must be 0 or 1, got 2$"):
         codec.decode(y, params)
 
 
-def _random_block_word(rng: random.Random, params) -> tuple[int, ...]:
+def _random_block_word(rng: random.Random, params) -> bytes:
     """Random symbols ending in a chain of encoder-shaped blocks, each
     offset drawn so that decode's fit and order checks often pass."""
     m, K = params.n + 1, params.K
-    tail: tuple[int, ...] = ()
+    tail = b""
     while len(tail) < m - 1 - K and rng.random() < 0.8:
         l = rng.randint(K, max(K, (m - len(tail)) // 2))
         if len(tail) + l > m - 1:
             break
         i = rng.randint(0, max(0, m - 2 * l - len(tail)))
         tail = _block(i, l, params) + tail
-    head = tuple(rng.randrange(params.q) for _ in range(m - len(tail) - 1)) + (0,)
+    head = bytes(rng.randrange(params.q) for _ in range(m - len(tail) - 1)) + b"\x00"
     return (head + tail)[-m:] if tail else head
 
 
@@ -431,25 +433,25 @@ def test_decode_matches_the_list_oracle_on_accepted_non_codewords(q, n):
             continue
         if y[-1] == 1 and not codec.is_codeword(y, params):
             accepted += 1
-        assert x == ref_decode(y, q, n)
+        assert x == bytes(ref_decode(y, q, n))
     assert accepted >= 20
 
 
-def _looping_block_word(rng: random.Random, params) -> tuple[int, ...]:
+def _looping_block_word(rng: random.Random, params) -> bytes:
     """Like _random_block_word with wider ranges: half-lengths up to
     (n + 1) / 2, offsets anywhere the fit check allows and half of them
     n + 1 - 2l, blocks repeated half the time. Replaying a block at offset
     n + 1 - 2l copies the symbols just before it onto the tail, so a
     repeated block re-creates itself, as in _loop_word."""
     m, K = params.n + 1, params.K
-    tail: tuple[int, ...] = ()
+    tail = b""
     while len(tail) < m - 1 - K and rng.random() < 0.8:
         l = rng.randint(K, m // 2)
         if len(tail) + l > m - 1:
             break
         i = m - 2 * l if rng.random() < 0.5 else rng.randint(0, m - 2 * l)
         tail = _block(i, l, params) * rng.randint(1, 2) + tail
-    head = tuple(rng.randrange(params.q) for _ in range(m - len(tail) - 1)) + (0,)
+    head = bytes(rng.randrange(params.q) for _ in range(m - len(tail) - 1)) + b"\x00"
     return (head + tail)[-m:] if tail else head
 
 
@@ -489,7 +491,7 @@ def test_decode_cursor_travel_is_bounded_on_an_accepted_non_codeword(monkeypatch
     is not a codeword, yet its replay keeps to the same bound."""
     params = derive_params(4, 64)
     K = params.K
-    y = (0,) * (params.n + 1 - 2 * K) + _block(25, K, params) + _block(0, K, params)
+    y = bytes(params.n + 1 - 2 * K) + _block(25, K, params) + _block(0, K, params)
     assert not codec.is_codeword(y, params)
     travel = _decode_travel(monkeypatch, y, params)
     assert 0 < travel <= 3 * (params.n + 1)
@@ -563,7 +565,7 @@ def test_correct_passthrough_and_errors():
     with pytest.raises(MalformedCodewordError):
         codec.correct(x[:-1], P4)  # shorter than a codeword
     with pytest.raises(MalformedCodewordError):
-        codec.correct(x + (0, 1), P4)  # no period-2 square anywhere
+        codec.correct(x + bytes((0, 1)), P4)  # no period-2 square anywhere
 
 
 def test_correct_rejects_result_with_long_square():
@@ -580,7 +582,7 @@ def test_correct_full_sweep_small(q, n):
     params = derive_params(q, n)
     rng = random.Random(4 * q + n)
     for _ in range(8):
-        x = tuple(rng.randrange(q) for _ in range(n))
+        x = bytes(rng.randrange(q) for _ in range(n))
         y = codec.encode(x, params)
         for l in range(params.K, n + 2):
             for i in range(0, n + 2 - l):
@@ -611,7 +613,7 @@ def test_is_codeword():
     assert codec.is_codeword(y, P16)
     assert not codec.is_codeword(y[:-1], P16)           # wrong length
     assert not codec.is_codeword((16,) * 17, P16)       # bad symbols
-    assert not codec.is_codeword(x + (5,), P16)         # flag symbol invalid
+    assert not codec.is_codeword(x + b"\x05", P16)       # flag symbol invalid
     # a valid-looking word that decodes but re-encodes differently
     z = parse_word("00000000001234501", 16)
     if codec.is_codeword(z, P16):
@@ -638,7 +640,7 @@ def test_roundtrip_property(data):
     q = data.draw(st.sampled_from([2, 4, 16]), label="q")
     n = data.draw(st.integers(16, 64), label="n")
     params = derive_params(q, n)
-    x = tuple(data.draw(st.integers(0, q - 1)) for _ in range(n))
+    x = bytes(data.draw(st.integers(0, q - 1)) for _ in range(n))
     y = codec.encode(x, params)
     assert len(y) == n + 1
     assert naive_leftmost(y, params.K) is None

@@ -1,10 +1,21 @@
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dupcode import core
+from dupcode import (
+    ChannelSpec,
+    DuplicationChannel,
+    EditableWord,
+    WindowIndex,
+    apply_duplication,
+    correct,
+    correct_with_position,
+    decode,
+    encode,
+    encode_with_trace,
+    enumerate_code0,
+    random_duplication,
+)
 from dupcode.core import (
     CodeParams,
     MalformedWordError,
@@ -57,8 +68,8 @@ def test_feasible_flag():
 
 
 def test_parse_format_small_alphabet():
-    assert parse_word("0012a", 16) == (0, 0, 1, 2, 10)
-    assert parse_word("00F", 16) == (0, 0, 15)  # uppercase accepted
+    assert parse_word("0012a", 16) == bytes((0, 0, 1, 2, 10))
+    assert parse_word("00F", 16) == bytes((0, 0, 15))  # uppercase accepted
     assert format_word((0, 0, 1, 2, 10), 16) == "0012a"
 
 
@@ -66,7 +77,7 @@ def test_parse_format_wide_alphabet():
     w = (0, 37, 255, 1)
     text = format_word(w, 256)
     assert text == "0,37,255,1"
-    assert parse_word(text, 256) == w
+    assert parse_word(text, 256) == bytes(w)
 
 
 @pytest.mark.parametrize(
@@ -132,7 +143,7 @@ def test_parse_reports_a_bad_last_symbol_of_a_long_word(last, q, message):
     with pytest.raises(MalformedWordError) as exc:
         parse_word(text, q)
     assert str(exc.value) == message
-    assert parse_word(text[:-1], q) == (0, 1) * ((1 << 17) - 1) + (0,)
+    assert parse_word(text[:-1], q) == bytes((0, 1)) * ((1 << 17) - 1) + bytes(1)
 
 
 @pytest.mark.parametrize(
@@ -144,8 +155,9 @@ def test_parse_reports_a_bad_last_symbol_of_a_long_word(last, q, message):
     ],
 )
 def test_parse_returns_a_tuple_of_ints(text, q, expect):
+    """The word is bytes, which reads back as the expected tuple of ints."""
     word = parse_word(text, q)
-    assert type(word) is tuple and word == expect
+    assert type(word) is bytes and tuple(word) == expect
     assert all(type(s) is int for s in word)
 
 
@@ -171,7 +183,7 @@ def test_format_rejects_out_of_range():
 @given(st.integers(2, 36), st.lists(st.integers(0, 35), min_size=1, max_size=40))
 def test_parse_inverts_format(q, symbols):
     w = tuple(s % q for s in symbols)
-    assert parse_word(format_word(w, q), q) == w
+    assert parse_word(format_word(w, q), q) == bytes(w)
 
 
 def test_check_word_rejects_out_of_range():
@@ -294,7 +306,7 @@ def test_word_functions_refuse_an_alphabet_above_256():
         parse_word("0,300,999", 1000)
     with pytest.raises(ValueError, match=refusal):
         format_word((0, 300, 999), 1000)
-    assert parse_word("0,255,17", 256) == (0, 255, 17)
+    assert parse_word("0,255,17", 256) == bytes((0, 255, 17))
     assert format_word((0, 255, 17), 256) == "0,255,17"
 
 
@@ -335,7 +347,7 @@ def test_params_refuse_inconsistent_window_and_threshold(L, K, message):
 
 def test_digit_block_anchor():
     p = CodeParams(q=4, n=40, L=3, K=13)
-    assert to_digits(5, p) == (0, 1, 1)
+    assert to_digits(5, p) == bytes((0, 1, 1))
     assert from_digits((0, 1, 1), p) == 5
 
 
@@ -384,78 +396,57 @@ def test_digit_blocks_refuse_what_is_not_an_integer_or_params(call, message):
 def test_digit_blocks_take_integer_types():
     """Whatever operator.index accepts is an integer, as at every entry point."""
     p = derive_params(4, 40)
-    assert to_digits(np.int64(5), p) == to_digits(True + 4, p) == (0, 1, 1)
+    assert to_digits(np.int64(5), p) == to_digits(True + 4, p) == bytes((0, 1, 1))
     assert from_digits((np.uint8(0), True, np.int64(1)), p) == 5
 
 
-def test_check_word_reuses_the_bytes_of_the_word_returned_last():
-    """A hit returns the bytes the word was built from, equal to a fresh pack."""
-    w = parse_word("0123012301", 4)
-    assert core._last[0] is w
-    packed = check_word(w, 4)
-    assert packed is core._last[1]
-    assert packed == bytes(list(w)) == b"\x00\x01\x02\x03\x00\x01\x02\x03\x00\x01"
-    assert check_word(w, 256) is packed
-
-
 def test_check_word_hit_still_checks_the_alphabet():
+    """A word the library returned comes back from check_word as the same
+    object, packed once, but only after its symbols are checked against q."""
     w = parse_word("0123012301", 4)
+    assert w == b"\x00\x01\x02\x03\x00\x01\x02\x03\x00\x01"
+    assert check_word(w, 4) is w and check_word(w, 256) is w
     with pytest.raises(MalformedWordError) as exc:
         check_word(w, 3)
     assert str(exc.value) == "symbol 3 at position 3 is outside the alphabet [0, 3)"
-    assert parse_word("0,255,17", 256) == (0, 255, 17)
+    wide = parse_word("0,255,17", 256)
+    assert wide == bytes((0, 255, 17))
     with pytest.raises(MalformedWordError, match="symbol 255 at position 1"):
-        format_word(core._last[0], 36)
+        format_word(wide, 36)
 
 
-def test_check_word_memo_is_keyed_by_identity(monkeypatch):
-    """Only the very tuple returned last hits; an equal tuple that is
-    another object is packed and validated as any other input."""
-    w = parse_word("0123", 4)
-    monkeypatch.setattr(core, "_last", (w, b"\x03\x02\x01\x00"))
-    assert check_word(w, 4) == b"\x03\x02\x01\x00"
-    twin = tuple(list(w))
-    assert twin == w and twin is not w
-    assert check_word(twin, 4) == b"\x00\x01\x02\x03"
-    with pytest.raises(MalformedWordError, match="symbol 3 at position 3"):
-        check_word(twin, 3)
+_P64 = derive_params(4, 64)
+_Y64 = encode(bytes(64), _P64)  # all zeros: the codeword holds blocks
+_Z64 = apply_duplication(_Y64, 5, _P64.K)
 
 
-def test_check_word_memo_keeps_one_word():
-    first = parse_word("0123", 4)
-    held = sys.getrefcount(first)
-    second = parse_word("3210", 4)
-    assert sys.getrefcount(first) == held - 1  # the memo let go of it
-    assert core._last[0] is second
-
-
-def test_every_word_producer_returns_through_the_memo():
-    from dupcode import (
-        ChannelSpec,
-        DuplicationChannel,
-        apply_duplication,
-        correct,
-        correct_with_position,
-        decode,
-        encode,
-    )
-
-    p = derive_params(4, 64)
-
-    def made(word):
-        assert type(word) is tuple and core._last[0] is word
-        assert core._last[1] == bytes(word)
-        return word
-
-    x = made(parse_word("0" * 64, 4))
-    y = made(encode(x, p))
-    assert made(decode(y, p)) == x
-    z, dup = DuplicationChannel(ChannelSpec(seed=1), p).corrupt(y)
-    made(z)
-    assert made(correct(z, p)) == y
-    assert made(correct_with_position(y, p)[0]) == y
-    assert made(apply_duplication(y, dup.i, dup.l)) == z
-    text = "3311213112321321333312321012331313202132013013020331012302223232"
-    msg = made(parse_word(text, 4))
-    plain = made(encode(msg, p))  # the message has no long square: flag 0
-    assert plain[-1] == 0 and made(decode(plain, p)) == msg
+# Every public function that returns a word, called on lists, so that each
+# result is built by the call rather than handed through.
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: parse_word("0" * 64, 4), id="parse_word"),
+        pytest.param(lambda: encode([0] * 64, _P64), id="encode"),
+        pytest.param(lambda: encode_with_trace([0] * 64, _P64)[0], id="encode_with_trace"),
+        pytest.param(lambda: encode_with_trace([0] * 64, _P64)[1][0].fillers[0], id="BlockRecord.fillers"),
+        pytest.param(lambda: decode(list(_Y64), _P64), id="decode"),
+        pytest.param(lambda: correct(list(_Z64), _P64), id="correct"),
+        pytest.param(lambda: correct_with_position(list(_Z64), _P64)[0], id="correct_with_position"),
+        pytest.param(lambda: correct_with_position(list(_Y64), _P64)[0], id="correct_with_position-passthrough"),
+        pytest.param(lambda: apply_duplication(list(_Y64), 5, _P64.K), id="apply_duplication"),
+        pytest.param(lambda: DuplicationChannel(ChannelSpec(seed=1), _P64).corrupt(list(_Y64))[0], id="corrupt"),
+        pytest.param(lambda: random_duplication(list(_Y64), ChannelSpec(seed=1), _P64)[0], id="random_duplication"),
+        pytest.param(lambda: to_digits(5, _P64), id="to_digits"),
+        pytest.param(lambda: EditableWord.from_word(list(_Y64)).to_word(), id="EditableWord.to_word"),
+        pytest.param(lambda: EditableWord.from_word(list(_Y64)).slice(3, 30), id="EditableWord.slice"),
+        pytest.param(lambda: EditableWord.from_word(list(_Y64)).delete_range(3, 30), id="EditableWord.delete_range"),
+        pytest.param(lambda: WindowIndex.build(list(_Y64), _P64).find_absent(), id="WindowIndex.find_absent"),
+        pytest.param(lambda: enumerate_code0(2, 3, 1, want_words=True).words[0], id="enumerate_code0"),
+    ],
+)
+def test_every_word_producer_returns_bytes(call):
+    """A returned word is bytes, and check_word hands it back as the same
+    object: it is packed once, with no memo of the word returned last."""
+    word = call()
+    assert type(word) is bytes and word
+    assert check_word(word, 4) is word

@@ -109,20 +109,20 @@ alphabets = param(st.one_of(st.integers(-3, 300), st.sampled_from([2, 4, 16, 36,
 offsets = param(st.integers(-3, 50))
 
 
-def memo_word(data, q: int) -> tuple:
+def returned_word(data, q: int) -> bytes:
     """A word the library has just returned, over an alphabet larger than q.
 
-    check_word reuses the bytes behind exactly this tuple, so handing it
-    back with q checks that the reuse still validates the alphabet."""
-    values = data.draw(st.lists(st.integers(0, 255), max_size=30), label="memo")
+    check_word hands such bytes back as they are, so handing it back with q
+    checks that the alphabet is still validated."""
+    values = data.draw(st.lists(st.integers(0, 255), max_size=30), label="returned")
     word = parse_word(",".join(map(str, values or [0])), 256)
-    assert type(word) is tuple
+    assert type(word) is bytes
     return word
 
 
 def draw_word(data, q: int):
-    if data.draw(st.integers(0, 3), label="use memo") == 0:
-        return memo_word(data, q)
+    if data.draw(st.integers(0, 3), label="use a returned word") == 0:
+        return returned_word(data, q)
     return data.draw(hostile_words, label="word")
 
 
@@ -149,7 +149,7 @@ def test_word_functions_survive_hostile_words(data):
     survives(is_dup_free, draw_word(data, q), K)
     i, l = data.draw(offsets, label="i"), data.draw(offsets, label="l")
     out = survives(apply_duplication, draw_word(data, q), i, l)
-    assert out is None or type(out) is tuple
+    assert out is None or type(out) is bytes
 
 
 # Objects passed where a CodeParams belongs: every entry point refuses them.
@@ -184,7 +184,7 @@ def codec_word(data, params: CodeParams):
     if pick == 0:
         return draw_word(data, params.q)
     if pick == 1:
-        return memo_word(data, params.q)
+        return returned_word(data, params.q)
     length = params.n + data.draw(st.sampled_from([0, 1, 1, 1, 2, params.K, params.n + 1]), label="extra")
     top = max(min(params.q, 256) - 1, 0)
     body = data.draw(st.lists(st.integers(0, top), min_size=max(length, 0), max_size=max(length, 0)), label="symbols")
@@ -217,7 +217,7 @@ def test_codec_survives_hostile_words_and_parameters(data):
     survives(decode, codec_word(data, params), params)
     survives(correct, codec_word(data, params), params)
     out = survives(correct_with_position, codec_word(data, params), params)
-    assert out is None or type(out[0]) is tuple
+    assert out is None or type(out[0]) is bytes
     if small:
         assert type(is_codeword(codec_word(data, params), params)) is bool
     limits = st.one_of(st.none(), param(st.integers(-3, 90)))
@@ -257,7 +257,7 @@ def test_window_index_survives_hostile_edits(data):
     survives(index.apply_delete, draw_word(data, params.q), 0, data.draw(offsets, label="b"))
     survives(index.window_count, draw_word(data, params.q))
     out = survives(index.find_absent)
-    assert out is None or (type(out) is tuple and len(out) == params.L)
+    assert out is None or (type(out) is bytes and len(out) == params.L)
     survives(index.audit, draw_word(data, params.q))
 
 

@@ -12,7 +12,7 @@ from dupcode.seqword import EditableWord
 def test_build_and_read_back():
     w = EditableWord.from_word((3, 1, 4, 1, 5, 9, 2, 6))
     assert len(w) == 8
-    assert w.to_word() == (3, 1, 4, 1, 5, 9, 2, 6)
+    assert w.to_word() == bytes((3, 1, 4, 1, 5, 9, 2, 6))
     assert [w.get(i) for i in range(8)] == [3, 1, 4, 1, 5, 9, 2, 6]
     assert list(w) == [3, 1, 4, 1, 5, 9, 2, 6]
     w.audit()
@@ -21,30 +21,30 @@ def test_build_and_read_back():
 def test_empty_word():
     w = EditableWord.from_word(())
     assert len(w) == 0
-    assert w.to_word() == ()
+    assert w.to_word() == b""
     w.insert(0, (7,))
-    assert w.to_word() == (7,)
+    assert w.to_word() == bytes((7,))
 
 
 def test_insert_delete_slice():
     w = EditableWord.from_word((0, 1, 2, 3))
     w.insert(2, (9, 9))
-    assert w.to_word() == (0, 1, 9, 9, 2, 3)
+    assert w.to_word() == bytes((0, 1, 9, 9, 2, 3))
     removed = w.delete_range(1, 4)
-    assert removed == (1, 9, 9)
-    assert w.to_word() == (0, 2, 3)
-    assert w.slice(1, 3) == (2, 3)
-    assert w.to_word() == (0, 2, 3)  # slice does not mutate
+    assert removed == bytes((1, 9, 9))
+    assert w.to_word() == bytes((0, 2, 3))
+    assert w.slice(1, 3) == bytes((2, 3))
+    assert w.to_word() == bytes((0, 2, 3))  # slice does not mutate
     w.audit()
 
 
 def test_split_and_join():
     w = EditableWord.from_word(tuple(range(10)))
     left, right = w.split(4)
-    assert left.to_word() == (0, 1, 2, 3)
-    assert right.to_word() == (4, 5, 6, 7, 8, 9)
+    assert left.to_word() == bytes((0, 1, 2, 3))
+    assert right.to_word() == bytes((4, 5, 6, 7, 8, 9))
     back = EditableWord.join(left, right)
-    assert back.to_word() == tuple(range(10))
+    assert back.to_word() == bytes(range(10))
     back.audit()
 
 
@@ -68,33 +68,33 @@ def test_out_of_range_symbol_leaves_word_unchanged(bad):
         w.insert(1, (5, bad))
     with pytest.raises(ValueError):
         w.insert(5, (bad,))
-    assert w.to_word() == (1, 2, 9, 3, 4)
+    assert w.to_word() == bytes((1, 2, 9, 3, 4))
     w.audit()
     with pytest.raises(ValueError):
         EditableWord.from_word((0, bad))
 
 
 def test_accepts_any_symbol_sequence():
-    assert EditableWord.from_word(range(3)).to_word() == (0, 1, 2)
-    assert EditableWord.from_word(bytes((255, 7))).to_word() == (255, 7)
+    assert EditableWord.from_word(range(3)).to_word() == bytes((0, 1, 2))
+    assert EditableWord.from_word(bytes((255, 7))).to_word() == bytes((255, 7))
     # an ndarray is read symbol by symbol, never as raw memory
     w = EditableWord.from_word(np.array([3, 1], dtype=np.int64))
     w.insert(1, np.array([2], dtype=np.int64))
-    assert w.to_word() == (3, 2, 1)
+    assert w.to_word() == bytes((3, 2, 1))
 
 
 def test_split_and_join_consume_their_operands():
     w = EditableWord.from_word(tuple(range(10)))
     w.insert(7, (42,))
     left, right = w.split(3)
-    assert len(w) == 0 and w.to_word() == ()
-    assert left.to_word() == (0, 1, 2)
-    assert right.to_word() == (3, 4, 5, 6, 42, 7, 8, 9)
+    assert len(w) == 0 and w.to_word() == b""
+    assert left.to_word() == bytes((0, 1, 2))
+    assert right.to_word() == bytes((3, 4, 5, 6, 42, 7, 8, 9))
     right.insert(0, (41,))
     back = EditableWord.join(left, right)
-    assert len(left) == 0 and left.to_word() == ()
-    assert len(right) == 0 and right.to_word() == ()
-    assert back.to_word() == (0, 1, 2, 41, 3, 4, 5, 6, 42, 7, 8, 9)
+    assert len(left) == 0 and left.to_word() == b""
+    assert len(right) == 0 and right.to_word() == b""
+    assert back.to_word() == bytes((0, 1, 2, 41, 3, 4, 5, 6, 42, 7, 8, 9))
     with pytest.raises(ValueError):
         EditableWord.join(back, back)
 
@@ -109,7 +109,7 @@ def test_join_refuses_an_operand_that_is_not_a_word(other):
     for args in ((w, other), (other, w)):
         with pytest.raises(ValueError, match=f"got {type(other).__name__}"):
             EditableWord.join(*args)
-        assert w.to_word() == (0, 7, 1, 2, 3) and len(w._left) == cursor
+        assert w.to_word() == bytes((0, 7, 1, 2, 3)) and len(w._left) == cursor
 
 
 def test_reads_on_both_sides_of_the_cursor():
@@ -125,15 +125,15 @@ def test_reads_on_both_sides_of_the_cursor():
             model[edit[1] : edit[1]] = [200, 201]
         else:
             _, a, b = edit
-            assert w.delete_range(a, b) == tuple(model[a:b])
+            assert w.delete_range(a, b) == bytes(model[a:b])
             del model[a:b]
         m = len(model)
         assert len(w) == m
         assert [w.get(i) for i in range(m)] == model
         for a in range(m + 1):
             for b in range(a, m + 1, 5):
-                assert w.slice(a, b) == tuple(model[a:b])
-        assert w.to_word() == tuple(model)
+                assert w.slice(a, b) == bytes(model[a:b])
+        assert w.to_word() == bytes(model)
 
 
 def _random_ops(seed: int, rounds: int, audit_every: int) -> None:
@@ -151,25 +151,25 @@ def _random_ops(seed: int, rounds: int, audit_every: int) -> None:
         elif op < 0.75:
             a = rng.randint(0, m)
             b = rng.randint(a, min(m, a + 6))
-            expect = tuple(model[a:b])
+            expect = bytes(model[a:b])
             del model[a:b]
             assert tree.delete_range(a, b) == expect
         elif op < 0.9:
             a = rng.randint(0, m)
             b = rng.randint(a, m)
-            assert tree.slice(a, b) == tuple(model[a:b])
+            assert tree.slice(a, b) == bytes(model[a:b])
         else:
             k = rng.randint(0, m)
             left, right = tree.split(k)
-            assert left.to_word() == tuple(model[:k])
+            assert left.to_word() == bytes(model[:k])
             tree = EditableWord.join(left, right)
         if m and rng.random() < 0.2:
             at = rng.randrange(len(model))
             assert tree.get(at) == model[at]
         if step % audit_every == 0:
             tree.audit()
-            assert tree.to_word() == tuple(model)
-    assert tree.to_word() == tuple(model)
+            assert tree.to_word() == bytes(model)
+    assert tree.to_word() == bytes(model)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -185,7 +185,7 @@ def test_split_join_identity(word, k):
     left, right = w.split(k)
     rebuilt = EditableWord.join(left, right)
     rebuilt.audit()
-    assert rebuilt.to_word() == tuple(word)
+    assert rebuilt.to_word() == bytes(word)
 
 
 # -- the private replay step that codec.decode uses ---------------------------
@@ -207,10 +207,10 @@ def test_bytes_reads_the_list_slice_at_every_cursor_position():
             for b in range(a, m + 1):
                 assert bytes(w._bytes(a, b)) == bytes(model[a:b]), (c, a, b)
         assert len(w._left) == c  # reads never move the cursor
-        assert w.to_word() == tuple(model)
+        assert w.to_word() == bytes(model)
 
 
-def _step(monkeypatch, model: list[int], cursor: int, step) -> tuple[int, tuple[int, ...], int]:
+def _step(monkeypatch, model: list[int], cursor: int, step) -> tuple[int, bytes, int]:
     """Run step on model with the cursor at `cursor`; return the symbols the
     cursor then moved over, the word, and where the cursor ended."""
     w = _at_cursor(model, cursor)
@@ -247,7 +247,7 @@ def test_redo_matches_the_list_model_and_the_public_calls(monkeypatch, where):
             cursor = {"left of the cursor": m, "straddling it": m - l + l // 2, "right of it": i}[where]
             if where == "straddling it" and not m - l < cursor < m:
                 continue
-            expect = tuple(model[: i + l] + model[i : i + l] + model[i + l : m - l])
+            expect = bytes(model[: i + l] + model[i : i + l] + model[i + l : m - l])
             travel, word, end = _step(monkeypatch, model, cursor, lambda w: w._redo(i, l))
             assert (word, end) == (expect, i + 2 * l), (i, l, cursor)
             public = _step(monkeypatch, model, cursor, lambda w: _public_redo(w, i, l))
