@@ -16,6 +16,13 @@ The word length is n + 1 after every iteration, and the unprocessed
 prefix shrinks by at least K per iteration, so the loop runs at most
 (n + 1) / K times.
 
+A square (0, l) at the front of a run of period l long enough for c of
+them is followed by c - 1 more (0, l) squares, and cutting them changes
+no filler, so the encoder cuts all c with one search and one index edit
+and writes c blocks, 64 per filler call. The codeword and the blocks are
+those of c separate iterations. self_check audits the window index after
+every index edit, so once per batch.
+
 Decoding walks blocks right to left: a trailing 1 announces a block,
 whose digits say which segment to re-duplicate; a trailing 0 says the
 word is the plain message plus the redundancy symbol.
@@ -57,7 +64,8 @@ from .repeats import find_leftmost_long, is_dup_free
 
 class BlockRecord(_Value):
     """One encoder iteration, kept when tracing: the square (i, l) cut, the
-    block arithmetic r and t, and the r fillers written into the block.
+    block arithmetic r and t, and the r fillers written into the block. A
+    batch of c cuts at the front is c iterations and leaves c records.
 
     A record holds the encoder's decisions, not the word: the word after
     each iteration follows by replaying the records in order on the
@@ -80,14 +88,32 @@ class BlockRecord(_Value):
         _set(self, "fillers", fillers)
 
 
+def _front_repeats(w: bytearray, l: int, L: int) -> int:
+    """The largest c >= 1 with w[j] == w[j + l] for every j < c*l + L - 1
+    and (c + 1)*l + L - 1 <= len(w), for a word w that starts with the
+    square (0, l). It gallops, then bisects, on c, and each comparison
+    starts where the matched symbols end, so it reads O(c*l + L) symbols
+    in all, and l + L - 1 pairs of them when c = 1."""
+    top = (len(w) - L + 1) // l - 1  # the largest c the length allows
+    lo, hi, step = 1, top + 1, 1  # lo <= c < hi; hi > top until a probe fails
+    while lo + 1 < hi:
+        mid = min(lo + step, top) if hi > top else (lo + hi) // 2
+        a, b = lo * l + L - 1 if lo > 1 else l, mid * l + L - 1
+        if w[a:b] == w[a + l : b + l]:
+            lo, step = mid, 2 * step
+        else:
+            hi = mid
+    return lo
+
+
 def _encode(
     x: Sequence[int],
     params: CodeParams,
     self_check: bool,
     trace: list[BlockRecord] | None,
 ) -> Word:
-    """encode's body; appends one BlockRecord per iteration to trace unless
-    it is None."""
+    """encode's body; appends one BlockRecord per block written to trace
+    unless it is None."""
     _check_params(params)
     q, n, L, K = params.q, params.n, params.L, params.K
     xw = check_word(x, q)
@@ -108,43 +134,62 @@ def _encode(
     d_len = n + 1  # length of the not-yet-rewritten prefix
     max_iters = (n + 1) // K + 1
 
-    iters = 0
+    iters = 0  # blocks written
     while dup is not None:
-        iters += 1
-        if iters > max_iters:
-            raise InternalDefectError("encoder exceeded its iteration bound")
         i, l = dup.i, dup.l
-        if i + l > d_len:
+        # A square at the front whose period runs on is cut c times in one
+        # pass, and c blocks with the same i and l are written after it. This
+        # is exact:
+        # - The squares are the same. The periodic run spans (c + 1)*l + L - 1
+        #   symbols, so for k <= c the word after k - 1 cuts starts with the
+        #   same 2l symbols as w. It still has the square (0, l), and no square
+        #   (0, l') with K <= l' < l, for w would have it too, against the
+        #   search's smallest-l tie-break.
+        # - The fillers are the same. Every window the batch removes, starting
+        #   in [0, c*l), has an equal copy starting in [c*l, c*l + l), which
+        #   the L - 1 margin keeps whole and the batch keeps. So no count
+        #   reaches 0, no gap is pushed, and each filler lookup sees the same
+        #   set of L-words as in c separate iterations.
+        c = 1 if i else _front_repeats(w, l, L)
+        if iters + c > max_iters:
+            raise InternalDefectError("encoder exceeded its iteration bound")
+        if i + c * l > d_len:
             raise InternalDefectError("left copy of a long square reaches into written blocks")
+        iters += c
         r = (l - 2 * L - 1) // L
         t = (l - 1) % L
         if r < 2 or 2 * L + r * L + t + 1 != l:
             raise InternalDefectError(f"block arithmetic failed for l={l}, L={L}")
 
-        index._cut(w, i, i + l)
-        del w[i : i + l]
-        d_len -= l
+        index._cut(w, i, i + c * l)
+        del w[i : i + c * l]
+        d_len -= c * l
 
-        # One private call counts the block's windows: its runs, i digits,
-        # r - 2 empty runs, 0^t, then l digits and the flag, with a filler
-        # looked up between each two once every symbol before it is counted;
-        # the index's digit writer writes i and l, both below n <= q**L. w
-        # holds symbols below q, so the unchecked edit takes its tail as it
-        # is. A lookup sees at most n symbols, fewer than q**L windows, so an
-        # absent L-word always exists.
-        runs = [index._digits(i), *[b""] * (r - 2), bytes(t), index._digits(l) + b"\x01"]
-        fillers = index._fill(w[len(w) - L + 1 :], runs)
-        w += runs[0]
-        for filler, run in zip(fillers, runs[1:]):
-            w += filler
-            w += run
+        # One private call per 64 blocks counts their windows: each block's
+        # i digits, r - 2 empty runs, 0^t, then l digits and the flag, joined
+        # to the next block's i digits, with a filler looked up between each
+        # two runs once every symbol before it is counted. The index's digit
+        # writer writes i and l, both below n <= q**L. w holds symbols below
+        # q, so the unchecked edit takes its tail as it is. A lookup sees at
+        # most n symbols, fewer than q**L windows, so an absent L-word always
+        # exists. The 64-block chunks keep the list of runs short.
+        head, last = index._digits(i), index._digits(l) + b"\x01"
+        middle = [*[b""] * (r - 2), bytes(t)]
+        for done in range(0, c, 64):
+            m = min(64, c - done)
+            runs = [head, *[*middle, last + head] * (m - 1), *middle, last]
+            fillers = index._fill(w[len(w) - L + 1 :], runs)
+            w += runs[0]
+            for filler, run in zip(fillers, runs[1:]):
+                w += filler
+                w += run
+            if trace is not None:
+                trace.extend(BlockRecord(i, l, r, t, tuple(fillers[k * r : k * r + r])) for k in range(m))
 
         if len(w) != n + 1:
             raise InternalDefectError(f"length invariant broken: {len(w)} != {n + 1}")
         if self_check:
             index.audit(w)
-        if trace is not None:
-            trace.append(BlockRecord(i, l, r, t, tuple(fillers)))
         dup = find_leftmost_long(w, K)
     return bytes(w)
 
@@ -158,7 +203,9 @@ def encode(
     """Encode an n-symbol message into a duplication-free (n+1)-codeword.
 
     self_check=True re-verifies the window index against the word after
-    every iteration (slow; meant for differential testing).
+    every index edit: a cut and the blocks written after it, where a batch
+    of cuts at a periodic front is one edit (slow; meant for differential
+    testing).
     """
     return _encode(x, params, self_check, None)
 
@@ -168,7 +215,9 @@ def encode_with_trace(x: Sequence[int], params: CodeParams) -> tuple[Word, list[
 
     The records hold what the encoder decided, (i, l, r, t, fillers); the
     word after each iteration follows by replaying them. The trace takes
-    O(n) memory. self_check=True is forced, so every iteration is audited.
+    O(n) memory. self_check=True is forced, so the window index is audited
+    after every index edit; a batch of cuts at a periodic front is one
+    edit, after which its c records hold no audit between them.
     """
     trace: list[BlockRecord] = []
     return _encode(x, params, True, trace), trace

@@ -81,8 +81,11 @@ def tally_find_absent(tally: Counter, q: int, L: int) -> tuple[int, ...]:
     raise AssertionError("every L-word occurs")
 
 
-def ref_encode(x: Sequence[int], q: int, n: int) -> tuple[int, ...]:
-    """List-splicing re-implementation of the encoder."""
+def ref_encode(
+    x: Sequence[int], q: int, n: int, hits: list[tuple[int, int]] | None = None
+) -> tuple[int, ...]:
+    """List-splicing re-implementation of the encoder. Each square (i, l)
+    it cuts is appended to hits, unless hits is None."""
     L, K = params_for(q, n)
     assert len(x) == n
     w = list(x) + [0]
@@ -94,6 +97,8 @@ def ref_encode(x: Sequence[int], q: int, n: int) -> tuple[int, ...]:
         rounds += 1
         assert rounds <= n + 2, "encoder failed to terminate"
         i, l = hit
+        if hits is not None:
+            hits.append(hit)
         r = (l - 2 * L - 1) // L
         t = (l - 1) % L
         assert r >= 2 and 2 * L + r * L + t + 1 == l

@@ -223,8 +223,12 @@ def test_trace_memory_stays_linear():
 
 
 def test_self_check_audits_every_iteration(monkeypatch):
-    """self_check=True audits the window index once per iteration, on the
-    whole n + 1 word after its block is written, and every audit passes."""
+    """self_check=True (forced by encode_with_trace) audits the window index
+    once per index edit, on the whole n + 1 word after its blocks are
+    written, and every audit passes. A batch of cuts at a periodic front is
+    one edit, so zeros makes fewer cuts than it writes blocks, while a runs
+    message, whose fronts rarely repeat, still cuts and audits over 100
+    times."""
     params = derive_params(4, 1 << 12)
     audited: list[int] = []
     cuts: list[int] = []
@@ -240,12 +244,122 @@ def test_self_check_audits_every_iteration(monkeypatch):
 
     monkeypatch.setattr(WindowIndex, "audit", counted_audit)
     monkeypatch.setattr(WindowIndex, "_cut", counted_cut)
-    y = codec.encode((0,) * params.n, params, self_check=True)
+    y, trace = codec.encode_with_trace((0,) * params.n, params)
     assert hashlib.sha256(bytes(y)).hexdigest() == (
         "a0fd568d0cc5749e587a74da8b73b4360a8ea5b70eea9e8018429f2ceb06fc43"
     )
-    assert len(cuts) > 100
-    assert audited == [params.n + 1] * len(cuts)  # one audit per iteration
+    assert 0 < len(cuts) < len(trace)
+    assert audited == [params.n + 1] * len(cuts)  # one audit per index edit
+
+    audited.clear()
+    cuts.clear()
+    y, trace = codec.encode_with_trace(_runs_message(4, params.n, 11), params)
+    assert len(trace) >= len(cuts) > 100
+    assert audited == [params.n + 1] * len(cuts)
+
+
+def _periodic_message(q: int, n: int, seed: int) -> bytes:
+    """x[j] = u[j mod K] for K seeded symbols u."""
+    K = derive_params(q, n).K
+    rng = random.Random(seed)
+    u = [rng.randrange(q) for _ in range(K)]
+    return bytes(u[j % K] for j in range(n))
+
+
+def _encode_counting(monkeypatch, x, params) -> tuple[bytes, int, int]:
+    """encode x, with the square searches and filler lookups it makes."""
+    searches = lookups = 0
+    search, lookup = codec.find_leftmost_long, WindowIndex.find_absent
+
+    def counted_search(w, K):
+        nonlocal searches
+        searches += 1
+        return search(w, K)
+
+    def counted_lookup(self):
+        nonlocal lookups
+        lookups += 1
+        return lookup(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(codec, "find_leftmost_long", counted_search)
+        patch.setattr(WindowIndex, "find_absent", counted_lookup)
+        y = codec.encode(x, params)
+    return y, searches, lookups
+
+
+def _boundary_message(rng: random.Random) -> tuple[int, int, bytes]:
+    """(q, n, x): x starts with a run of period l in [K, 3K] that holds
+    x[j] == x[j + l] for j < c*l + L - 1 + delta, for c <= 6 and delta in
+    -2..1, so it is one symbol short of, or just reaches or passes, the
+    length a batch of c cuts needs. x breaks the period there and goes on
+    with a random, binary or runs tail. u, the period's symbols, is mostly
+    zeros in three words of four, so its windows are small codes that
+    filler lookups meet."""
+    q = rng.choice((2, 3, 4, 16))
+    n = rng.randint(300, 700)
+    params = derive_params(q, n)
+    K, L = params.K, params.L
+    l = rng.randint(K, 3 * K)
+    delta = rng.choice((-2, -1, 0, 1))
+    c = rng.randint(1, 6)
+    while c > 1 and (c + 1) * l + L + delta > n:
+        c -= 1
+    span = c * l + L - 1 + delta
+    density = rng.choice((0.1, 0.2, 0.3, 1.0))
+    u = [rng.randrange(q) if rng.random() < density else 0 for _ in range(l)]
+    x = [u[j % l] for j in range(span + l)]
+    x.append((x[span] + rng.randrange(1, q)) % q)  # x[span + l] != x[span]
+    kind = rng.choice(("random", "binary", "runs"))
+    while len(x) < n:
+        if kind == "runs":
+            x += [rng.randrange(q)] * rng.randint(1, 2 * K)
+        else:
+            x.append(rng.randrange(2 if kind == "binary" else q))
+    return q, n, bytes(x[:n])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_batched_front_cuts_match_the_oracle_at_the_period_boundary(seed):
+    """Words whose periodic front ends within a symbol or two of what a
+    batch of c cuts needs: the codeword, the squares cut and the replayed
+    trace all equal the one-square-per-search oracle's. Some 3% of these
+    words differ when the batch drops its L - 1 margin."""
+    rng = random.Random(seed)
+    batched = 0
+    for _ in range(50):
+        q, n, x = _boundary_message(rng)
+        y, trace = codec.encode_with_trace(x, derive_params(q, n))
+        hits: list[tuple[int, int]] = []
+        assert y == bytes(ref_encode(x, q, n, hits)), (q, n, x)
+        assert [(rec.i, rec.l) for rec in trace] == hits
+        assert bytes(replay_trace(x, trace, q, n)) == y
+        batched += hits[:2] == [hits[0]] * 2 and hits[0][0] == 0
+    assert batched >= 25
+
+
+def test_a_periodic_front_is_cut_in_few_searches(monkeypatch):
+    """Every square of a periodic message starts at its front with the same
+    period, so the encoder cuts them in batches: at most 4 searches where
+    one per block made 564. The digest was computed one block per search."""
+    params = derive_params(4, 1 << 14)
+    y, searches, _ = _encode_counting(monkeypatch, _periodic_message(4, 1 << 14, 1 << 14), params)
+    assert searches <= 4
+    assert hashlib.sha256(y).hexdigest() == "4b84347ad963090ce0f06e12620b2848b1f6261e50632f4a761d336ab43565ea"
+
+
+def test_zeros_at_the_benchmark_size_makes_few_searches(monkeypatch):
+    """The benchmark's zeros message at 2^17, zeros then K seeded symbols,
+    writes 3,540 blocks of two fillers each, with at most 3 searches (3,541
+    one block per search) and exactly one lookup per filler."""
+    n = 1 << 17
+    params = derive_params(4, n)
+    rng = random.Random(1)
+    x = bytes(n - params.K) + bytes(rng.randrange(4) for _ in range(params.K))
+    y, searches, lookups = _encode_counting(monkeypatch, x, params)
+    assert searches <= 3
+    assert lookups == 7080
+    assert codec.decode(y, params) == x
 
 
 def test_encoder_keeps_off_the_checked_path(monkeypatch):
