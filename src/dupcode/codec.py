@@ -25,7 +25,10 @@ every index edit, so once per batch.
 
 Decoding walks blocks right to left: a trailing 1 announces a block,
 whose digits say which segment to re-duplicate; a trailing 0 says the
-word is the plain message plus the redundancy symbol.
+word is the plain message plus the redundancy symbol. The blocks before
+it with the same digits and flag, as a batch of front cuts writes them,
+are replayed with it in one gap-buffer step, which gives the word of one
+replay per block.
 
 numpy enters only through the hashed square search (repeats), which a
 word free of long squares never reaches in a process without numpy. The
@@ -223,6 +226,33 @@ def encode_with_trace(x: Sequence[int], params: CodeParams) -> tuple[Word, list[
     return _encode(x, params, True, trace), trace
 
 
+def _equal_blocks(buf, m: int, l: int, head: bytes, digits: bytes, cap: int) -> int:
+    """The largest c <= cap, or 1 when cap < 2, such that each of the c
+    l-symbol blocks ending at m starts with `digits` and ends with `head`,
+    the last block's offset digits and its length digits and flag;
+    cap <= m // l.
+
+    decode calls it only once the second block's offset digits match, one
+    short read, so a block that ends no run costs O(L). One more short read
+    tests the second block's length digits and flag. On a match the search
+    gallops: it reads the blocks c + 1 .. 2c in one slice and tests each in
+    place, so a run of c blocks costs O(c*l) symbols and O(c) comparisons
+    of L + 1.
+    """
+    if cap < 2 or buf._bytes(m - l - len(head), m - l) != head:
+        return 1
+    c = 2
+    while c < cap:
+        s = min(2 * c, cap)
+        region = buf._bytes(m - s * l, m - c * l)  # blocks s, s - 1, ..., c + 1
+        for k in range(c + 1, s + 1):
+            a = (s - k) * l
+            if not (region.startswith(digits, a) and region.endswith(head, a, a + l)):
+                return k - 1
+        c = s
+    return c
+
+
 def decode(y: Sequence[int], params: CodeParams) -> Word:
     """Invert encode on codewords: decode(encode(x)) == x.
 
@@ -237,25 +267,42 @@ def decode(y: Sequence[int], params: CodeParams) -> Word:
     membership test.
 
     Blocks are consumed right to left on an EditableWord gap buffer, whose
-    length stays n + 1. Per block, one byte read takes the flag and the
-    length digits, one takes the offset digits, and one private step
-    (EditableWord._redo) deletes the l_k symbols at the tail and
-    re-inserts a copy of [i_k, i_k + l_k) at i_k + l_k, which leaves the
-    cursor at i_k + 2*l_k; the block costs O(l_k) plus the cursor's
-    travel. Once the encoder cut at offset i_{k-1}, the prefix
-    [0, i_{k-1}) holds no long square, so every new leftmost square
-    crosses that offset and i_k + 2*l_k > i_{k-1}; decode refuses any
-    word that breaks this order. Each rightward move is then shorter than
-    l_k, and the leftward moves exceed the rightward ones by at most the
-    n + 1 symbols the cursor starts from.
+    length stays m = n + 1. For the last block, one byte read takes the
+    flag and the length digits and one the offset digits. Then a run of c
+    trailing blocks with those same digits and flag is replayed in one
+    private step (EditableWord._redo), which deletes the c*l symbols at the
+    tail and inserts c copies of [i, i + l) at i + l. That is the word c
+    replays of (i, l) give, w[:i+l] + w[i:i+l]*c + w[i+l : m-c*l], and
+    each later block of the run is read unchanged from w's tail as long
+    as i + (c + 1)*l <= m; decode caps c there and at the blocks the
+    half-length budget still allows. Every block of the run then passes
+    each check, the offset one too, since i < i + 2*l; a block past the
+    cap is left to the next step, which refuses it as a replay of one
+    block would, with the same message. Each batch of front cuts the
+    encoder makes writes such a run.
 
-    The encoder cuts each half-length from a prefix that starts at n + 1
-    symbols, so on a codeword the half-lengths sum to at most n + 1.
-    decode keeps that budget and refuses the first block whose l exceeds
-    what the blocks before it left. So on every input the replay copies
-    at most n + 1 symbols and the cursor travels at most 3(n + 1). The
-    budget also ends every replay: each l is at least K, so the block
-    that would overrun it comes by the (m // K + 1)-th.
+    Once the encoder cut at offset i_{k-1}, the prefix [0, i_{k-1}) holds
+    no long square, so every new leftmost square crosses that offset and
+    i_k + 2*l_k > i_{k-1}; decode refuses any word that breaks this order.
+    The half-lengths of a codeword sum to at most n + 1, for the encoder
+    cuts each from a prefix that starts at n + 1 symbols; decode keeps
+    that budget, charging a run c*l, and refuses the first block whose l
+    exceeds what the blocks before it left. So on every input the replay
+    copies at most n + 1 symbols, and it ends: each l is at least K, so
+    the block that would overrun the budget comes by the (m // K + 1)-th.
+
+    The cursor's travel: a step for (i, l, c) finds the cursor at e, where
+    the step before left it (e = m at first). The tail cut moves it left to
+    m - c*l if it lies past that, the seek takes it to i + l <= m - c*l,
+    and the insertion leaves it at i + (c + 1)*l. So the step moves it at
+    most |e - (i + l)| symbols, and rightward only when i + l > e. The
+    order check gives i < i' + 2*l' <= e for the step before's (i', l'),
+    so a rightward move is shorter than l <= c*l. The leftward moves
+    exceed the rightward ones by at most m - e_last + sum(c*l) <= 2m,
+    where e_last is where the cursor ends, so it travels less than
+    m + 3*sum(c*l) <= 4m symbols in all, and the replay costs O(n). A
+    run's one step moves it at least (c - 1)*l less than a step per
+    block, whose later steps each seek back from i + 2*l to i + l.
     """
     _check_params(params)
     q, n, L, K = params.q, params.n, params.L, params.K
@@ -294,8 +341,9 @@ def decode(y: Sequence[int], params: CodeParams) -> Word:
                 f"block half-lengths sum to {m - budget + l}, past the word length {m}"
             )
         budget -= l
+        digits = buf._bytes(m - l, m - l + L)
         i = 0
-        for d in buf._bytes(m - l, m - l + L):
+        for d in digits:
             i = i * q + d
         rem = m - l
         if i + l > rem:
@@ -306,7 +354,11 @@ def decode(y: Sequence[int], params: CodeParams) -> Word:
             raise MalformedCodewordError(
                 f"block offset {i} is not below {end}, where the next block's square ends"
             )
-        buf._redo(i, l)
+        c = 1
+        if buf._bytes(m - 2 * l, m - 2 * l + L) == digits:  # the block before may repeat this one
+            c = _equal_blocks(buf, m, l, head, digits, min((m - i) // l - 1, budget // l + 1))
+            budget -= (c - 1) * l
+        buf._redo(i, l, c)
         end = i + 2 * l
 
 

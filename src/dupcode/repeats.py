@@ -239,8 +239,14 @@ def _blocks_distinct(w: bytes, K: int) -> bool:
 
 
 def _scan_hashed(arr: np.ndarray, K: int) -> Duplication | None:
+    """The leftmost square of the word arr, of integers in 0..255, with
+    half-length >= K. The hashes pick the candidate pairs, and each pair is
+    verified on the word's bytes, the K-gram first, then the half: a word
+    of long equal runs makes millions of candidates, and a numpy call per
+    comparison takes about 18 times as long as a bytes one."""
     import numpy as np
 
+    w = arr.astype(np.uint8, copy=False).tobytes()
     m = len(arr)
     keys = _gram_hashes(arr, K)
     keys <<= 32
@@ -263,11 +269,11 @@ def _scan_hashed(arr: np.ndarray, K: int) -> Duplication | None:
         later = pos[slot + 1 : run_end[slot] + 1]
         lo = np.searchsorted(later, p + K, side="left")
         hi = np.searchsorted(later, p + (m - p) // 2, side="right")
+        gram = w[p : p + K]
         for p2 in later[lo:hi].tolist():
             # a collision costs the O(K) gram comparison, not the O(l) one
-            if np.array_equal(arr[p : p + K], arr[p2 : p2 + K]):
-                if np.array_equal(arr[p:p2], arr[p2 : 2 * p2 - p]):
-                    return Duplication(p, p2 - p)
+            if w.startswith(gram, p2) and w.startswith(w[p:p2], p2):
+                return Duplication(p, p2 - p)
     return None
 
 

@@ -12,13 +12,14 @@ to the insertion point and leaves it after the inserted symbols, and a
 `delete_range` that straddles the cursor moves it to the range's start.
 Edits near the previous edit are therefore cheap.
 
-`codec.decode` replays a block with two private, unchecked methods, which
+`codec.decode` replays blocks with two private, unchecked methods, which
 it calls only after its own bound checks: `_bytes(a, b)` reads [a, b)
-without moving the cursor, and `_redo(i, l)` drops the last l symbols and
-inserts a copy of [i, i + l) at i + l, moving the cursor exactly as that
-`delete_range` and `insert` would, to end at i + 2l. codec.decode relies
-on that: its bound on the cursor's travel counts those moves, and every
-move goes through `_seek`.
+without moving the cursor, and `_redo(i, l, c)` replays a run of c equal
+blocks at once. It drops the last c*l symbols and inserts c copies of
+[i, i + l) at i + l, moving the cursor exactly as that `delete_range` and
+one `insert` of the c copies would, to end at i + (c + 1)*l; c = 1 is the
+replay of one block. codec.decode relies on that: its bound on the
+cursor's travel counts those moves, and every move goes through `_seek`.
 
 Symbols are stored as bytes, which covers every alphabet the package
 supports (`core.MAX_ALPHABET` is 256). A symbol outside 0..255, or one
@@ -85,23 +86,26 @@ class EditableWord:
             return right[m - b : m - a][::-1]
         return left[a:] + right[m - b :][::-1]
 
-    def _redo(self, i: int, l: int) -> None:
-        """Drop the last l symbols and insert a copy of [i, i + l) at i + l.
+    def _redo(self, i: int, l: int, c: int = 1) -> None:
+        """Drop the last c*l symbols and insert c copies of [i, i + l) at
+        i + l: the word that c calls of _redo(i, l) give when
+        i + (c + 1)*l <= len.
 
-        Needs 0 <= i and i + 2*l <= len. The tail is cut as delete_range
-        cuts it, and the copy is spliced in as insert splices it, so the
-        cursor moves as under those two calls and ends at i + 2*l.
+        Needs c >= 1 and 0 <= i and i + (c + 1)*l <= len. The tail is cut
+        as delete_range cuts it, and the copies are spliced in as one insert
+        splices them, so the cursor moves as under those two calls and ends
+        at i + (c + 1)*l.
         """
         left, right = self._left, self._right
-        cut = len(left) + len(right) - l
+        cut = len(left) + len(right) - c * l
         if not right:
             del left[cut:]
         else:
             if cut < len(left):
                 self._seek(cut)
-            del right[:l]
+            del right[: c * l]
         self._seek(i + l)
-        left += left[i:]
+        left += left[i:] * c
 
     def get(self, i: int) -> int:
         """Symbol at position i (0-based)."""

@@ -3,7 +3,9 @@
 Everything in this module is deliberately written the dumb way — plain
 lists, Counters, and slice comparisons — and shares no code with the
 package beyond the public contracts it re-implements. Agreement between
-these and the real implementations is what the oracle tests check.
+these and the real implementations is what the oracle tests check. The
+one exception is CursorTravel, a probe that counts what the package's
+gap buffer does rather than re-implementing it.
 """
 
 from __future__ import annotations
@@ -160,3 +162,25 @@ def ref_decode(y: Sequence[int], q: int, n: int) -> tuple[int, ...]:
         seg = w[i : i + l]
         w[i + l : i + l] = seg
         assert len(w) == n + 1
+
+
+class CursorTravel:
+    """Counts the symbols an EditableWord cursor moves over.
+
+    It wraps EditableWord._seek, through which every cursor move goes,
+    with patch.setattr, so it lasts as long as the pytest monkeypatch (or
+    monkeypatch.context()) `patch`. `symbols` sums the moves made since it
+    was built; set it to 0 to start a new count.
+    """
+
+    def __init__(self, patch) -> None:
+        from dupcode.seqword import EditableWord
+
+        self.symbols = 0
+        seek = EditableWord._seek
+
+        def counting_seek(word, p: int) -> None:
+            self.symbols += abs(p - len(word._left))
+            seek(word, p)
+
+        patch.setattr(EditableWord, "_seek", counting_seek)

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from dupcode.seqword import EditableWord
 
+from oracles import CursorTravel
+
 
 def test_build_and_read_back():
     w = EditableWord.from_word((3, 1, 4, 1, 5, 9, 2, 6))
@@ -214,19 +216,11 @@ def _step(monkeypatch, model: list[int], cursor: int, step) -> tuple[int, bytes,
     """Run step on model with the cursor at `cursor`; return the symbols the
     cursor then moved over, the word, and where the cursor ended."""
     w = _at_cursor(model, cursor)
-    travel = 0
-    seek = EditableWord._seek
-
-    def counting_seek(self, p):
-        nonlocal travel
-        travel += abs(p - len(self._left))
-        seek(self, p)
-
     with monkeypatch.context() as patch:
-        patch.setattr(EditableWord, "_seek", counting_seek)
+        travel = CursorTravel(patch)
         step(w)
     w.audit()
-    return travel, w.to_word(), len(w._left)
+    return travel.symbols, w.to_word(), len(w._left)
 
 
 def _public_redo(w: EditableWord, i: int, l: int) -> None:
@@ -253,4 +247,38 @@ def test_redo_matches_the_list_model_and_the_public_calls(monkeypatch, where):
             public = _step(monkeypatch, model, cursor, lambda w: _public_redo(w, i, l))
             assert (travel, word, end) == public, (i, l, cursor)
             cases += 1
+    assert cases > 100
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_redo_of_a_run_matches_one_redo_per_block(monkeypatch, seed):
+    """_redo(i, l, c) gives the word of c calls of _redo(i, l), the list
+    model's w[:i+l] + w[i:i+l]*c + w[i+l : m-c*l], for any cursor, and
+    leaves the cursor at i + (c + 1)*l. It moves the cursor over (c - 1)*l
+    fewer symbols: each single call after the first seeks back from i + 2l
+    to i + l. From the word's end it saves (c - 1)*l more, for there the
+    tail cut moves the cursor with no seek, by c*l at once where the first
+    single call moves it by l."""
+    rng = random.Random(seed)
+    cases = 0
+    for _ in range(300):
+        m = rng.randint(2, 80)
+        l = rng.randint(1, m // 2)
+        c = rng.randint(1, m // l - 1)
+        i = rng.randint(0, m - (c + 1) * l)
+        model = [rng.randrange(256) for _ in range(m)]
+        cursor = rng.randint(0, m)
+
+        def singles(w):
+            for _ in range(c):
+                w._redo(i, l)
+
+        expect = bytes(model[: i + l] + model[i : i + l] * c + model[i + l : m - c * l])
+        travel, word, end = _step(monkeypatch, model, cursor, lambda w: w._redo(i, l, c))
+        single_travel, single_word, single_end = _step(monkeypatch, model, cursor, singles)
+        assert word == single_word == expect, (m, i, l, c, cursor)
+        assert (end, single_end) == (i + (c + 1) * l, i + 2 * l)
+        saved = (c - 1) * l * (2 if cursor == m else 1)
+        assert travel == single_travel - saved, (m, i, l, c, cursor)
+        cases += c > 1
     assert cases > 100
