@@ -1,24 +1,33 @@
 """Window counts of a tracked word, and the smallest L-word absent from it.
 
 A window is held as its base-q code (first symbol most significant), so
-code order is lexicographic order. A Counter holds the count of every
-code that occurs, and no zeros, beside the total number of windows.
+code order is lexicographic order. The count of each code below
+S = min(q**L, 4*(n + 1)) is a slot of the flat list _counts, and the
+count of each code >= S that occurs is in the dict _big, which holds no
+zeros; _total is the number of windows. S keeps the list at O(n) slots
+for every q. A lookup's answer is at most the number of windows, and the
+encoder's word of n + 1 symbols has at most n + 1 of them, so its
+lookups stay below S. For q <= 4, derive_params gives q**L < q*n, so
+S = q**L and _big stays empty. A longer word tracked through the public
+edits may take the cursor past S; lookups stay exact there, only slower.
 
 find_absent returns the smallest code with count zero. Every code below
 a cursor _lo occurs, except the codes on a min-heap _gaps: a code goes
 on the heap when its count falls to 0 below _lo. A lookup pops stale
 tops (codes that occur again), then returns the top, or else advances
-_lo to the first code that does not occur. _lo rises only past codes
-that were added, and each heap entry comes from one removal; a heap
-that outgrows the counts restarts the cursor at 0, a rescan those
-removals paid for. So an edit or a lookup costs amortised O(log n) per
-window it touches, and the heap holds O(n) codes.
+_lo to the first code that does not occur, below S by one C-level
+list.index for 0. _lo rises only past codes that were added, and each
+heap entry comes from one removal; a heap that outgrows the number of
+windows by 64 restarts the cursor at 0, a rescan those removals paid
+for. So an edit or a lookup costs amortised O(log n) per window it
+touches, and the heap holds O(n) codes.
 
 apply_append and apply_delete check and pack their arguments, then make
 the private edit _fill or _cut that the encoder calls directly. _fill
-appends a block's runs, counted through Counter's C helper, and looks up
-the filler between each two with find_absent, so the encoder writes a
-block in one call. Every word the index returns is bytes.
+appends a block's runs, rolling each window's code and counting it in
+one loop, and looks up the filler between each two with find_absent, so
+the encoder writes a block in one call; build and _cut count the windows
+they add through _fill too. Every word the index returns is bytes.
 The one digit writer, _digits, joins two cached byte tables' words for a
 code's high and low digits. A cut is checked before it changes anything,
 so a refused cut changes nothing.
@@ -36,9 +45,9 @@ throughout, and then removes it as one code with one count.
 from __future__ import annotations
 
 import re
-from collections import Counter, _count_elements
 from functools import lru_cache
 from heapq import heappop, heappush
+from itertools import compress
 from typing import Sequence
 
 from .core import CodeParams, Word, _check_params, _integer, check_word, format_word
@@ -80,7 +89,8 @@ class WindowIndex:
         self._top = params.q**params.L
         self._ones = (self._top - 1) // (params.q - 1)  # code of 1^L: s^L's is s * _ones
         self._digits = _chunks(params.q, params.L).__getitem__
-        self._counts: Counter[int] = Counter()
+        self._counts = [0] * min(self._top, 4 * (params.n + 1))  # one slot per code below S
+        self._big: dict[int, int] = {}  # count of each code >= S that occurs
         self._total = 0
         self._lo = 0
         self._gaps: list[int] = []
@@ -101,11 +111,15 @@ class WindowIndex:
         start = 0  # first symbol of the next gap's windows
         for run in re.finditer(rb"\x00" * max(L - 1, 1) + rb"\x00*", same):
             s, e = run.start(), run.end() + 1
-            _count_elements(counts, ix._codes(w[start : s + L - 1]))
-            counts[w[s] * ix._ones] += e - s - L + 1
+            ix._fill(b"", [w[start : s + L - 1]])
+            code, k = w[s] * ix._ones, e - s - L + 1
+            if code < len(counts):
+                counts[code] += k
+            else:
+                ix._big[code] = ix._big.get(code, 0) + k
+            ix._total += k
             start = e - L + 1
-        _count_elements(counts, ix._codes(w[start:]))
-        ix._total = max(0, len(w) - L + 1)
+        ix._fill(b"", [w[start:]])
         return ix
 
     def _codes(self, seg: bytes) -> list[int]:
@@ -119,6 +133,11 @@ class WindowIndex:
             code = code * q + x
         return [code := (code * q + x) % top for x in seg[L - 1 :]]
 
+    def _count(self, code: int) -> int:
+        """code's count: its list slot below S, its _big entry or 0 from S on."""
+        counts = self._counts
+        return counts[code] if code < len(counts) else self._big.get(code, 0)
+
     @property
     def root_count(self) -> int:
         return self._total
@@ -127,7 +146,7 @@ class WindowIndex:
         w = check_word(window, self.params.q)
         if len(w) != self.params.L:
             raise ValueError(f"window must have length {self.params.L}, got {len(w)}")
-        return self._counts[self._codes(w)[0]]
+        return self._count(self._codes(w)[0])
 
     def apply_append(self, w_before: Sequence[int], suffix: Sequence[int]) -> None:
         """Account for suffix being appended to the tracked word w_before."""
@@ -164,10 +183,13 @@ class WindowIndex:
     def _fill(self, tail: bytes | bytearray, runs: list[bytes]) -> list[bytes]:
         """Append the runs, with the smallest absent L-word between each two,
         to a word ending in tail: its last L - 1 symbols, or all of it when
-        shorter. Each filler is looked up once every symbol before it is
-        counted. Returns the fillers; a lookup that finds every L-word
-        raises ValueError, with the runs before it counted."""
-        q, top, counts = self.params.q, self._top, self._counts
+        shorter. One loop rolls each window's code and counts it, in its
+        slot of the list below S and in _big from S on. Each filler is
+        looked up once every symbol before it is counted. Returns the
+        fillers; a lookup that finds every L-word raises ValueError, with
+        the runs before it counted."""
+        q, top, counts, big = self.params.q, self._top, self._counts, self._big
+        size = len(counts)
         code = 0
         for x in tail:
             code = code * q + x
@@ -177,24 +199,27 @@ class WindowIndex:
             if k:
                 fillers.append(self.find_absent())
                 run = fillers[-1] + run
-            codes = [code := (code * q + x) % top for x in run]
             if skip > 0:
-                del codes[:skip]
-                skip -= len(run)
-            _count_elements(counts, codes)  # Counter.update's C helper, minus its Python dispatch
-            self._total += len(codes)
+                for x in run[:skip]:
+                    code = code * q + x
+                run, skip = run[skip:], skip - len(run)
+            for x in run:
+                code = (code * q + x) % top
+                if code < size:
+                    counts[code] += 1
+                else:
+                    big[code] = big.get(code, 0) + 1
+            self._total += len(run)
         return fillers
 
     def _cut(self, w: bytes | bytearray, a: int, b: int) -> None:
         q, L, top = self.params.q, self.params.L, self._top
         base = max(0, a - L + 1)
         seg = w[base : b + L - 1]
-        counts = self._counts
+        count = self._count
         if len(seg) >= L and seg.count(seg[0]) == len(seg):
-            # one symbol throughout: every window of seg and of the junction is its L-word
-            code = seg[0] * self._ones
-            removed = {code: len(seg) - L + 1}
-            junction = [code] * (len(seg) - (b - a) - L + 1)
+            # one symbol throughout: every window of seg is its L-word
+            removed = {seg[0] * self._ones: len(seg) - L + 1}
         else:
             removed = {}  # code: windows of seg that hold it
             code = 0
@@ -203,59 +228,64 @@ class WindowIndex:
             for x in seg[L - 1 :]:
                 code = (code * q + x) % top
                 removed[code] = removed.get(code, 0) + 1
-            junction = self._codes(seg[: a - base] + seg[b - base :])
         for code, k in removed.items():
-            if counts[code] < k:  # name the first window a one-by-one removal finds at zero
+            if count(code) < k:  # name the first window a one-by-one removal finds at zero
                 seen: dict[int, int] = {}
                 for j, c in enumerate(self._codes(seg)):
                     seen[c] = seen.get(c, 0) + 1
-                    if seen[c] > counts[c]:
+                    if seen[c] > count(c):
                         raise ValueError(f"window {format_word(seg[j : j + L], q)} has zero count, cannot remove")
-        # the junction's windows go in first, so no code they keep drops to 0
-        if junction:
-            counts.update(junction)
-        self._total += len(junction) - max(0, len(seg) - L + 1)
-        lo, gaps = self._lo, self._gaps
+        # the junction's windows (at most L - 1) go in first, so no code they keep drops to 0
+        self._fill(b"", [seg[: a - base] + seg[b - base :]])
+        self._total -= max(0, len(seg) - L + 1)
+        counts, big, lo, gaps = self._counts, self._big, self._lo, self._gaps
         for code, k in removed.items():
-            k = counts[code] - k
-            if k:
-                counts[code] = k
+            if code < len(counts):
+                k = counts[code] = counts[code] - k
             else:
-                del counts[code]
-                if code < lo:
-                    heappush(gaps, code)
-        if len(gaps) > len(counts) + 64:
+                k = big.pop(code) - k
+                if k:
+                    big[code] = k
+            if not k and code < lo:
+                heappush(gaps, code)
+        if len(gaps) > self._total + 64:
             self._lo, self._gaps = 0, []
 
     def find_absent(self) -> Word:
         """The lexicographically smallest L-word with count zero."""
-        counts, gaps = self._counts, self._gaps
-        while gaps and gaps[0] in counts:
+        gaps = self._gaps
+        while gaps and self._count(gaps[0]):
             heappop(gaps)
         if gaps:
             return self._digits(gaps[0])
-        lo = self._lo
-        while lo in counts:
-            lo += 1
+        counts, lo = self._counts, self._lo
+        try:
+            lo = counts.index(0, lo)
+        except ValueError:  # every code from lo up to S occurs
+            lo = max(lo, len(counts))
+            while lo in self._big:
+                lo += 1
         self._lo = lo
         if lo >= self._top:
             raise ValueError("index holds q**L windows or more; every L-word occurs")
         return self._digits(lo)
 
     def audit(self, word: Sequence[int]) -> None:
-        """Check the counts against a fresh index of word, and that every code
-        below _lo is counted or on _gaps, which lie below _lo. Raises ValueError."""
+        """Check the list and _big against a fresh index of word (so _big
+        holds no zeros), and that every code below _lo is counted or on
+        _gaps, which lie below _lo. Raises ValueError."""
         fresh = WindowIndex.build(word, self.params)
-        counts, lo, gaps = self._counts, self._lo, self._gaps
-        if counts.items() != fresh._counts.items():
-            code = min(counts.items() ^ fresh._counts.items())[0]
+        counts, big, lo, gaps = self._counts, self._big, self._lo, self._gaps
+        if counts != fresh._counts or big != fresh._big:
+            stored, rebuilt = ({c: k for c, k in enumerate(ix._counts) if k} | ix._big for ix in (self, fresh))
+            code = min(stored.items() ^ rebuilt.items())[0]
             window = format_word(self._digits(code), self.params.q)
-            raise ValueError(f"window {window}: stored {counts[code]}, rebuilt {fresh._counts[code]}")
+            raise ValueError(f"window {window}: stored {self._count(code)}, rebuilt {fresh._count(code)}")
         if self._total != fresh._total:
             raise ValueError(f"window total: stored {self._total}, rebuilt {fresh._total}")
         if not (0 <= lo <= self._top and all(0 <= code < lo for code in gaps)):
             raise ValueError(f"cursor {lo} must lie in [0, {self._top}] above every gap, gaps {sorted(gaps)}")
-        lost = set(range(lo)).difference(counts, gaps)
+        lost = set(range(lo)).difference(compress(range(lo), counts), big, gaps)
         if lost:
             window = format_word(self._digits(min(lost)), self.params.q)
             raise ValueError(f"window {window} lies below the cursor {lo}, uncounted and no gap")

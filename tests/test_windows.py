@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from dupcode import windows
-from dupcode.core import CodeParams, format_word, to_digits
+from dupcode.codec import encode
+from dupcode.core import CodeParams, derive_params, format_word, to_digits
 from dupcode.windows import WindowIndex
 
 from oracles import tally_find_absent, window_tally
@@ -112,18 +113,33 @@ def test_a_stale_gap_is_skipped():
     idx.audit(word)
 
 
+def _spelled(q: int, L: int, codes: int) -> list[int]:
+    """The L-words of codes 0 .. codes - 1 written one after another, so
+    each of those codes occurs."""
+    return [d for c in range(codes) for d in to_digits(c, _params(q, L))]
+
+
 def test_stale_gaps_restart_the_cursor():
-    """Cutting and re-appending the last symbol frees and re-adds 02 below
-    the cursor each time, and no lookup pops the stale entries; once they
-    outnumber the counted codes by 64 the cursor starts again at 0."""
+    """Cutting and re-appending the last symbol frees and re-adds the last
+    window below the cursor each time, and no lookup pops the stale
+    entries; once they outnumber the windows by 64 the cursor starts again
+    at 0. The freed code is 02 in the list, and 111, code 13, from
+    S = 12 on, in _big (q = 3, L = 3)."""
     idx, word = _past_the_cursor()
-    for _ in range(500):
-        idx.apply_delete(word, len(word) - 1, len(word))
-        idx.apply_append(word[:-1], [2])
-        assert len(idx._gaps) <= len(idx._counts) + 64
-    assert idx._lo == 0
-    idx.audit(word)
-    assert idx.find_absent() == bytes((1, 1)) == bytes(tally_find_absent(window_tally(word, 2), 3, 2))
+    wide = _spelled(3, 3, 14)  # ends in 111, its only 111
+    wide_idx = WindowIndex.build(wide, _params(3, 3))
+    wide_idx.find_absent()  # moves the cursor past 111
+    for idx, word, L in ((idx, word, 2), (wide_idx, wide, 3)):
+        freed = idx._codes(bytes(word[-L:]))[0]
+        assert freed < idx._lo and (freed < len(idx._counts)) == (L == 2)
+        for _ in range(500):
+            last = word[-1]
+            idx.apply_delete(word, len(word) - 1, len(word))
+            idx.apply_append(word[:-1], [last])
+            assert len(idx._gaps) <= idx.root_count + 64
+        assert idx._lo == 0
+        idx.audit(word)
+        assert idx.find_absent() == bytes(tally_find_absent(window_tally(word, L), 3, L))
 
 
 @pytest.mark.parametrize(
@@ -133,8 +149,8 @@ def test_stale_gaps_restart_the_cursor():
         (lambda idx: idx._gaps.clear(), r"window 00 lies below the cursor 4"),
         (lambda idx: idx._gaps.append(4), r"cursor 4 must lie in \[0, 9\] above every gap, gaps \[0, 4\]"),
         (lambda idx: setattr(idx, "_lo", 10), r"cursor 10 must lie in \[0, 9\]"),
-        (lambda idx: idx._counts.update([8]), r"window 22: stored 1, rebuilt 0"),
-        (lambda idx: idx._counts.update({8: 0}), r"window 22: stored 0, rebuilt 0"),
+        (lambda idx: idx._counts.__setitem__(8, 1), r"window 22: stored 1, rebuilt 0"),
+        (lambda idx: idx._counts.__setitem__(1, 0), r"window 01: stored 0, rebuilt 1"),
     ],
     ids=["cursor-past-a-gap", "gap-lost", "gap-at-cursor", "cursor-past-top", "count", "zero"],
 )
@@ -142,6 +158,28 @@ def test_audit_finds_a_corrupted_cursor_or_count(corrupt, message):
     idx, word = _past_the_cursor()
     idx.apply_delete(word, 0, 1)
     del word[0]
+    idx.audit(word)
+    corrupt(idx)
+    with pytest.raises(ValueError, match=message):
+        idx.audit(word)
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (lambda idx: idx._big.__setitem__(17, 2), r"window 122: stored 2, rebuilt 1"),
+        (lambda idx: idx._big.__setitem__(26, 1), r"window 222: stored 1, rebuilt 0"),
+        (lambda idx: idx._big.pop(24), r"window 220: stored 0, rebuilt 1"),
+        (lambda idx: idx._big.__setitem__(26, 0), r"window 222: stored 0, rebuilt 0"),
+    ],
+    ids=["count", "extra", "lost", "zero"],
+)
+def test_audit_finds_a_corrupted_count_from_S_on(corrupt, message):
+    """At q = 3, L = 3 (n = 2) the list ends at S = 12; 0 0 1 2 2 0 holds
+    122 (code 17) and 220 (code 24) in _big, which may hold no zero."""
+    word = [0, 0, 1, 2, 2, 0]
+    idx = WindowIndex.build(word, _params(3, 3))
+    assert len(idx._counts) == 12 and idx._big == {17: 1, 24: 1}
     idx.audit(word)
     corrupt(idx)
     with pytest.raises(ValueError, match=message):
@@ -237,7 +275,7 @@ def test_build_of_runs_matches_tally(q, L):
         idx = WindowIndex.build(bytes(word), p)
         tally = window_tally(word, L)
         assert idx.root_count == sum(tally.values()) == max(0, len(word) - L + 1)
-        assert len(idx._counts) == len(tally)
+        assert sum(map(bool, idx._counts)) + len(idx._big) == len(tally) and all(idx._big.values())
         assert all(idx.window_count(w) == c for w, c in tally.items()), word
         if idx.root_count < q**L:
             assert idx.find_absent() == bytes(tally_find_absent(tally, q, L))
@@ -250,8 +288,8 @@ def test_build_rolls_no_code_inside_a_run(q, symbol, monkeypatch):
     10 (b"\\n", which a regex '.' skips without re.S) and 255 among them."""
     L = 3
     rolled = []
-    codes = WindowIndex._codes
-    monkeypatch.setattr(WindowIndex, "_codes", lambda self, seg: rolled.append(len(seg)) or codes(self, seg))
+    fill = WindowIndex._fill
+    monkeypatch.setattr(WindowIndex, "_fill", lambda self, tail, runs: rolled.extend(map(len, runs)) or fill(self, tail, runs))
     word = [0, 1] * 5 + [symbol] * 100 + [1, 0] * 5
     idx = WindowIndex.build(word, _params(q, L))
     assert sum(rolled) == 2 * (10 + L - 1)
@@ -404,6 +442,30 @@ def test_digit_writer_matches_to_digits_where_the_tables_meet(q, L):
         assert idx._digits(c) == bytes(to_digits(c, p)), c
 
 
+@pytest.mark.parametrize("q,n", [(200, 40001), (256, 300)])
+def test_count_list_holds_at_most_4_n_plus_1_slots(q, n):
+    """S = min(q**L, 4*(n + 1)): 8,000,000 codes at (200, 40001) get 160,008
+    slots, 65,536 at (256, 300) get 1,204."""
+    p = derive_params(q, n)
+    assert len(WindowIndex(p)._counts) == 4 * (n + 1) < q**p.L
+
+
+@pytest.mark.parametrize("q,n", [(4, 1 << 17), (200, 40001)])
+def test_encoder_lookups_stay_below_the_list_end(q, n, monkeypatch):
+    """Each filler lookup of a zeros encode leaves the cursor below S. At
+    q = 4, S = q**L, so no code at all goes to _big."""
+    p = derive_params(q, n)
+    built, cursors = [], []
+    build, find = WindowIndex.build.__func__, WindowIndex.find_absent
+    monkeypatch.setattr(WindowIndex, "build", classmethod(lambda cls, w, p: built.append(build(cls, w, p)) or built[-1]))
+    monkeypatch.setattr(WindowIndex, "find_absent", lambda self: (find(self), cursors.append(self._lo))[0])
+    encode(bytes(n), p)
+    [idx] = built
+    assert len(cursors) > 100 and max(cursors) < len(idx._counts)
+    if q == 4:
+        assert len(idx._counts) == q**p.L and idx._big == {}
+
+
 def test_digit_tables_are_built_once():
     assert windows._chunks(4, 5) is windows._chunks(4, 5)
     assert windows._chunks(256, 3) is windows._chunks(256, 3)
@@ -502,7 +564,7 @@ def _oracle_fill(word, runs, q, L):
     return grown, runs[: len(fillers) + 1], fillers
 
 
-@pytest.mark.parametrize("q,L", [(256, 1), (2, 3), (3, 2), (3, 3), (4, 2), (11, 2), (2, 23), (256, 3)])
+@pytest.mark.parametrize("q,L", [(256, 1), (2, 3), (3, 2), (3, 3), (4, 2), (11, 2), (2, 23), (256, 3), (5, 3)])
 def test_private_edits_match_tally(q, L):
     """_fill and _cut, the unchecked edits the encoder calls, take a
     bytearray word as it is, and the public edits pack and check theirs
@@ -515,7 +577,10 @@ def test_private_edits_match_tally(q, L):
     is refused at once, by both, with the window a one-by-one removal
     meets at zero, and changes nothing. After every step the counts and
     the smallest absent word match a tally. At L = 1 a window is one
-    symbol, and q = 11 draws symbol 10, b"\\n"."""
+    symbol, and q = 11 draws symbol 10, b"\\n". With n = 2 the count
+    list ends at S = 12 (or q**L, when smaller); at (5, 3) a public append
+    every 40 steps spells codes 0 .. S + 5, a word longer than n + 1, so
+    the cursor passes S and the cuts free codes on both sides of it."""
     p = _params(q, L)
     rng = random.Random(7 * q + L)
     symbols = range(q) if q < 256 else (0, 1, 2, 255)
@@ -527,8 +592,14 @@ def test_private_edits_match_tally(q, L):
 
     word = bytearray(rng.choice(symbols) for _ in range(30))
     idx = WindowIndex.build(word, p)
+    size = len(idx._counts)
+    spelled = bytes(_spelled(q, L, size + 6)) if (q, L) == (5, 3) else b""
     refused = fillers_checked = short_tails = 0
-    for _ in range(300):
+    passed, freed = False, set()  # the cursor went past S; sides of S freed codes lay on
+    for step in range(300):
+        if spelled and step % 40 == 0:
+            idx.apply_append(list(word), list(spelled))
+            word += spelled
         roll = rng.random()
         private = rng.random() < 0.5
         if roll < 0.45 or len(word) < 8:
@@ -588,5 +659,8 @@ def test_private_edits_match_tally(q, L):
         found = idx.find_absent()
         assert tally[found] == 0
         assert found == bytes(tally_find_absent(tally, q, L))
+        passed |= idx._lo > size
+        freed.update(code < size for code in idx._gaps)
     assert refused > 10 and fillers_checked > 20
+    assert not spelled or (passed and freed == {True, False})
     assert short_tails > 8 or L == 1  # with L = 1 every tail is empty
