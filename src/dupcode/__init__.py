@@ -12,10 +12,10 @@ __version__ = "0.1.0"
 # `import dupcode` imports no submodule. Each public name is imported from
 # its module below on first access (PEP 562) and kept in this module's
 # globals; each of those modules is an attribute too (dupcode.codec). So a
-# process compiles only the modules its calls run: a decode loads core,
-# repeats and codec, and seqword once it replays a block; the brute-force
-# checkers load analysis and numpy; the window index loads once an encode
-# finds a long square.
+# process compiles only the modules its calls run: a decode loads core and
+# codec, and seqword once it replays a block; encode and correct add the
+# square search (repeats); the brute-force checkers load analysis and numpy;
+# the window index loads once an encode finds a long square.
 _LAZY = {
     "BadWordReport": "analysis",
     "BallReport": "analysis",

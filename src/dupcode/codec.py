@@ -40,6 +40,13 @@ and an encode or correct whose words hold no long square, never load
 numpy, and a process that meets no square or block compiles neither
 windows nor seqword.
 
+The square search lives in repeats, which codec imports on its first
+search, so a decode never compiles it. find_leftmost_long and
+is_dup_free stay names of this module, each a call into repeats,
+because codec calls its searches through them: a caller that wraps the
+encoder's searches or correct's final check, as bench/tracing.py and
+the tests do, patches them here by name.
+
 Every word these functions return is bytes, which the CLI formats as it
 is and any of them takes back without packing it again.
 """
@@ -62,7 +69,16 @@ from .core import (
     from_digits,  # unused here, like to_digits: bench/tracing.py wraps both in codec
     to_digits,
 )
-from .repeats import find_leftmost_long, is_dup_free
+
+
+def find_leftmost_long(w: Sequence[int], K: int) -> Duplication | None:
+    from .repeats import find_leftmost_long
+    return find_leftmost_long(w, K)
+
+
+def is_dup_free(w: Sequence[int], K: int) -> bool:
+    from .repeats import is_dup_free
+    return is_dup_free(w, K)
 
 
 class BlockRecord(_Value):

@@ -398,3 +398,103 @@ def test_negative_max_space_is_a_usage_error(argv, capsys):
     code, out, err = run_cli(*argv, "--max-space=0", capsys=capsys)
     assert code == EXIT_GUARD
     assert out == "" and "error GUARD" in err
+
+
+# One valid argv per integer flag, each flag given as --flag=value.
+INT_FLAGS = {
+    "--q": ("encode", "--q=16", "--n=16", "--word=0000000000abcdef"),
+    "--n": ("encode", "--q=16", "--n=16", "--word=0000000000abcdef"),
+    "--seed": ("corrupt", "--q=16", "--n=16", "--seed=7", "--word=00000abcdef001251"),
+    "--i": ("corrupt", "--q=16", "--n=16", "--i=5", "--l=6", "--word=00000abcdef001251"),
+    "--l": ("corrupt", "--q=16", "--n=16", "--i=5", "--l=6", "--word=00000abcdef001251"),
+    "--l-min": ("corrupt", "--q=16", "--n=16", "--seed=7", "--l-min=5", "--word=00000abcdef001251"),
+    "--l-max": ("corrupt", "--q=16", "--n=16", "--seed=7", "--l-max=9", "--word=00000abcdef001251"),
+    "--trials": ("roundtrip", "--q=16", "--n=16", "--trials=1", "--seed=0"),
+    "--len": ("enum-code0", "--q=2", "--len=3", "--K=1"),
+    "--K": ("enum-code0", "--q=2", "--len=3", "--K=1"),
+    "--max-space": ("count-bad", "--q=2", "--n=3", "--K=1", "--max-space=100"),
+    "--reps": ("bench", "--q=4", "--n=8", "--pattern=zeros", "--reps=1"),
+}
+
+
+@pytest.mark.parametrize("flag", INT_FLAGS)
+def test_integer_flags_take_only_ascii_digits(flag, capsys):
+    """Each integer flag takes ASCII digits after an optional "-": int()
+    alone would read "1_0" as 10, "+7" and " 7" as 7 and "١٦" as 16."""
+    argv = INT_FLAGS[flag]
+    code, out, _ = run_cli(*argv, capsys=capsys)
+    assert code == EXIT_OK and out
+    for bad in ("1_0", "+7", " 7", "١٦"):
+        spelled = [f"{flag}={bad}" if a.startswith(f"{flag}=") else a for a in argv]
+        assert spelled != list(argv)
+        with pytest.raises(SystemExit) as exc:
+            main(spelled)
+        out, err = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE and out == ""
+        assert f"error: argument {flag}: invalid int value: {bad!r}" in err
+
+
+def test_integer_flags_take_a_leading_minus(capsys):
+    code, out, err = run_cli("roundtrip", "--q=16", "--n=16", "--trials=-1", "--seed=-7", capsys=capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert "error USAGE: trials must be >= 0, got -1" in err  # the library's check, not argparse's
+
+
+COMMANDS = ("encode", "decode", "corrupt", "correct", "roundtrip", "enum-code0", "count-bad", "verify-ball", "converse", "bench")
+
+
+def _full_parser_output(argv, capsys):
+    """(exit code, stdout, stderr) of the parser of every command on argv."""
+    from dupcode.cli import build_parser
+
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+def _main_output(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *([cmd, "--help"] for cmd in COMMANDS),
+        ["-h"],
+        [],
+        ["no-such-command"],
+        ["enc"],
+        *([cmd, "--n", "4"] for cmd in COMMANDS[:4]),
+    ],
+    ids=lambda argv: " ".join(argv) or "no-command",
+)
+def test_main_prints_what_the_full_parser_prints(argv, capsys):
+    """main builds the parser of the one command argv names, or of every
+    command when it names none; either way the help, usage lines, errors
+    and exit codes are those of the parser of every command."""
+    want = _full_parser_output(argv, capsys)
+    assert want[0] in (0, 2) and want[1] + want[2]
+    assert _main_output(argv, capsys) == want
+
+
+@pytest.mark.parametrize("cmd", COMMANDS)
+def test_a_command_builds_only_its_own_subparser(cmd, monkeypatch, capsys):
+    import argparse
+
+    from dupcode.cli import build_parser
+
+    added = []
+    real = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        added.append(name)
+        return real(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    _main_output([cmd, "--help"], capsys)
+    assert added == [cmd]
+    added.clear()
+    build_parser()
+    assert added == list(COMMANDS)

@@ -308,7 +308,7 @@ def _num(data, label: str, valid, odd=st.integers(-3, 0)) -> str:
     """Mostly a valid number, sometimes an odd one or text argparse refuses."""
     kind = data.draw(st.sampled_from(["valid"] * 8 + ["odd", "text"]), label=f"kind of {label}")
     if kind == "text":
-        return data.draw(st.sampled_from(["x", "1.5", "", "-0", "1e3"]), label=label)
+        return data.draw(st.sampled_from(["x", "1.5", "", "-0", "1e3", "1_0", "+7", " 7", "١٦"]), label=label)
     return str(data.draw(valid if kind == "valid" else odd, label=label))
 
 

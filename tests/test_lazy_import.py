@@ -76,29 +76,66 @@ FLAG0 = "0123456789abcdef0"
 BLOCK = "00000abcdef001251"
 SQUARE_FREE = "0123456789abcdef"
 DUPLICATED = "012" + "3456789" * 2 + "abcdef0"
-WORD_STAGE = ["cli", "codec", "core", "repeats"]
+DECODE = ["cli", "codec", "core"]
+WORD_STAGE = [*DECODE, "repeats"]
 
 
 @pytest.mark.parametrize(
     "argv,modules",
     [
         ([], []),
-        (["decode", "--word", FLAG0], WORD_STAGE),
-        (["decode", "--word", BLOCK], [*WORD_STAGE, "seqword"]),
+        (["decode", "--word", FLAG0], DECODE),
+        (["decode", "--word", BLOCK], [*DECODE, "seqword"]),
         (["corrupt", "--seed", "7", "--word", BLOCK], ["channel", "cli", "core"]),
         (["encode", "--word", SQUARE_FREE], WORD_STAGE),
         (["correct", "--word", DUPLICATED], WORD_STAGE),
+        (["converse", "--c", "1"], ["analysis", "channel", "cli", "codec", "core", "repeats", "tools"]),
+        (["bench", "--pattern", "random", "--reps", "1"], ["channel", "cli", "codec", "core", "repeats", "tools"]),
+        (["--help"], ["cli", "core", "tools"]),
     ],
-    ids=["import", "decode-flag0", "decode-blocks", "corrupt", "encode", "correct"],
+    ids=["import", "decode-flag0", "decode-blocks", "corrupt", "encode", "correct", "converse", "bench", "help"],
 )
 def test_each_process_loads_only_the_modules_it_runs(argv, modules):
-    """The exact set, so a module imported eagerly again fails here."""
+    """The exact set, so a module imported eagerly again fails here. A word
+    command never loads tools, and loads repeats only for a square search."""
     if argv:
         argv = [argv[0], "--q", "16", "--n", "16", *argv[1:]]
-        code = f"import sys, dupcode.cli\ncode = dupcode.cli.main({argv!r})\nprint(code, {OWN})"
+        code = (
+            "import sys, dupcode.cli\n"
+            "try:\n"
+            f"    code = dupcode.cli.main({argv!r})\n"
+            "except SystemExit as exc:  # --help\n"
+            "    code = exc.code\n"
+            f"print(code, {OWN})"
+        )
         assert run_fresh(code) == f"0 {modules!r}"
     else:
         assert run_fresh(f"import sys, dupcode\nprint({OWN})") == "[]"
+
+
+def test_codec_keeps_the_search_names_it_calls(monkeypatch):
+    """find_leftmost_long and is_dup_free are names of codec itself, loading
+    repeats when they run: they answer as repeats' functions do, and a spy
+    set on them sees every search of encode and correct's final check."""
+    import dupcode.codec as codec
+    import dupcode.repeats as repeats
+
+    assert {"find_leftmost_long", "is_dup_free"} <= set(vars(codec))
+    params = derive_params(4, 64)
+    words = [bytes(64), bytes(range(4)) * 16, bytes(_random_word(4, 64, 3)), b"\x00\x01" * 3]
+    for w in words:
+        assert codec.find_leftmost_long(w, params.K) == repeats.find_leftmost_long(w, params.K)
+        assert codec.is_dup_free(w, params.K) is repeats.is_dup_free(w, params.K)
+    calls = []
+    for name in ("find_leftmost_long", "is_dup_free"):
+        real = vars(codec)[name]
+        monkeypatch.setattr(codec, name, lambda w, K, real=real, name=name: calls.append(name) or real(w, K))
+    y = encode(bytes(64), params)
+    searches = calls.count("find_leftmost_long")
+    assert searches >= 2 and calls == ["find_leftmost_long"] * searches  # the last finds no square
+    calls.clear()
+    assert correct(apply_duplication(y, 3, params.K), params) == y
+    assert calls == ["is_dup_free"]
 
 
 def test_decode_json_still_writes_its_report():
@@ -239,3 +276,22 @@ def test_a_long_square_past_the_cutoff_still_takes_the_numpy_scan():
         "print((d.i, d.l), 'numpy' in sys.modules)"
     )
     assert run_fresh(code) == f"{expect} True"
+
+
+def test_startup_cost_script_reports_each_word_command():
+    """scripts/startup_cost.py with one run of one checkout; its timings
+    vary from run to run, so only the modules it names are checked."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "startup_cost.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--runs", "1", "--n", "300", SRC], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    loads = {line.split()[0]: line.split(": loads ")[1].split(";")[0] for line in lines if ": loads " in line}
+    assert loads == {
+        "encode": "cli codec core repeats",
+        "decode": "cli codec core",
+        "corrupt": "channel cli core",
+        "correct": "cli codec core repeats",
+    }
+    assert [line.split(":")[0] for line in lines if "median CPU ms over 1 runs" in line] == list(loads)
