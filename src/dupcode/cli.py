@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from typing import Sequence
 
@@ -98,6 +99,14 @@ def _int(text: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     return int(text)
+
+
+def _float(text: str) -> float:
+    """The value of a float flag: float()'s decimal syntax after an optional
+    "-", in ASCII digits, so without the "_", "+" and spaces float() takes."""
+    if not re.fullmatch(r"-?((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)", text, re.I | re.A):
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    return float(text)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

@@ -30,9 +30,10 @@ it with the same digits and flag, as a batch of front cuts writes them,
 are replayed with it in one gap-buffer step, which gives the word of one
 replay per block.
 
-numpy enters only through the hashed square search (repeats), which a
-word free of long squares never reaches in a process without numpy. The
-window index computes in plain Python and is imported once an encode
+numpy enters through the hashed square search (repeats), which a word
+free of long squares never reaches in a process without numpy, and
+through the window index, which computes its window codes with numpy and
+is imported, and built on the word after the first cut, once an encode
 finds its first square. correct's period search XORs the word with its
 shift as one big integer. decode runs on core alone, and imports the
 byte gap buffer (seqword) once it finds a block to replay. So decode,
@@ -149,7 +150,7 @@ def _encode(
 
     from .windows import WindowIndex
 
-    index = WindowIndex.build(w, params)
+    index = None
     d_len = n + 1  # length of the not-yet-rewritten prefix
     max_iters = (n + 1) // K + 1
 
@@ -180,28 +181,34 @@ def _encode(
         if r < 2 or 2 * L + r * L + t + 1 != l:
             raise InternalDefectError(f"block arithmetic failed for l={l}, L={L}")
 
-        index._cut(w, i, i + c * l)
+        # The index is built after the first cut: lookups read the counts alone,
+        # and so the run the first batch deletes is never counted.
+        if index is not None:
+            index._cut(w, i, i + c * l)
         del w[i : i + c * l]
+        if index is None:
+            index = WindowIndex.build(w, params)
         d_len -= c * l
 
         # One private call per 64 blocks counts their windows: each block's
         # i digits, r - 2 empty runs, 0^t, then l digits and the flag, joined
-        # to the next block's i digits, with a filler looked up between each
-        # two runs once every symbol before it is counted. The index's digit
-        # writer writes i and l, both below n <= q**L. w holds symbols below
-        # q, so the unchecked edit takes its tail as it is. A lookup sees at
-        # most n symbols, fewer than q**L windows, so an absent L-word always
-        # exists. The 64-block chunks keep the list of runs short.
+        # to the next block's i digits, with a filler between each two runs,
+        # the smallest L-word absent once every symbol before it is counted.
+        # The index guesses these fillers a round at a time and checks each
+        # round's guesses in one numpy pass. Its digit writer writes i and l,
+        # both below n <= q**L. w holds symbols below q, so the unchecked edit
+        # takes its tail as it is. A lookup sees at most n symbols, fewer than
+        # q**L windows, so an absent L-word always exists. The 64-block chunks
+        # bound the work a missed guess redoes.
         head, last = index._digits(i), index._digits(l) + b"\x01"
         middle = [*[b""] * (r - 2), bytes(t)]
         for done in range(0, c, 64):
             m = min(64, c - done)
             runs = [head, *[*middle, last + head] * (m - 1), *middle, last]
             fillers = index._fill(w[len(w) - L + 1 :], runs)
-            w += runs[0]
-            for filler, run in zip(fillers, runs[1:]):
-                w += filler
-                w += run
+            joined = runs + fillers  # as long as runs[0], fillers[0], runs[1], ..., runs[-1]
+            joined[::2], joined[1::2] = runs, fillers
+            w += b"".join(joined)
             if trace is not None:
                 trace.extend(BlockRecord(i, l, r, t, tuple(fillers[k * r : k * r + r])) for k in range(m))
 

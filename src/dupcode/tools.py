@@ -15,7 +15,7 @@ import argparse
 from typing import TYPE_CHECKING
 
 from . import core
-from .cli import EXIT_OK, _add_common, _emit, _int, _UsageError
+from .cli import EXIT_OK, _add_common, _emit, _float, _int, _UsageError
 from .core import VerificationError
 
 if TYPE_CHECKING:
@@ -56,7 +56,7 @@ def _add_verify_ball(p: argparse.ArgumentParser) -> None:
 
 def _add_converse(p: argparse.ArgumentParser) -> None:
     _add_common(p)
-    p.add_argument("--c", type=float, required=True, help="shortfall: duplications of length log_q(n) - c")
+    p.add_argument("--c", type=_float, required=True, help="shortfall: duplications of length log_q(n) - c")
 
 
 def _add_bench(p: argparse.ArgumentParser) -> None:

@@ -1,54 +1,53 @@
 """Window counts of a tracked word, and the smallest L-word absent from it.
 
 A window is held as its base-q code (first symbol most significant), so
-code order is lexicographic order. The count of each code below
-S = min(q**L, 4*(n + 1)) is a slot of the flat list _counts, and the
-count of each code >= S that occurs is in the dict _big, which holds no
-zeros; _total is the number of windows. S keeps the list at O(n) slots
-for every q. A lookup's answer is at most the number of windows, and the
-encoder's word of n + 1 symbols has at most n + 1 of them, so its
-lookups stay below S. For q <= 4, derive_params gives q**L < q*n, so
-S = q**L and _big stays empty. A longer word tracked through the public
-edits may take the cursor past S; lookups stay exact there, only slower.
+code order is lexicographic order. numpy computes every code: the codes
+of a segment's windows are L multiply-adds over its bytes, in int64, or
+in Python ints (dtype object) once q**L >= 2**62, so they stay exact for
+every q and L. The count of each code below S = min(q**L, 4*(n + 1)) is
+a slot of the numpy array _counts, int32 until the index holds 2**31
+windows (no count exceeds that total), then int64; np.zeros asks for
+zeroed memory, so an array mapped fresh, as a large one is, maps only
+the pages a count is written in. The count of each code >= S that
+occurs is in the dict _big, which holds no zeros; _total is the number
+of windows. A lookup's answer is at most the number of windows, at most
+n + 1 in the encoder's word, so its lookups stay below S. For q <= 4,
+derive_params gives q**L < q*n, so S = q**L and _big stays empty. A
+longer word tracked through the public edits may take the cursor past
+S; lookups stay exact there, only slower.
 
-find_absent returns the smallest code with count zero. Every code below
-a cursor _lo occurs, except the codes on a min-heap _gaps: a code goes
-on the heap when its count falls to 0 below _lo. A lookup pops stale
-tops (codes that occur again), then returns the top, or else advances
-_lo to the first code that does not occur, below S by one C-level
-list.index for 0. _lo rises only past codes that were added, and each
-heap entry comes from one removal; a heap that outgrows the number of
-windows by 64 restarts the cursor at 0, a rescan those removals paid
-for. So an edit or a lookup costs amortised O(log n) per window it
-touches, and the heap holds O(n) codes.
+_absent lists the smallest codes with count zero. Every code below a
+cursor _lo occurs, except the codes on a min-heap _gaps: a code goes on
+the heap when its count falls to 0 below _lo. A lookup pops the heap's
+live codes (and the stale ones, which occur again, above them), then
+takes zeros from _lo on, by np.flatnonzero over slices of the counts,
+and moves _lo to the first of these; a popped code that its caller
+leaves at zero goes back on the heap. _lo rises only past codes that
+were added, and each heap entry comes from one removal; a heap that
+outgrows the number of windows by 64 restarts the cursor at 0, a rescan
+those removals paid for. So an edit or a lookup costs amortised
+O(log n) per window it touches, and the heap holds O(n) codes.
 
 apply_append and apply_delete check and pack their arguments, then make
 the private edit _fill or _cut that the encoder calls directly. _fill
-appends a block's runs, rolling each window's code and counting it in
-one loop, and looks up the filler between each two with find_absent, so
-the encoder writes a block in one call; build and _cut count the windows
-they add through _fill too. Every word the index returns is bytes.
-The one digit writer, _digits, joins two cached byte tables' words for a
-code's high and low digits. A cut is checked before it changes anything,
-so a refused cut changes nothing.
-
-A run of m >= L copies of one symbol s holds m - L + 1 windows, each with
-the code s * _ones, where _ones = (q**L - 1) // (q - 1) is the code of
-1^L; such a run is counted in one step, not rolled symbol by symbol.
-build finds the runs of at least L equal symbols with one regex scan of
-the XOR of the word and its shift by one, and rolls codes only over the
-symbols between them, each gap widened by L - 1 symbols into its runs.
-_cut tells by one C-level count when its segment is one symbol
-throughout, and then removes it as one code with one count.
+appends a block's runs with the smallest absent L-word between each two,
+choosing these fillers a round at a time (its docstring has the round
+and why it is exact), so the encoder writes 64 blocks in one call. build
+counts with one np.add.at, and _cut removes its segment's codes as one
+np.unique tally, refusing a cut that would take a count below zero
+before it changes anything. Every word the index returns is bytes. The
+one digit writer for a single code, _digits, joins two cached byte
+tables' words for a code's high and low digits.
 """
 
 from __future__ import annotations
 
-import re
+from bisect import bisect_left
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import compress
 from typing import Sequence
+
+import numpy as np
 
 from .core import CodeParams, Word, _check_params, _integer, check_word, format_word
 
@@ -87,9 +86,10 @@ class WindowIndex:
         _check_params(params)
         self.params = params
         self._top = params.q**params.L
-        self._ones = (self._top - 1) // (params.q - 1)  # code of 1^L: s^L's is s * _ones
+        self._dtype = np.int64 if self._top < 1 << 62 else object
+        self._powers = params.q ** np.arange(params.L - 1, -1, -1, dtype=self._dtype)  # digit j's weight
         self._digits = _chunks(params.q, params.L).__getitem__
-        self._counts = [0] * min(self._top, 4 * (params.n + 1))  # one slot per code below S
+        self._counts = np.zeros(min(self._top, 4 * (params.n + 1)), np.int32)  # one slot per code below S
         self._big: dict[int, int] = {}  # count of each code >= S that occurs
         self._total = 0
         self._lo = 0
@@ -99,44 +99,38 @@ class WindowIndex:
     def build(cls, word: Sequence[int], params: CodeParams) -> "WindowIndex":
         """Index every length-L window of word."""
         ix = cls(params)
-        w, L, counts = check_word(word, params.q), params.L, ix._counts
-        # same[j] is 0 exactly where w[j] == w[j + 1], so k zeros in a row
-        # span k + 1 equal symbols: each match is a run of at least L symbols
-        # (at least 2 when L = 1). Its leading zeros are spelt out, so the
-        # matcher skips to each candidate by a literal prefix search. A regex
-        # backreference such as (.)\1{L-1,} finds the runs too, but keeps a
-        # backtracking entry per symbol of a run, about 10 MB for a run of 2^17.
-        pairs = max(len(w) - 1, 0)
-        same = (int.from_bytes(w[1:], "big") ^ int.from_bytes(w[:-1], "big")).to_bytes(pairs, "big")
-        start = 0  # first symbol of the next gap's windows
-        for run in re.finditer(rb"\x00" * max(L - 1, 1) + rb"\x00*", same):
-            s, e = run.start(), run.end() + 1
-            ix._fill(b"", [w[start : s + L - 1]])
-            code, k = w[s] * ix._ones, e - s - L + 1
-            if code < len(counts):
-                counts[code] += k
-            else:
-                ix._big[code] = ix._big.get(code, 0) + k
-            ix._total += k
-            start = e - L + 1
-        ix._fill(b"", [w[start:]])
+        ix._add(ix._codes(check_word(word, params.q)))
         return ix
 
-    def _codes(self, seg: bytes) -> list[int]:
+    def _codes(self, seg: bytes | bytearray) -> np.ndarray:
         """Codes of the length-L windows of seg, left to right."""
-        q, L = self.params.q, self.params.L
-        if len(seg) < L:
-            return []
-        top = self._top
-        code = 0
-        for x in seg[: L - 1]:
-            code = code * q + x
-        return [code := (code * q + x) % top for x in seg[L - 1 :]]
+        x = np.frombuffer(seg, np.uint8).astype(self._dtype)
+        m = len(x) - self.params.L + 1
+        if m <= 0:
+            return x[:0]
+        codes = x[:m].copy()
+        for j in range(1, self.params.L):
+            codes *= self.params.q
+            codes += x[j : j + m]
+        return codes
+
+    def _add(self, codes: np.ndarray) -> None:
+        """Count the windows with these codes: one np.add.at into the slots
+        below S, and _big from S on."""
+        self._total += len(codes)
+        if self._total >> 31 and self._counts.dtype == np.int32:  # no count may pass the total
+            self._counts = self._counts.astype(np.int64)
+        counts, small = self._counts, codes
+        if self._top > len(counts):
+            below = codes < len(counts)
+            for code in codes[~below].tolist():
+                self._big[code] = self._big.get(code, 0) + 1
+            small = codes[below].astype(np.int64)
+        np.add.at(counts, small, counts.dtype.type(1))  # a 1 of the array's type keeps numpy's fast loop
 
     def _count(self, code: int) -> int:
-        """code's count: its list slot below S, its _big entry or 0 from S on."""
-        counts = self._counts
-        return counts[code] if code < len(counts) else self._big.get(code, 0)
+        """code's count: its slot below S, its _big entry or 0 from S on."""
+        return int(self._counts[code]) if code < len(self._counts) else self._big.get(code, 0)
 
     @property
     def root_count(self) -> int:
@@ -146,7 +140,7 @@ class WindowIndex:
         w = check_word(window, self.params.q)
         if len(w) != self.params.L:
             raise ValueError(f"window must have length {self.params.L}, got {len(w)}")
-        return self._count(self._codes(w)[0])
+        return self._count(self._codes(w).tolist()[0])
 
     def apply_append(self, w_before: Sequence[int], suffix: Sequence[int]) -> None:
         """Account for suffix being appended to the tracked word w_before."""
@@ -183,101 +177,124 @@ class WindowIndex:
     def _fill(self, tail: bytes | bytearray, runs: list[bytes]) -> list[bytes]:
         """Append the runs, with the smallest absent L-word between each two,
         to a word ending in tail: its last L - 1 symbols, or all of it when
-        shorter. One loop rolls each window's code and counts it, in its
-        slot of the list below S and in _big from S on. Each filler is
-        looked up once every symbol before it is counted. Returns the
-        fillers; a lookup that finds every L-word raises ValueError, with
-        the runs before it counted."""
-        q, top, counts, big = self.params.q, self._top, self._counts, self._big
-        size = len(counts)
-        code = 0
-        for x in tail:
-            code = code * q + x
-        skip = self.params.L - 1 - len(tail)  # symbols before the first whole window
+        shorter. Returns these fillers; a lookup that finds every L-word
+        raises ValueError, with the runs before it counted.
+
+        A round takes the smallest absent codes c_0 < c_1 < ... as guesses,
+        joins tail, run, c_0, run, c_1, ... into one chunk, computes its
+        window codes, and finds by one searchsorted the first k for which a
+        window ending before c_k starts spells c_k. It counts the windows
+        before c_k (all, if there is no such k), keeps c_0 .. c_{k-1}, and
+        the next round, from c_k's place, guesses 2k + 1. This is exact: a
+        fill never lowers a count, so once c_0 .. c_{j-1} are written every
+        code below c_j occurs, and c_j is absent unless a window written
+        since the round began spells it, which for j < k none does. Each
+        round keeps a filler or, at k = 0, counts a run after which c_0
+        holds, and guessing 2k + 1 after k kept keeps the rework linear."""
+        L = self.params.L
         fillers: list[bytes] = []
-        for k, run in enumerate(runs):
-            if k:
-                fillers.append(self.find_absent())
-                run = fillers[-1] + run
-            if skip > 0:
-                for x in run[:skip]:
-                    code = code * q + x
-                run, skip = run[skip:], skip - len(run)
-            for x in run:
-                code = (code * q + x) % top
-                if code < size:
-                    counts[code] += 1
-                else:
-                    big[code] = big.get(code, 0) + 1
-            self._total += len(run)
-        return fillers
+        r, want, lead = 0, len(runs) - 1, runs[0]  # the round starts at run r with lead and guesses want fillers
+        while True:
+            need = len(runs) - 1 - r
+            cands = self._absent(min(want, need)) if need else []
+            m = len(cands)
+            guess = np.array(cands, self._dtype)
+            digits = (guess[:, None] // self._powers % self.params.q).astype(np.uint8).tobytes()
+            parts = [b""] * (2 * m + 2)
+            parts[0], parts[1] = tail, lead
+            parts[2::2] = [digits[j : j + L] for j in range(0, m * L, L)]
+            parts[3::2] = runs[r + 1 : r + 1 + m]
+            chunk = b"".join(parts)
+            codes = self._codes(chunk)
+            ends = np.cumsum(np.fromiter(map(len, parts), np.int64, len(parts)))  # guess j starts at ends[2j + 1]
+            k = m
+            if m:
+                at = np.minimum(np.searchsorted(guess, codes), m - 1)
+                early = (guess[at] == codes) & (np.arange(len(codes)) <= ends[2 * at + 1] - L)
+                if early.any():
+                    k = int(at[early].min())
+            end = int(ends[2 * k + 1])
+            self._add(codes[: max(end - L + 1, 0)])
+            fillers += parts[2 : 2 * k + 2 : 2]
+            for code in cands[k : bisect_left(cands, self._lo)]:  # popped gaps left at zero
+                if not self._count(code):
+                    heappush(self._gaps, code)
+            if k == m == need:
+                return fillers
+            if not m:
+                raise ValueError("index holds q**L windows or more; every L-word occurs")
+            tail, r, want, lead = chunk[max(end - L + 1, 0) : end], r + k, 2 * k + 1, b""  # run r + k is counted
 
     def _cut(self, w: bytes | bytearray, a: int, b: int) -> None:
-        q, L, top = self.params.q, self.params.L, self._top
+        L, counts, big, gaps = self.params.L, self._counts, self._big, self._gaps
         base = max(0, a - L + 1)
         seg = w[base : b + L - 1]
-        count = self._count
-        if len(seg) >= L and seg.count(seg[0]) == len(seg):
-            # one symbol throughout: every window of seg is its L-word
-            removed = {seg[0] * self._ones: len(seg) - L + 1}
-        else:
-            removed = {}  # code: windows of seg that hold it
-            code = 0
-            for x in seg[: L - 1]:
-                code = code * q + x
-            for x in seg[L - 1 :]:
-                code = (code * q + x) % top
-                removed[code] = removed.get(code, 0) + 1
-        for code, k in removed.items():
-            if count(code) < k:  # name the first window a one-by-one removal finds at zero
-                seen: dict[int, int] = {}
-                for j, c in enumerate(self._codes(seg)):
-                    seen[c] = seen.get(c, 0) + 1
-                    if seen[c] > count(c):
-                        raise ValueError(f"window {format_word(seg[j : j + L], q)} has zero count, cannot remove")
+        codes = self._codes(seg)
+        removed, times = np.unique(codes, return_counts=True)
+        below = removed < len(counts)
+        large = dict(zip(removed[~below].tolist(), times[~below].tolist()))
+        removed, times = removed[below].astype(np.int64), times[below]
+        if (counts[removed] < times).any() or any(big.get(code, 0) < k for code, k in large.items()):
+            seen: dict[int, int] = {}  # name the first window a one-by-one removal finds at zero
+            for j, c in enumerate(codes.tolist()):
+                seen[c] = seen.get(c, 0) + 1
+                if seen[c] > self._count(c):
+                    raise ValueError(f"window {format_word(seg[j : j + L], self.params.q)} has zero count, cannot remove")
         # the junction's windows (at most L - 1) go in first, so no code they keep drops to 0
         self._fill(b"", [seg[: a - base] + seg[b - base :]])
-        self._total -= max(0, len(seg) - L + 1)
-        counts, big, lo, gaps = self._counts, self._big, self._lo, self._gaps
-        for code, k in removed.items():
-            if code < len(counts):
-                k = counts[code] = counts[code] - k
-            else:
-                k = big.pop(code) - k
-                if k:
-                    big[code] = k
-            if not k and code < lo:
+        self._total -= len(codes)
+        counts[removed] -= times
+        freed = removed[counts[removed] == 0].tolist()
+        for code, k in large.items():
+            big[code] -= k
+            if not big[code]:
+                del big[code]
+                freed.append(code)
+        for code in freed:
+            if code < self._lo:
                 heappush(gaps, code)
         if len(gaps) > self._total + 64:
             self._lo, self._gaps = 0, []
 
+    def _absent(self, want: int) -> list[int]:
+        """The want smallest codes with count zero, ascending, or all of them
+        when fewer: the live gaps, popped off the heap, then zeros from the
+        cursor, which moves to the first of these (or past the codes it
+        scanned). The caller puts back each popped gap it leaves at zero."""
+        gaps, out = self._gaps, []
+        while gaps and len(out) < want:
+            code = heappop(gaps)
+            if not self._count(code) and (not out or code != out[-1]):
+                out.append(code)
+        popped, end, size, span = len(out), self._lo, len(self._counts), 2 * want + 64
+        while len(out) < want and end < size:
+            hi = min(size, end + span)
+            out += (np.flatnonzero(self._counts[end:hi] == 0)[: want - len(out)] + end).tolist()
+            end, span = hi, 2 * span
+        while len(out) < want and end < self._top:  # from S on, the codes _big lacks
+            if end not in self._big:
+                out.append(end)
+            end += 1
+        self._lo = out[popped] if len(out) > popped else end
+        return out
+
     def find_absent(self) -> Word:
         """The lexicographically smallest L-word with count zero."""
-        gaps = self._gaps
-        while gaps and self._count(gaps[0]):
-            heappop(gaps)
-        if gaps:
-            return self._digits(gaps[0])
-        counts, lo = self._counts, self._lo
-        try:
-            lo = counts.index(0, lo)
-        except ValueError:  # every code from lo up to S occurs
-            lo = max(lo, len(counts))
-            while lo in self._big:
-                lo += 1
-        self._lo = lo
-        if lo >= self._top:
+        found = self._absent(1)
+        if not found:
             raise ValueError("index holds q**L windows or more; every L-word occurs")
-        return self._digits(lo)
+        if found[0] < self._lo:
+            heappush(self._gaps, found[0])
+        return self._digits(found[0])
 
     def audit(self, word: Sequence[int]) -> None:
-        """Check the list and _big against a fresh index of word (so _big
+        """Check the counts and _big against a fresh index of word (so _big
         holds no zeros), and that every code below _lo is counted or on
         _gaps, which lie below _lo. Raises ValueError."""
         fresh = WindowIndex.build(word, self.params)
         counts, big, lo, gaps = self._counts, self._big, self._lo, self._gaps
-        if counts != fresh._counts or big != fresh._big:
-            stored, rebuilt = ({c: k for c, k in enumerate(ix._counts) if k} | ix._big for ix in (self, fresh))
+        if not np.array_equal(counts, fresh._counts) or big != fresh._big:
+            stored, rebuilt = ({c: ix._count(c) for c in np.flatnonzero(ix._counts).tolist()} | ix._big for ix in (self, fresh))
             code = min(stored.items() ^ rebuilt.items())[0]
             window = format_word(self._digits(code), self.params.q)
             raise ValueError(f"window {window}: stored {self._count(code)}, rebuilt {fresh._count(code)}")
@@ -285,7 +302,8 @@ class WindowIndex:
             raise ValueError(f"window total: stored {self._total}, rebuilt {fresh._total}")
         if not (0 <= lo <= self._top and all(0 <= code < lo for code in gaps)):
             raise ValueError(f"cursor {lo} must lie in [0, {self._top}] above every gap, gaps {sorted(gaps)}")
-        lost = set(range(lo)).difference(compress(range(lo), counts), big, gaps)
+        zeros = np.flatnonzero(counts[:lo] == 0).tolist()
+        lost = set(zeros).union(range(len(counts), lo)).difference(big, gaps)
         if lost:
             window = format_word(self._digits(min(lost)), self.params.q)
             raise ValueError(f"window {window} lies below the cursor {lo}, uncounted and no gap")

@@ -297,6 +297,20 @@ def test_converse_refuses_a_non_finite_shortfall(c, extra, capsys):
     assert out == "" and "error USAGE" in err
 
 
+def test_converse_takes_only_an_ascii_float(capsys):
+    """--c takes what float() reads after an optional "-", but not the
+    "1_0", "+7", " 7" and "١" that float() alone would also read."""
+    for good in ("1", "0.5", "2.5e0"):
+        code, out, _ = run_cli("converse", "--q", "2", "--n", "1024", f"--c={good}", capsys=capsys)
+        assert code == EXIT_OK and out
+    for bad in ("1_0", "+7", " 7", "١", "7 ", ""):
+        with pytest.raises(SystemExit) as exc:
+            main(["converse", "--q", "2", "--n", "1024", f"--c={bad}"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE and out == ""
+        assert f"error: argument --c: invalid float value: {bad!r}" in err
+
+
 def test_enumerators_over_a_wide_alphabet(capsys):
     code, out, _ = run_cli("enum-code0", "--q", "200", "--len", "2", "--K", "1", "--list", capsys=capsys)
     assert code == EXIT_OK

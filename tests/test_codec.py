@@ -237,10 +237,11 @@ def test_trace_memory_stays_linear():
 def test_self_check_audits_every_iteration(monkeypatch):
     """self_check=True (forced by encode_with_trace) audits the window index
     once per index edit, on the whole n + 1 word after its blocks are
-    written, and every audit passes. A batch of cuts at a periodic front is
-    one edit, so zeros makes fewer cuts than it writes blocks, while a runs
-    message, whose fronts rarely repeat, still cuts and audits over 100
-    times."""
+    written, and every audit passes. The index is built on the word after
+    the first cut, so that build is the first edit and each later cut one
+    more. A batch of cuts at a periodic front is one edit, so zeros makes
+    fewer cuts than it writes blocks, while a runs message, whose fronts
+    rarely repeat, still cuts and audits over 100 times."""
     params = derive_params(4, 1 << 12)
     audited: list[int] = []
     cuts: list[int] = []
@@ -261,13 +262,13 @@ def test_self_check_audits_every_iteration(monkeypatch):
         "a0fd568d0cc5749e587a74da8b73b4360a8ea5b70eea9e8018429f2ceb06fc43"
     )
     assert 0 < len(cuts) < len(trace)
-    assert audited == [params.n + 1] * len(cuts)  # one audit per index edit
+    assert audited == [params.n + 1] * (1 + len(cuts))  # one audit per index edit
 
     audited.clear()
     cuts.clear()
     y, trace = codec.encode_with_trace(_runs_message(4, params.n, 11), params)
-    assert len(trace) >= len(cuts) > 100
-    assert audited == [params.n + 1] * len(cuts)
+    assert len(trace) >= 1 + len(cuts) > 100
+    assert audited == [params.n + 1] * (1 + len(cuts))
 
 
 def _periodic_message(q: int, n: int, seed: int) -> bytes:
@@ -278,26 +279,27 @@ def _periodic_message(q: int, n: int, seed: int) -> bytes:
     return bytes(u[j % K] for j in range(n))
 
 
-def _encode_counting(monkeypatch, x, params) -> tuple[bytes, int, int]:
-    """encode x, with the square searches and filler lookups it makes."""
-    searches = lookups = 0
-    search, lookup = codec.find_leftmost_long, WindowIndex.find_absent
+def _encode_counting(monkeypatch, x, params) -> tuple[bytes, list[codec.BlockRecord], int, int]:
+    """encode_with_trace x, with the square searches it makes and the
+    rounds of filler guesses the window index runs."""
+    searches = rounds = 0
+    search, absent = codec.find_leftmost_long, WindowIndex._absent
 
     def counted_search(w, K):
         nonlocal searches
         searches += 1
         return search(w, K)
 
-    def counted_lookup(self):
-        nonlocal lookups
-        lookups += 1
-        return lookup(self)
+    def counted_round(self, want):
+        nonlocal rounds
+        rounds += 1
+        return absent(self, want)
 
     with monkeypatch.context() as patch:
         patch.setattr(codec, "find_leftmost_long", counted_search)
-        patch.setattr(WindowIndex, "find_absent", counted_lookup)
-        y = codec.encode(x, params)
-    return y, searches, lookups
+        patch.setattr(WindowIndex, "_absent", counted_round)
+        y, trace = codec.encode_with_trace(x, params)
+    return y, trace, searches, rounds
 
 
 def _boundary_message(rng: random.Random) -> tuple[int, int, bytes]:
@@ -355,22 +357,26 @@ def test_a_periodic_front_is_cut_in_few_searches(monkeypatch):
     period, so the encoder cuts them in batches: at most 4 searches where
     one per block made 564. The digest was computed one block per search."""
     params = derive_params(4, 1 << 14)
-    y, searches, _ = _encode_counting(monkeypatch, _periodic_message(4, 1 << 14, 1 << 14), params)
+    y, _, searches, _ = _encode_counting(monkeypatch, _periodic_message(4, 1 << 14, 1 << 14), params)
     assert searches <= 4
     assert hashlib.sha256(y).hexdigest() == "4b84347ad963090ce0f06e12620b2848b1f6261e50632f4a761d336ab43565ea"
 
 
 def test_zeros_at_the_benchmark_size_makes_few_searches(monkeypatch):
     """The benchmark's zeros message at 2^17, zeros then K seeded symbols,
-    writes 3,540 blocks of two fillers each, with at most 3 searches (3,541
-    one block per search) and exactly one lookup per filler."""
+    writes 3,540 blocks of two fillers each, 7,080 in all, with at most 3
+    searches (3,541 one block per search). The window index chooses the
+    fillers in 56 fill calls of at most 64 blocks, one round each unless a
+    guess misses; misses are rare, so there are few more rounds than
+    calls, where one lookup per filler made 7,080."""
     n = 1 << 17
     params = derive_params(4, n)
     rng = random.Random(1)
     x = bytes(n - params.K) + bytes(rng.randrange(4) for _ in range(params.K))
-    y, searches, lookups = _encode_counting(monkeypatch, x, params)
+    y, trace, searches, rounds = _encode_counting(monkeypatch, x, params)
     assert searches <= 3
-    assert lookups == 7080
+    assert len(trace) == 3540 and sum(len(rec.fillers) for rec in trace) == 7080
+    assert 56 <= rounds <= 72
     assert codec.decode(y, params) == x
 
 

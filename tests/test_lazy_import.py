@@ -113,6 +113,19 @@ def test_each_process_loads_only_the_modules_it_runs(argv, modules):
         assert run_fresh(f"import sys, dupcode\nprint({OWN})") == "[]"
 
 
+def test_an_encode_that_cuts_a_square_loads_windows_and_numpy():
+    """The window index computes its codes with numpy, so an encode that
+    writes a block loads both, even when, as here (m = 17 <= 96), the
+    square search itself scans without numpy."""
+    argv = ["encode", "--q", "16", "--n", "16", "--word", "0000000000abcdef"]
+    code = (
+        "import sys, dupcode.cli\n"
+        f"code = dupcode.cli.main({argv!r})\n"
+        f"print(code, {OWN}, 'numpy' in sys.modules)"
+    )
+    assert run_fresh(code) == "0 ['cli', 'codec', 'core', 'repeats', 'windows'] True"
+
+
 def test_codec_keeps_the_search_names_it_calls(monkeypatch):
     """find_leftmost_long and is_dup_free are names of codec itself, loading
     repeats when they run: they answer as repeats' functions do, and a spy

@@ -1,7 +1,11 @@
 """Flat window counts against a from-scratch sliding-window tally."""
 
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from dupcode.core import CodeParams, derive_params, format_word, to_digits
 from dupcode.windows import WindowIndex
 
 from oracles import tally_find_absent, window_tally
+
+SRC = str(Path(windows.__file__).resolve().parent.parent)
 
 
 def _params(q: int, L: int) -> CodeParams:
@@ -252,11 +258,10 @@ def test_build_matches_tally(q, L):
 
 @pytest.mark.parametrize("q,L", [(2, 1), (3, 2), (4, 9), (11, 3), (256, 3)])
 def test_build_of_runs_matches_tally(q, L):
-    """build counts the windows inside each run of L or more equal symbols
-    in one step and rolls codes over the symbols between runs. Runs of
-    L - 1, L, L + 1 and 2L + 1 symbols stand at the start, in the middle
-    and at the end of a word, runs of different symbols stand side by
-    side, and some words are shorter than L. The run symbol is q - 1:
+    """build counts the windows inside and between runs of equal symbols.
+    Runs of L - 1, L, L + 1 and 2L + 1 symbols stand at the start, in the
+    middle and at the end of a word, runs of different symbols stand side
+    by side, and some words are shorter than L. The run symbol is q - 1:
     10 (b"\\n") at q = 11 and 255 at q = 256."""
     p = _params(q, L)
     rng = random.Random(q * 100 + L)
@@ -279,21 +284,6 @@ def test_build_of_runs_matches_tally(q, L):
         assert all(idx.window_count(w) == c for w, c in tally.items()), word
         if idx.root_count < q**L:
             assert idx.find_absent() == bytes(tally_find_absent(tally, q, L))
-
-
-@pytest.mark.parametrize("q,symbol", [(11, 10), (256, 10), (256, 255)])
-def test_build_rolls_no_code_inside_a_run(q, symbol, monkeypatch):
-    """Codes are rolled only over the symbols between runs, each gap
-    widened by L - 1 symbols into its runs, whatever the run's symbol:
-    10 (b"\\n", which a regex '.' skips without re.S) and 255 among them."""
-    L = 3
-    rolled = []
-    fill = WindowIndex._fill
-    monkeypatch.setattr(WindowIndex, "_fill", lambda self, tail, runs: rolled.extend(map(len, runs)) or fill(self, tail, runs))
-    word = [0, 1] * 5 + [symbol] * 100 + [1, 0] * 5
-    idx = WindowIndex.build(word, _params(q, L))
-    assert sum(rolled) == 2 * (10 + L - 1)
-    assert idx.window_count((symbol,) * L) == 100 - L + 1
 
 
 @pytest.mark.parametrize(
@@ -423,6 +413,20 @@ def test_node_addresses_past_int64():
     idx.audit(word)
 
 
+def test_counts_widen_to_int64_before_one_could_overflow():
+    """No count exceeds the number of windows, so the counts are int32
+    while the index holds fewer than 2**31 windows. The window that takes
+    the total to 2**31 (faked here) widens them to int64, counts kept."""
+    word = [0, 1, 2, 0, 0]
+    idx = WindowIndex.build(word, _params(3, 2))
+    assert idx._counts.dtype == np.int32
+    idx._total += (1 << 31) - 1 - idx.root_count
+    idx.apply_append(word, [1])
+    word.append(1)
+    assert idx._counts.dtype == np.int64 and idx.root_count == 1 << 31
+    assert {w: idx.window_count(w) for w in window_tally(word, 2)} == window_tally(word, 2)
+
+
 @pytest.mark.parametrize("q,L", [(2, 1), (3, 2), (4, 3), (5, 4), (2, 7)])
 def test_digit_writer_matches_to_digits_on_every_code(q, L):
     p = _params(q, L)
@@ -452,16 +456,22 @@ def test_count_list_holds_at_most_4_n_plus_1_slots(q, n):
 
 @pytest.mark.parametrize("q,n", [(4, 1 << 17), (200, 40001)])
 def test_encoder_lookups_stay_below_the_list_end(q, n, monkeypatch):
-    """Each filler lookup of a zeros encode leaves the cursor below S. At
-    q = 4, S = q**L, so no code at all goes to _big."""
+    """Every filler a zeros encode guesses is a code below S. At q = 4,
+    S = q**L, so no code at all goes to _big."""
     p = derive_params(q, n)
-    built, cursors = [], []
-    build, find = WindowIndex.build.__func__, WindowIndex.find_absent
+    built, guessed = [], []
+    build, absent = WindowIndex.build.__func__, WindowIndex._absent
+
+    def spied(self, want):
+        found = absent(self, want)
+        guessed.extend(found)
+        return found
+
     monkeypatch.setattr(WindowIndex, "build", classmethod(lambda cls, w, p: built.append(build(cls, w, p)) or built[-1]))
-    monkeypatch.setattr(WindowIndex, "find_absent", lambda self: (find(self), cursors.append(self._lo))[0])
+    monkeypatch.setattr(WindowIndex, "_absent", spied)
     encode(bytes(n), p)
     [idx] = built
-    assert len(cursors) > 100 and max(cursors) < len(idx._counts)
+    assert len(guessed) > 100 and max(guessed) < len(idx._counts)
     if q == 4:
         assert len(idx._counts) == q**p.L and idx._big == {}
 
@@ -664,3 +674,94 @@ def test_private_edits_match_tally(q, L):
     assert refused > 10 and fillers_checked > 20
     assert not spelled or (passed and freed == {True, False})
     assert short_tails > 8 or L == 1  # with L = 1 every tail is empty
+
+
+def _rounds(monkeypatch) -> list[int]:
+    """The number of fillers each round of _fill guesses, recorded as the
+    rounds run."""
+    wants: list[int] = []
+    absent = WindowIndex._absent
+    monkeypatch.setattr(WindowIndex, "_absent", lambda self, want: wants.append(want) or absent(self, want))
+    return wants
+
+
+def test_a_missed_guess_restarts_the_round(monkeypatch):
+    """Over 1111 (q = 2, L = 3) the absent words are 000, 001, ..., so a
+    fill of runs "", "001", "" guesses 000 and 001. The run before the second
+    filler spells 001, so that guess misses: the round keeps 000, counts
+    the windows up to the second filler, and a second round finds it."""
+    word = bytearray([1, 1, 1, 1])
+    runs = [b"", bytes([0, 0, 1]), b""]
+    idx = WindowIndex.build(word, _params(2, 3))
+    wants = _rounds(monkeypatch)
+    grown, runs, expected = _oracle_fill(word, runs, 2, 3)
+    assert expected[0] == bytes(3) and expected[1] != bytes([0, 0, 1])
+    assert idx._fill(word[-2:], runs) == expected
+    assert wants == [2, 1]  # the second round guesses the one filler left
+    idx.audit(grown)
+
+
+@pytest.mark.parametrize("q,L", [(4, 5), (3, 7), (2, 11)])
+def test_a_long_fill_spans_rounds_and_matches_the_oracle(q, L, monkeypatch):
+    """A fill of 240 runs, random or of one symbol, over a random word:
+    some guesses miss, so it takes several rounds, and its fillers and
+    counts equal those of one lookup per filler."""
+    rng = random.Random(q * L)
+    word = bytearray(rng.randrange(q) for _ in range(40))
+    runs = [
+        bytes([rng.randrange(q)]) * rng.randint(0, 4)
+        if rng.random() < 0.5
+        else bytes(rng.randrange(q) for _ in range(rng.randint(0, 3)))
+        for _ in range(240)
+    ]
+    idx = WindowIndex.build(word, _params(q, L))
+    wants = _rounds(monkeypatch)
+    grown, runs, expected = _oracle_fill(word, runs, q, L)
+    assert len(runs) == 240
+    assert idx._fill(word[-(L - 1) :], runs) == expected
+    assert len(wants) > 2
+    idx.audit(grown)
+    assert idx.find_absent() == bytes(tally_find_absent(window_tally(grown, L), q, L))
+
+
+def test_a_fill_over_codes_past_int64_matches_the_oracle(monkeypatch):
+    """At (256, 8) q**L = 2**64, so codes are Python ints in numpy object
+    arrays. Runs of 255s and of one 0 make codes both below and above 2**63,
+    and the fill spans rounds."""
+    q, L = 256, 8
+    rng = random.Random(8)
+    word = bytearray([255] * 9 + [0, 1, 2])
+    runs = [bytes([rng.choice((0, 1, 255))]) * rng.randint(0, 9) for _ in range(30)]
+    idx = WindowIndex.build(word, _params(q, L))
+    assert idx._codes(bytes([255] * 8)).dtype == object
+    wants = _rounds(monkeypatch)
+    grown, runs, expected = _oracle_fill(word, runs, q, L)
+    assert idx._fill(word[-(L - 1) :], runs) == expected
+    assert len(wants) > 1
+    idx.audit(grown)
+    assert idx.window_count((255,) * 8) == window_tally(grown, L)[(255,) * 8] > 1
+
+
+def test_a_short_word_at_a_large_n_maps_no_count_slots():
+    """The count array holds S = q**L = 2**22 slots at (2, 2**22), 32 MiB, but
+    indexing a 10-symbol word writes one of them, so peak RSS hardly grows.
+    A fresh interpreter, so earlier tests' memory does not hide the peak."""
+    code = (
+        "import resource\n"
+        "from dupcode.core import derive_params\n"
+        "from dupcode.windows import WindowIndex\n"
+        "p = derive_params(2, 1 << 22)\n"
+        "WindowIndex.build(bytes(30), derive_params(2, 8)).find_absent()  # imports and tables first\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "idx = WindowIndex.build(bytes(10), p)\n"
+        "found = idx.find_absent()\n"
+        "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "print(len(idx._counts), found == bytes(p.L), p.L, grown)"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    slots, found, L, grown_kb = proc.stdout.split()
+    assert (int(slots), found, int(L)) == (1 << 22, "True", 22)
+    assert int(grown_kb) < 4 << 10, grown_kb
