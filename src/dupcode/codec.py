@@ -67,7 +67,7 @@ from .core import (
     _set,
     _Value,
     check_word,
-    from_digits,  # unused here, like to_digits: bench/tracing.py wraps both in codec
+    from_digits,
     to_digits,
 )
 
@@ -195,12 +195,12 @@ def _encode(
         # to the next block's i digits, with a filler between each two runs,
         # the smallest L-word absent once every symbol before it is counted.
         # The index guesses these fillers a round at a time and checks each
-        # round's guesses in one numpy pass. Its digit writer writes i and l,
-        # both below n <= q**L. w holds symbols below q, so the unchecked edit
+        # round's guesses in one numpy pass. to_digits writes i and l, both
+        # below n <= q**L. w holds symbols below q, so the unchecked edit
         # takes its tail as it is. A lookup sees at most n symbols, fewer than
         # q**L windows, so an absent L-word always exists. The 64-block chunks
         # bound the work a missed guess redoes.
-        head, last = index._digits(i), index._digits(l) + b"\x01"
+        head, last = to_digits(i, params), to_digits(l, params) + b"\x01"
         middle = [*[b""] * (r - 2), bytes(t)]
         for done in range(0, c, 64):
             m = min(64, c - done)
@@ -338,7 +338,7 @@ def decode(y: Sequence[int], params: CodeParams) -> Word:
     from .seqword import EditableWord
 
     # The replay keeps the word at m = n + 1 symbols, and every symbol
-    # passed check_word, so the digits need no range check of their own.
+    # passed check_word, so from_digits never refuses a digit.
     m = n + 1
     buf = EditableWord.from_word(yw)
     end = m  # end of the square replayed last; no bound on the first block
@@ -352,9 +352,7 @@ def decode(y: Sequence[int], params: CodeParams) -> Word:
             raise MalformedCodewordError(f"trailing flag must be 0 or 1, got {flag}")
         if m - 1 < L:
             raise MalformedCodewordError("too few symbols for a length block")
-        l = 0
-        for d in head[:-1]:
-            l = l * q + d
+        l = from_digits(head[:-1], params)
         if l < K:
             raise MalformedCodewordError(f"block half-length {l} is below the threshold {K}")
         if l > budget:
@@ -365,9 +363,7 @@ def decode(y: Sequence[int], params: CodeParams) -> Word:
             )
         budget -= l
         digits = buf._bytes(m - l, m - l + L)
-        i = 0
-        for d in digits:
-            i = i * q + d
+        i = from_digits(digits, params)
         rem = m - l
         if i + l > rem:
             raise MalformedCodewordError(

@@ -16,17 +16,15 @@ derive_params gives q**L < q*n, so S = q**L and _big stays empty. A
 longer word tracked through the public edits may take the cursor past
 S; lookups stay exact there, only slower.
 
-_absent lists the smallest codes with count zero. Every code below a
-cursor _lo occurs, except the codes on a min-heap _gaps: a code goes on
-the heap when its count falls to 0 below _lo. A lookup pops the heap's
-live codes (and the stale ones, which occur again, above them), then
-takes zeros from _lo on, by np.flatnonzero over slices of the counts,
-and moves _lo to the first of these; a popped code that its caller
-leaves at zero goes back on the heap. _lo rises only past codes that
-were added, and each heap entry comes from one removal; a heap that
-outgrows the number of windows by 64 restarts the cursor at 0, a rescan
-those removals paid for. So an edit or a lookup costs amortised
-O(log n) per window it touches, and the heap holds O(n) codes.
+Every code below the cursor _lo occurs. _absent lists the smallest codes
+with count zero: the zeros from _lo on, found by np.flatnonzero over
+slices of the counts, and moves _lo to the first of them. A fill only
+adds windows, so it keeps the invariant; _cut lowers _lo to the smallest
+code it frees. So the cursor falls only at a cut, and the lookups after
+it rescan at most the S <= 4*(n + 1) slots it fell, O(n) per cut. The
+encoder cuts at most (n + 1) / K times, with K > 4 log_q n, so the
+rescans stay within the paper's O(n**2 / log n), and each cut pays a
+square search of O(n log n) already.
 
 apply_append and apply_delete check and pack their arguments, then make
 the private edit _fill or _cut that the encoder calls directly. _fill
@@ -35,21 +33,16 @@ choosing these fillers a round at a time (its docstring has the round
 and why it is exact), so the encoder writes 64 blocks in one call. build
 counts with one np.add.at, and _cut removes its segment's codes as one
 np.unique tally, refusing a cut that would take a count below zero
-before it changes anything. Every word the index returns is bytes. The
-one digit writer for a single code, _digits, joins two cached byte
-tables' words for a code's high and low digits.
+before it changes anything. Every word the index returns is bytes.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from functools import lru_cache
-from heapq import heappop, heappush
 from typing import Sequence
 
 import numpy as np
 
-from .core import CodeParams, Word, _check_params, _integer, check_word, format_word
+from .core import CodeParams, Word, _check_params, _integer, check_word, format_word, to_digits
 
 
 def _sliceable(w: Sequence[int], q: int) -> Sequence[int]:
@@ -60,27 +53,6 @@ def _sliceable(w: Sequence[int], q: int) -> Sequence[int]:
     return check_word(w, q)
 
 
-@lru_cache(maxsize=16)
-def _chunks(q: int, k: int) -> list[bytes] | _Chunks:
-    """Every k-digit base-q word as bytes, in code order: its high k - k // 2
-    digits' word joined to its low k // 2 digits', once into a list of at most
-    2**12 words (well under a millisecond to build), else on each lookup.
-    The cache keeps the 16 most recently used tables."""
-    if k == 1:
-        return [bytes((d,)) for d in range(q)]
-    joined = _Chunks(q, k)
-    return joined if q**k > 1 << 12 else [high + low for high in joined._high for low in joined._low]
-
-
-class _Chunks:
-    """Word code of k digits is high[code // split] + low[code % split]."""
-    def __init__(self, q: int, k: int):
-        self._split, self._high, self._low = q ** (k // 2), _chunks(q, k - k // 2), _chunks(q, k // 2)
-
-    def __getitem__(self, code: int) -> bytes:
-        return self._high[code // self._split] + self._low[code % self._split]
-
-
 class WindowIndex:
     def __init__(self, params: CodeParams):
         _check_params(params)
@@ -88,12 +60,10 @@ class WindowIndex:
         self._top = params.q**params.L
         self._dtype = np.int64 if self._top < 1 << 62 else object
         self._powers = params.q ** np.arange(params.L - 1, -1, -1, dtype=self._dtype)  # digit j's weight
-        self._digits = _chunks(params.q, params.L).__getitem__
         self._counts = np.zeros(min(self._top, 4 * (params.n + 1)), np.int32)  # one slot per code below S
         self._big: dict[int, int] = {}  # count of each code >= S that occurs
         self._total = 0
-        self._lo = 0
-        self._gaps: list[int] = []
+        self._lo = 0  # every code below it occurs
 
     @classmethod
     def build(cls, word: Sequence[int], params: CodeParams) -> "WindowIndex":
@@ -216,9 +186,6 @@ class WindowIndex:
             end = int(ends[2 * k + 1])
             self._add(codes[: max(end - L + 1, 0)])
             fillers += parts[2 : 2 * k + 2 : 2]
-            for code in cands[k : bisect_left(cands, self._lo)]:  # popped gaps left at zero
-                if not self._count(code):
-                    heappush(self._gaps, code)
             if k == m == need:
                 return fillers
             if not m:
@@ -226,7 +193,7 @@ class WindowIndex:
             tail, r, want, lead = chunk[max(end - L + 1, 0) : end], r + k, 2 * k + 1, b""  # run r + k is counted
 
     def _cut(self, w: bytes | bytearray, a: int, b: int) -> None:
-        L, counts, big, gaps = self.params.L, self._counts, self._big, self._gaps
+        L, counts, big = self.params.L, self._counts, self._big
         base = max(0, a - L + 1)
         seg = w[base : b + L - 1]
         codes = self._codes(seg)
@@ -250,23 +217,13 @@ class WindowIndex:
             if not big[code]:
                 del big[code]
                 freed.append(code)
-        for code in freed:
-            if code < self._lo:
-                heappush(gaps, code)
-        if len(gaps) > self._total + 64:
-            self._lo, self._gaps = 0, []
+        self._lo = min([self._lo, *freed])
 
     def _absent(self, want: int) -> list[int]:
         """The want smallest codes with count zero, ascending, or all of them
-        when fewer: the live gaps, popped off the heap, then zeros from the
-        cursor, which moves to the first of these (or past the codes it
-        scanned). The caller puts back each popped gap it leaves at zero."""
-        gaps, out = self._gaps, []
-        while gaps and len(out) < want:
-            code = heappop(gaps)
-            if not self._count(code) and (not out or code != out[-1]):
-                out.append(code)
-        popped, end, size, span = len(out), self._lo, len(self._counts), 2 * want + 64
+        when fewer: the zeros from the cursor on, which moves to the first
+        of them (or past the codes it scanned, when there are none)."""
+        out, end, size, span = [], self._lo, len(self._counts), 2 * want + 64
         while len(out) < want and end < size:
             hi = min(size, end + span)
             out += (np.flatnonzero(self._counts[end:hi] == 0)[: want - len(out)] + end).tolist()
@@ -275,7 +232,7 @@ class WindowIndex:
             if end not in self._big:
                 out.append(end)
             end += 1
-        self._lo = out[popped] if len(out) > popped else end
+        self._lo = out[0] if out else end
         return out
 
     def find_absent(self) -> Word:
@@ -283,27 +240,24 @@ class WindowIndex:
         found = self._absent(1)
         if not found:
             raise ValueError("index holds q**L windows or more; every L-word occurs")
-        if found[0] < self._lo:
-            heappush(self._gaps, found[0])
-        return self._digits(found[0])
+        return to_digits(found[0], self.params)
 
     def audit(self, word: Sequence[int]) -> None:
         """Check the counts and _big against a fresh index of word (so _big
-        holds no zeros), and that every code below _lo is counted or on
-        _gaps, which lie below _lo. Raises ValueError."""
+        holds no zeros), and that every code below _lo occurs. Raises
+        ValueError."""
         fresh = WindowIndex.build(word, self.params)
-        counts, big, lo, gaps = self._counts, self._big, self._lo, self._gaps
+        counts, big, lo = self._counts, self._big, self._lo
         if not np.array_equal(counts, fresh._counts) or big != fresh._big:
             stored, rebuilt = ({c: ix._count(c) for c in np.flatnonzero(ix._counts).tolist()} | ix._big for ix in (self, fresh))
             code = min(stored.items() ^ rebuilt.items())[0]
-            window = format_word(self._digits(code), self.params.q)
+            window = format_word(to_digits(code, self.params), self.params.q)
             raise ValueError(f"window {window}: stored {self._count(code)}, rebuilt {fresh._count(code)}")
         if self._total != fresh._total:
             raise ValueError(f"window total: stored {self._total}, rebuilt {fresh._total}")
-        if not (0 <= lo <= self._top and all(0 <= code < lo for code in gaps)):
-            raise ValueError(f"cursor {lo} must lie in [0, {self._top}] above every gap, gaps {sorted(gaps)}")
-        zeros = np.flatnonzero(counts[:lo] == 0).tolist()
-        lost = set(zeros).union(range(len(counts), lo)).difference(big, gaps)
+        if not 0 <= lo <= self._top:
+            raise ValueError(f"cursor {lo} must lie in [0, {self._top}]")
+        lost = set(np.flatnonzero(counts[:lo] == 0).tolist()).union(range(len(counts), lo)).difference(big)
         if lost:
-            window = format_word(self._digits(min(lost)), self.params.q)
-            raise ValueError(f"window {window} lies below the cursor {lo}, uncounted and no gap")
+            window = format_word(to_digits(min(lost), self.params), self.params.q)
+            raise ValueError(f"window {window} lies below the cursor {lo} and does not occur")

@@ -380,6 +380,29 @@ def test_zeros_at_the_benchmark_size_makes_few_searches(monkeypatch):
     assert codec.decode(y, params) == x
 
 
+def test_codec_writes_and_reads_its_digits_through_core(monkeypatch):
+    """The encoder writes each batch's offset and length digits with
+    to_digits, and decode reads them back with from_digits, names of codec
+    that a spy set there sees: an all-zero message at 2^12 takes 2 batches
+    of cuts, 2 to_digits calls each, and its decode 2 replay steps, 2
+    from_digits calls each."""
+    params = derive_params(4, 1 << 12)
+    calls, searches, steps = [], [], []
+    for name in ("to_digits", "from_digits"):
+        real = vars(codec)[name]
+        monkeypatch.setattr(codec, name, lambda v, p, real=real, name=name: calls.append(name) or real(v, p))
+    search, redo = codec.find_leftmost_long, EditableWord._redo
+    monkeypatch.setattr(codec, "find_leftmost_long", lambda w, K: searches.append(1) or search(w, K))
+    monkeypatch.setattr(EditableWord, "_redo", lambda self, i, l, c: steps.append(c) or redo(self, i, l, c))
+    x = bytes(params.n)
+    y = codec.encode(x, params)
+    batches = len(searches) - 1  # the last search finds no square
+    assert batches == 2 and calls == ["to_digits"] * 2 * batches
+    calls.clear()
+    assert codec.decode(y, params) == x
+    assert len(steps) == 2 and calls == ["from_digits"] * 2 * len(steps)
+
+
 def test_encoder_keeps_off_the_checked_path(monkeypatch):
     """The encoder checks the message once and hands the window index
     bytes it built itself, so check_word runs a fixed number of times

@@ -95,27 +95,28 @@ def _past_the_cursor() -> tuple[WindowIndex, list[int]]:
 
 def test_a_cut_frees_a_code_below_the_cursor():
     """Cutting the first 0 removes the only 00, which lies below the
-    cursor; it goes on the heap and is the next word found."""
+    cursor; the cut lowers the cursor to it, and it is the next word
+    found."""
     idx, word = _past_the_cursor()
     idx.apply_delete(word, 0, 1)
     del word[0]
-    assert idx._gaps == [0]
+    assert idx._lo == 0
     assert idx.find_absent() == bytes((0, 0)) == bytes(tally_find_absent(window_tally(word, 2), 3, 2))
     idx.audit(word)
 
 
 def test_a_stale_gap_is_skipped():
     """After 00 is freed, cutting the 1 out of 0 1 0 2 removes 01 and 10
-    and its junction window re-adds 00: the heap's top, 00, is stale, and
-    the lookup passes it for 01."""
+    and its junction window re-adds 00: the cursor stays at 00, which
+    occurs again, and the lookup passes it for 01."""
     idx, word = _past_the_cursor()
     idx.apply_delete(word, 0, 1)
     del word[0]
     idx.apply_delete(word, 1, 2)
     del word[1]
-    assert word == [0, 0, 2] and idx._gaps[0] == 0 and idx.window_count((0, 0)) == 1
+    assert word == [0, 0, 2] and idx._lo == 0 and idx.window_count((0, 0)) == 1
     assert idx.find_absent() == bytes((0, 1)) == bytes(tally_find_absent(window_tally(word, 2), 3, 2))
-    assert 0 not in idx._gaps
+    assert idx._lo == 1
     idx.audit(word)
 
 
@@ -125,40 +126,15 @@ def _spelled(q: int, L: int, codes: int) -> list[int]:
     return [d for c in range(codes) for d in to_digits(c, _params(q, L))]
 
 
-def test_stale_gaps_restart_the_cursor():
-    """Cutting and re-appending the last symbol frees and re-adds the last
-    window below the cursor each time, and no lookup pops the stale
-    entries; once they outnumber the windows by 64 the cursor starts again
-    at 0. The freed code is 02 in the list, and 111, code 13, from
-    S = 12 on, in _big (q = 3, L = 3)."""
-    idx, word = _past_the_cursor()
-    wide = _spelled(3, 3, 14)  # ends in 111, its only 111
-    wide_idx = WindowIndex.build(wide, _params(3, 3))
-    wide_idx.find_absent()  # moves the cursor past 111
-    for idx, word, L in ((idx, word, 2), (wide_idx, wide, 3)):
-        freed = idx._codes(bytes(word[-L:]))[0]
-        assert freed < idx._lo and (freed < len(idx._counts)) == (L == 2)
-        for _ in range(500):
-            last = word[-1]
-            idx.apply_delete(word, len(word) - 1, len(word))
-            idx.apply_append(word[:-1], [last])
-            assert len(idx._gaps) <= idx.root_count + 64
-        assert idx._lo == 0
-        idx.audit(word)
-        assert idx.find_absent() == bytes(tally_find_absent(window_tally(word, L), 3, L))
-
-
 @pytest.mark.parametrize(
     "corrupt,message",
     [
-        (lambda idx: setattr(idx, "_lo", 5), r"window 11 lies below the cursor 5"),
-        (lambda idx: idx._gaps.clear(), r"window 00 lies below the cursor 4"),
-        (lambda idx: idx._gaps.append(4), r"cursor 4 must lie in \[0, 9\] above every gap, gaps \[0, 4\]"),
+        (lambda idx: setattr(idx, "_lo", 5), r"window 00 lies below the cursor 5 and does not occur"),
         (lambda idx: setattr(idx, "_lo", 10), r"cursor 10 must lie in \[0, 9\]"),
         (lambda idx: idx._counts.__setitem__(8, 1), r"window 22: stored 1, rebuilt 0"),
         (lambda idx: idx._counts.__setitem__(1, 0), r"window 01: stored 0, rebuilt 1"),
     ],
-    ids=["cursor-past-a-gap", "gap-lost", "gap-at-cursor", "cursor-past-top", "count", "zero"],
+    ids=["cursor-past-a-gap", "cursor-past-top", "count", "zero"],
 )
 def test_audit_finds_a_corrupted_cursor_or_count(corrupt, message):
     idx, word = _past_the_cursor()
@@ -427,25 +403,6 @@ def test_counts_widen_to_int64_before_one_could_overflow():
     assert {w: idx.window_count(w) for w in window_tally(word, 2)} == window_tally(word, 2)
 
 
-@pytest.mark.parametrize("q,L", [(2, 1), (3, 2), (4, 3), (5, 4), (2, 7)])
-def test_digit_writer_matches_to_digits_on_every_code(q, L):
-    p = _params(q, L)
-    idx = WindowIndex(p)
-    assert [idx._digits(c) for c in range(q**L)] == [bytes(to_digits(c, p)) for c in range(q**L)]
-
-
-@pytest.mark.parametrize("q,L", [(256, 2), (256, 3), (4, 9), (16, 4), (2, 13), (2, 23), (256, 8)])
-def test_digit_writer_matches_to_digits_where_the_tables_meet(q, L):
-    """Codes at both ends and on either side of the split between the high
-    and the low digits' tables. q**L is above 2**12 in each case, so the
-    writer splits; at (256, 3) and (256, 8) a half splits again."""
-    p = _params(q, L)
-    idx = WindowIndex(p)
-    split = q ** (L // 2)
-    for c in (0, 1, split - 1, split, split + 1, q**L - 1):
-        assert idx._digits(c) == bytes(to_digits(c, p)), c
-
-
 @pytest.mark.parametrize("q,n", [(200, 40001), (256, 300)])
 def test_count_list_holds_at_most_4_n_plus_1_slots(q, n):
     """S = min(q**L, 4*(n + 1)): 8,000,000 codes at (200, 40001) get 160,008
@@ -474,20 +431,6 @@ def test_encoder_lookups_stay_below_the_list_end(q, n, monkeypatch):
     assert len(guessed) > 100 and max(guessed) < len(idx._counts)
     if q == 4:
         assert len(idx._counts) == q**p.L and idx._big == {}
-
-
-def test_digit_tables_are_built_once():
-    assert windows._chunks(4, 5) is windows._chunks(4, 5)
-    assert windows._chunks(256, 3) is windows._chunks(256, 3)
-    assert WindowIndex(_params(4, 9))._digits.__self__ is WindowIndex(_params(4, 9))._digits.__self__
-
-
-def test_a_digit_table_holds_at_most_2_to_the_12_words():
-    """Wider words join two tables on each lookup; (256, 2) joins two
-    one-digit tables."""
-    assert len(windows._chunks(2, 12)) == len(windows._chunks(16, 3)) == 4096
-    assert isinstance(windows._chunks(2, 13), windows._Chunks)
-    assert windows._chunks(256, 2)._high is windows._chunks(256, 2)._low is windows._chunks(256, 1)
 
 
 def _refusal(tally, word, a, b, L):
@@ -590,7 +533,8 @@ def test_private_edits_match_tally(q, L):
     symbol, and q = 11 draws symbol 10, b"\\n". With n = 2 the count
     list ends at S = 12 (or q**L, when smaller); at (5, 3) a public append
     every 40 steps spells codes 0 .. S + 5, a word longer than n + 1, so
-    the cursor passes S and the cuts free codes on both sides of it."""
+    the cursor passes S, and cutting the last symbol may free S + 5: the
+    cuts lower the cursor to freed codes on both sides of S."""
     p = _params(q, L)
     rng = random.Random(7 * q + L)
     symbols = range(q) if q < 256 else (0, 1, 2, 255)
@@ -605,11 +549,16 @@ def test_private_edits_match_tally(q, L):
     size = len(idx._counts)
     spelled = bytes(_spelled(q, L, size + 6)) if (q, L) == (5, 3) else b""
     refused = fillers_checked = short_tails = 0
-    passed, freed = False, set()  # the cursor went past S; sides of S freed codes lay on
+    passed, freed = False, set()  # the cursor went past S; sides of S a cut lowered it to
     for step in range(300):
+        lo = idx._lo
         if spelled and step % 40 == 0:
             idx.apply_append(list(word), list(spelled))
             word += spelled
+            idx.find_absent()  # every code below S + 6 occurs, so the cursor passes S + 5
+            lo = idx._lo
+            idx.apply_delete(list(word), len(word) - 1, len(word))  # frees S + 5 if it occurs once
+            del word[-1]
         roll = rng.random()
         private = rng.random() < 0.5
         if roll < 0.45 or len(word) < 8:
@@ -659,6 +608,8 @@ def test_private_edits_match_tally(q, L):
             idx._cut(word, 0, 30)
             del word[:30]
         idx.audit(word)
+        if idx._lo < lo:  # only a cut lowers the cursor, to a code it freed
+            freed.add(idx._lo < size)
         tally = window_tally(word, L)
         assert idx.root_count == max(0, len(word) - L + 1) == sum(tally.values())
         assert all(idx.window_count(w) == c for w, c in tally.items())
@@ -670,7 +621,6 @@ def test_private_edits_match_tally(q, L):
         assert tally[found] == 0
         assert found == bytes(tally_find_absent(tally, q, L))
         passed |= idx._lo > size
-        freed.update(code < size for code in idx._gaps)
     assert refused > 10 and fillers_checked > 20
     assert not spelled or (passed and freed == {True, False})
     assert short_tails > 8 or L == 1  # with L = 1 every tail is empty
