@@ -168,8 +168,8 @@ def _encode(
         # - The fillers are the same. Every window the batch removes, starting
         #   in [0, c*l), has an equal copy starting in [c*l, c*l + l), which
         #   the L - 1 margin keeps whole and the batch keeps. So no count
-        #   reaches 0, no gap is pushed, and each filler lookup sees the same
-        #   set of L-words as in c separate iterations.
+        #   reaches 0, _cut does not lower the cursor _lo, and each filler
+        #   lookup sees the same set of L-words as in c separate iterations.
         c = 1 if i else _front_repeats(w, l, L)
         if iters + c > max_iters:
             raise InternalDefectError("encoder exceeded its iteration bound")

@@ -16,26 +16,27 @@ K-grams first, so the result is exact however the hash collides. A word
 whose first 2K symbols are all equal is answered immediately with (0, K).
 
 In a process that has not loaded numpy, a longer word is first offered to
-two certificates of absence, which need no hashing. Each samples the word
-at a difference cover of Z_s and proves it square-free when no two samples
-are equal. The sparse plan (_blocks_distinct) cuts each sampled residue
-class into non-overlapping s-symbol blocks, split in C by struct, with the
-largest s such that 2s <= K + 1. Its blocks are short enough that a random
-word repeats one now and then, so a refusal falls back to the dense plan
-(_samples_distinct): a smaller s, about K/3, and overlapping grams of
-K - s + 1 symbols. numpy enters only on the hashed path, imported when a
-word longer than the cutoff fails both. The all-equal test, the
-small-word scan and the certificates run without it, so an encode or
-correct of words free of long squares loads no numpy. A process holding
-numpy skips the certificates: its warm hashed scan is faster.
+a block scan that needs no hashing (_scan_blocks). It samples the word at
+the residues of a minimal difference cover of Z_s, with the largest s such
+that 2s <= K + 1, and cuts each sampled residue class into non-overlapping
+s-symbol blocks, split in C by struct. Every square repeats a sampled
+block, so a word whose blocks are pairwise distinct has none. When 1 to
+_REPEATS blocks repeat, the scan finds them with bytes.find and verifies
+each pair of equal blocks on the word's bytes, which answers exactly.
+numpy enters only on the hashed path, imported when a word longer than the
+cutoff repeats more blocks than that. The all-equal test, the small-word
+scan and the block scan run without it, so an encode or correct of words
+free of long squares loads no numpy. A process holding numpy skips the
+block scan: its warm hashed scan is faster.
 """
 
 from __future__ import annotations
 
 import struct
 import sys
-from itertools import chain
-from typing import TYPE_CHECKING, Sequence
+from collections import Counter
+from itertools import chain, combinations
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .core import MAX_ALPHABET, Duplication, _integer, check_word
 
@@ -55,19 +56,14 @@ _INVERSE = pow(_BASE, -1, 1 << 64)
 
 _pow_cache: dict[int, np.ndarray] = {}
 
-# Difference covers (s, D) of Z_s, largest s first: every residue mod s is
-# y - x for some x, y in D. Each D is a perfect difference set.
-_COVERS = (
-    (31, (0, 1, 3, 8, 12, 18)),
-    (21, (0, 1, 4, 14, 16)),
-    (13, (0, 1, 3, 9)),
-    (7, (0, 1, 3)),
-    (3, (0, 1)),
-    (1, (0,)),
-)
+# A word whose sampled blocks repeat more than this many times is left to
+# the hashed scan: the block scan makes one bytes.find pass per repeated
+# block, and a run-rich codeword repeats thousands, with pairs of equal
+# blocks growing as their square.
+_REPEATS = 16
 
 
-# Minimal difference covers (s, D) of Z_s for the sparse plan, one per odd
+# Minimal difference covers (s, D) of Z_s for the block scan, one per odd
 # s, largest first, one "s: D" per line; no smaller set covers Z_s
 # (exhaustive search over the sets holding 0 and 1, which every cover has a
 # translate of). The code's K = 4L + 1 takes s = 2L + 1, the largest s the
@@ -168,74 +164,70 @@ def _scan_small(w: Sequence[int], K: int) -> Duplication | None:
     return None
 
 
-def _cover(K: int) -> tuple[int, tuple[int, ...]]:
-    """The largest cover (s, D) in _COVERS with 3s <= K + 2, so s <= K."""
-    return next(c for c in _COVERS if 3 * c[0] <= K + 2)
-
-
-def _samples_distinct(w: bytes, K: int) -> bool:
-    """True when the sampled g-grams of w are pairwise distinct, which proves
-    that w has no square of half-length >= K.
-
-    Samples are the positions a with a mod s in D, for (s, D) = _cover(K),
-    and g = K - s + 1. Proof: take a square (p, l) with l >= K. Pick x, y
-    in D with y - x = l (mod s), and let a be the position in [p, p + s)
-    with a = x (mod s). Then a + l = y (mod s) is sampled too, and
-    a + g <= p + K <= p + l, so the g-grams at a and a + l are equal. A
-    repeated sample proves nothing; the caller then runs the exact scan.
-    With s about K/3, g is about 2K/3, so a random word repeats a sample
-    only by chance.
-    """
-    s, cover = _cover(K)
-    g = K - s + 1
-    top = len(w) - g + 1
-    seen: set[bytes] = set()
-    size = 0
-    for x in cover:
-        grams = [w[a : a + g] for a in range(x, top, s)]
-        seen.update(grams)
-        size += len(grams)
-        if len(seen) != size:
-            return False
-    return True
-
-
 def _sparse_cover(K: int) -> tuple[int, tuple[int, ...]]:
     """The largest cover (s, D) in _SPARSE_COVERS with 2s <= K + 1."""
     return next(c for c in _SPARSE_COVERS if 2 * c[0] <= K + 1)
 
 
-def _blocks_distinct(w: bytes, K: int) -> bool:
-    """True when the sampled s-symbol blocks of w are pairwise distinct,
-    which proves that w has no square of half-length >= K.
+def _scan_blocks(w: bytes, K: int) -> Duplication | bool | None:
+    """The leftmost square of w with half-length >= K, None when w has none,
+    or False when more than _REPEATS of its sampled blocks repeat.
 
     For (s, D) = _sparse_cover(K), each residue x in D is cut into the
-    blocks [x + j*s, x + (j+1)*s) that fit in w, split in C. The proof is
-    _samples_distinct's with gram length s: for a square (p, l) with
-    l >= K, pick x, y in D with y - x = l (mod s), and the a in [p, p + s)
-    with a = x (mod s). Blocks start at a and at a + l = y (mod s), and
-    a + s <= p + 2s - 1 <= p + K <= p + l, so the two blocks lie at one
-    offset in the two copies and are equal. A repeated block proves
-    nothing; the caller then tries the dense plan.
+    blocks [x + j*s, x + (j+1)*s) that fit in w, split in C. Take a square
+    (p, l) with l >= K. Pick x, y in D with y - x = l (mod s), and the a in
+    [p, p + s) with a = x (mod s). Blocks start at a and at a + l = y (mod s),
+    and a + s <= p + 2s - 1 <= p + K <= p + l, so the two blocks lie at one
+    offset in the two copies and are equal. Distinct blocks thus rule out
+    every long square. Each pair of equal blocks (a, a + l) is tested at
+    the smallest p0 >= max(0, a - s + 1) with w[p0:a] == w[p0 + l:a + l]:
+    any square (p, l) it witnesses has p >= p0, and a mismatch of (p0, l)
+    lies at or past a, inside every such (p, l).
     """
     s, cover = _sparse_cover(K)
-    # Blocks are unpacked 64 to a tuple, the last k % 64 one to a tuple. A
-    # tuple per block would cost about a quarter of the split; a format of
-    # all k blocks would compile a new format per word length.
+    m = len(w)
+    # Blocks are unpacked 64 to a tuple, the rest one to a tuple. A tuple
+    # per block would cost about a quarter of the split; a format of all of
+    # a residue's blocks would compile a new format per word length.
     many = struct.Struct(f"{s}s" * 64).iter_unpack
     one = struct.Struct(f"{s}s").iter_unpack
     view = memoryview(w)
+
+    def blocks(x: int) -> Iterator[bytes]:
+        end = x + (m - x) // s * s
+        mid = end - (end - x) // s % 64 * s
+        return chain.from_iterable(chain(many(view[x:mid]), one(view[mid:end])))
+
     seen: set[bytes] = set()
     size = 0
     for x in cover:
-        k = (len(w) - x) // s
-        mid = x + (k - k % 64) * s
-        seen.update(chain.from_iterable(many(view[x:mid])))
-        seen.update(chain.from_iterable(one(view[mid : x + k * s])))
-        size += k
-        if len(seen) != size:
+        seen.update(blocks(x))
+        size += (m - x) // s
+        if size - len(seen) > _REPEATS:  # each repeated block adds at least 1
             return False
-    return True
+    if size == len(seen):
+        return None
+    counts = Counter(chain.from_iterable(map(blocks, cover)))
+    best = None
+    for block in [block for block, count in counts.items() if count > 1]:
+        at = []  # the sampled positions of block, ascending
+        a = w.find(block)
+        while a >= 0:
+            if a % s in cover:
+                at.append(a)
+            a = w.find(block, a + 1)
+        for a, a2 in combinations(at, 2):
+            l = a2 - a
+            if l < K:
+                continue
+            # The smallest p >= a - s + 1 with w[p:a] == w[p + l:a2]: the low
+            # zero bytes of the XOR are the equal symbols just before a.
+            lo = max(0, a - s + 1)
+            diff = int.from_bytes(w[lo:a], "big") ^ int.from_bytes(w[lo + l : a2], "big")
+            p = a - ((diff & -diff).bit_length() - 1) // 8 if diff else lo
+            if p + 2 * l <= m and w.startswith(w[p : p + l], p + l) and (best is None or (p, l) < best):
+                best = (p, l)
+    return None if best is None else Duplication(*best)
 
 
 def _scan_hashed(arr: np.ndarray, K: int) -> Duplication | None:
@@ -282,11 +274,11 @@ def find_leftmost_long(w: Sequence[int], K: int) -> Duplication | None:
 
     Symbols must lie in 0..255; MalformedWordError names the first one
     that does not. Returns None when w has no such square. Exact for any
-    input: the two sampled certificates only prove absence, and hashing
-    only prunes the candidate set; none decides a match. While numpy is not
-    loaded, a word longer than 96 symbols is first offered to the sparse
-    plan (_blocks_distinct), then, if a block repeats, to the dense plan
-    (_samples_distinct), so a word free of long squares is answered without
+    input: the blocks and the hashes only pick candidates, and every
+    square either scan reports is compared symbol by symbol. While numpy
+    is not loaded, a word longer than 96 symbols is first offered to the
+    block scan (_scan_blocks), so a word free of long squares, or one whose
+    sampled blocks repeat at most _REPEATS times, is answered without
     importing numpy. Raises ValueError when K is not an integer or K < 1,
     or when w has 2**32 or more symbols, the length at which a gram
     position would overflow its 32-bit field of a packed key.
@@ -311,8 +303,10 @@ def find_leftmost_long(w: Sequence[int], K: int) -> Duplication | None:
     w = bytes(w)
     if m <= _SMALL_CUTOFF:
         return _scan_small(w, K)
-    if "numpy" not in sys.modules and (_blocks_distinct(w, K) or _samples_distinct(w, K)):
-        return None
+    if "numpy" not in sys.modules:
+        found = _scan_blocks(w, K)
+        if found is not False:
+            return found
     import numpy as np
 
     return _scan_hashed(np.frombuffer(w, np.uint8), K)

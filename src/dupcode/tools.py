@@ -156,11 +156,12 @@ def _bench_message(pattern: str, q: int, n: int, K: int, rng: random.Random) -> 
         return bytes(n)
     if pattern == "random":
         return bytes(rng.randrange(q) for _ in range(n))
-    # run-heavy: cycle the alphabet in runs of 2K symbols. Most encoder
-    # iterations find their square at the front (70 of 75 at n = 2^14,
-    # q = 4), but through a full hashed scan (75 scans), not the all-equal
-    # prefix test; few squares have half-length K (6 of 75), so there are
-    # far fewer iterations than the (n + 1) / K bound.
+    # run-heavy: cycle the alphabet in runs of 2K symbols. Most blocks cut
+    # a square at the front (70 of 75 at n = 2^14, q = 4), found by a full
+    # hashed scan, not the all-equal prefix test, and one search covers a
+    # whole batch of front cuts (8 searches for the 75 blocks). Few squares
+    # have half-length K (6 of 75), so there are far fewer blocks than the
+    # (n + 1) / K bound.
     run = 2 * K
     return bytes((j // run) % q for j in range(n))
 

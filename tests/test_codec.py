@@ -352,6 +352,30 @@ def test_batched_front_cuts_match_the_oracle_at_the_period_boundary(seed):
     assert batched >= 25
 
 
+def test_a_cut_after_the_front_can_open_a_square_before_it():
+    """A periodic run at i > 0 that the front rule would cut twice is cut
+    once: x = a R+ b a R b tail, where R+ is u repeated to 3*17 + 3 symbols
+    and R is R+ without its first period. The first cut (10, 17) turns the
+    word into a R b a R b tail, whose leftmost square is (0, 57), so a batch
+    of c = 2 cuts at i = 10 would write a different codeword."""
+    q, n = 4, 200
+    params = derive_params(q, n)
+    K, L = params.K, params.L
+    assert (K, L) == (17, 4)
+    rng = random.Random(0)
+    u, a, b = ([rng.randrange(q) for _ in range(k)] for k in (K, 10, 10))
+    run = [u[j % K] for j in range(3 * K + 3)]
+    x = a + run + b + a + run[K:] + b
+    x = bytes(x + [rng.randrange(q) for _ in range(n - len(x))])
+    assert codec._front_repeats(bytearray(x[10:]), K, L) == 2
+    hits: list[tuple[int, int]] = []
+    ref = bytes(ref_encode(x, q, n, hits))
+    assert hits == [(10, K), (0, 57), (10, K)]
+    y, trace = codec.encode_with_trace(x, params)
+    assert [(rec.i, rec.l) for rec in trace] == hits
+    assert y == ref
+
+
 def test_a_periodic_front_is_cut_in_few_searches(monkeypatch):
     """Every square of a periodic message starts at its front with the same
     period, so the encoder cuts them in batches: at most 4 searches where

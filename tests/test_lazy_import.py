@@ -19,9 +19,9 @@ from pathlib import Path
 import pytest
 
 import dupcode
-from dupcode import apply_duplication, correct, derive_params, encode, format_word
+from dupcode import apply_duplication, correct, derive_params, encode, format_word, repeats
 
-from oracles import naive_leftmost
+from oracles import naive_leftmost, scan_by_length_leftmost
 
 SRC = str(Path(dupcode.__file__).resolve().parent.parent)
 
@@ -275,20 +275,51 @@ def test_encode_and_correct_of_square_free_words_leave_numpy_unloaded(tmp_path):
         assert (tmp_path / f"fixed{n}").read_text().strip() == want[n]
 
 
-def test_a_long_square_past_the_cutoff_still_takes_the_numpy_scan():
-    """The certificate never answers a word it cannot vouch for: a planted
-    square sends the search on to the hashed scan, which loads numpy."""
+def _search_fresh(w, K: int) -> str:
+    """find_leftmost_long(w, K) in a fresh process: the square as (i, l) or
+    None, and whether the search loaded numpy."""
+    code = (
+        "import sys\n"
+        "from dupcode import find_leftmost_long\n"
+        f"d = find_leftmost_long({w!r}, {K})\n"
+        "print(d and (d.i, d.l), 'numpy' in sys.modules)"
+    )
+    return run_fresh(code)
+
+
+def test_a_square_with_few_repeated_blocks_is_answered_without_numpy():
+    """The block scan verifies a square whose sampled blocks repeat at most
+    _REPEATS times itself: a planted square (60, 60) in 260 symbols."""
     w = list(_random_word(4, 200, 5))
     w[120:120] = w[60:120]  # the 60 symbols at 60 repeated: a square (60, 60)
     expect = naive_leftmost(w, 21)
     assert expect is not None and expect <= (60, 60)
-    code = (
-        "import sys\n"
-        "from dupcode import find_leftmost_long\n"
-        f"d = find_leftmost_long({w!r}, 21)\n"
-        "print((d.i, d.l), 'numpy' in sys.modules)"
-    )
-    assert run_fresh(code) == f"{expect} True"
+    assert _search_fresh(w, 21) == f"{expect} False"
+
+
+def test_a_long_square_past_the_cutoff_still_takes_the_numpy_scan():
+    """The block scan leaves a word whose sampled blocks repeat more than
+    _REPEATS times to the hashed scan, which loads numpy: a planted square
+    of half-length 300 in 800 symbols repeats 27 of its 11-symbol blocks."""
+    w = list(_random_word(4, 500, 5))
+    w[400:400] = w[100:400]  # a square (100, 300)
+    assert repeats._scan_blocks(bytes(w), 21) is False
+    expect = naive_leftmost(w, 21)
+    assert expect is not None and expect <= (100, 300)
+    assert _search_fresh(w, 21) == f"{expect} True"
+
+
+def test_a_uniform_word_with_a_repeated_block_is_answered_without_numpy():
+    """A uniform word of 2**12 symbols over q = 4 (K = 25, 13-symbol blocks)
+    whose sampled blocks hold one repeat: the block scan proves it free of
+    long squares by verifying that pair, and loads no numpy."""
+    K = derive_params(4, 1 << 12).K
+    w = random.Random(108).randbytes(1 << 12).translate(bytes(b % 4 for b in range(256)))
+    s, cover = repeats._sparse_cover(K)
+    blocks = [w[a : a + s] for x in cover for a in range(x, len(w) - s + 1, s)]
+    assert len(blocks) - len(set(blocks)) == 1
+    assert scan_by_length_leftmost(list(w), K) is None
+    assert _search_fresh(w, K) == "None False"
 
 
 def test_startup_cost_script_reports_each_word_command():

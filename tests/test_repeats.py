@@ -13,8 +13,7 @@ from dupcode.codec import _leftmost_period_square
 from dupcode.core import MalformedWordError, derive_params
 from dupcode.repeats import (
     Duplication,
-    _blocks_distinct,
-    _samples_distinct,
+    _scan_blocks,
     _scan_hashed,
     _scan_small,
     find_leftmost_long,
@@ -261,18 +260,15 @@ def test_is_dup_free_consistent(word, K):
     assert is_dup_free(w, K) == (naive_leftmost(w, K) is None)
 
 
-@pytest.mark.parametrize("s,cover", repeats._COVERS + repeats._SPARSE_COVERS)
+# Each row keeps the test id it had when a second cover table came first.
+@pytest.mark.parametrize(
+    "s,cover",
+    repeats._SPARSE_COVERS,
+    ids=[f"{s}-cover{j}" for j, (s, _) in enumerate(repeats._SPARSE_COVERS, 6)],
+)
 def test_each_cover_is_a_difference_cover(s, cover):
     assert list(cover) == sorted(set(cover)) and cover[-1] < s
     assert {(y - x) % s for x in cover for y in cover} == set(range(s))
-
-
-def test_cover_choice_keeps_the_gram_inside_the_threshold():
-    assert repeats._cover(37)[0] == 13  # K for q = 4, n = 2**18: g = 25
-    for K in range(1, 200):
-        s, _ = repeats._cover(K)
-        assert 1 <= s <= K and 3 * s <= K + 2
-    assert {repeats._cover(K) for K in range(1, 200)} == set(repeats._COVERS)
 
 
 def test_sparse_cover_choice_keeps_each_block_inside_the_threshold():
@@ -298,99 +294,150 @@ def _planted(rng, q, p, l, tail):
     return _uniform(rng, q, p) + u + u + _uniform(rng, q, tail)
 
 
-_PLANS = {
-    "sparse": (repeats._sparse_cover, _blocks_distinct),
-    "dense": (repeats._cover, _samples_distinct),
-}
+def _runs(rng, q, m, longest):
+    """m symbols in runs of 1 to longest equal symbols, each drawn at random."""
+    out = bytearray()
+    while len(out) < m:
+        out += bytes([rng.randrange(q)]) * rng.randint(1, longest)
+    return bytes(out[:m])
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+def _repeated_blocks(w, K):
+    """How many of w's sampled s-symbol blocks repeat an earlier one,
+    counted the slow way: one slice per block."""
+    s, cover = repeats._sparse_cover(K)
+    blocks = [w[a : a + s] for x in cover for a in range(x, len(w) - s + 1, s)]
+    return len(blocks) - len(set(blocks))
+
+
+def _check_block_scan(w, K):
+    """The block scan's answer for w: False when it leaves w to the hashed
+    scan, else the square as (i, l) or None, which must be the hashed
+    scan's answer."""
+    got = _scan_blocks(w, K)
+    if got is False:
+        assert _repeated_blocks(w, K) > repeats._REPEATS
+        return False
+    got = _as_tuple(got)
+    assert got == _as_tuple(_scan_hashed(np.frombuffer(w, np.uint8), K)), (w, K)
+    return got
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
 @given(
-    plan=st.sampled_from(sorted(_PLANS)),
     q=st.sampled_from([2, 4, 256]),
     K=st.one_of(st.integers(5, 73), st.integers(89, 101), st.integers(113, 131)),
     extra=st.integers(0, 40),
     seed=st.integers(0, 2**32),
 )
-def test_a_planted_square_always_repeats_a_sample(plan, q, K, extra, seed):
+def test_a_planted_square_always_repeats_a_sample(q, K, extra, seed):
     """A square of half-length l >= K, for every residue of its start and of
-    l mod s (the cover's modulus), repeats a sample, so neither plan vouches
-    for a word that holds one. K reaches every cover in both tables."""
-    cover_of, distinct = _PLANS[plan]
+    l mod s (the cover's modulus), repeats a sampled block, so the block
+    scan never calls a word that holds one square-free: it finds the
+    leftmost square, which is at or before the planted one, or leaves the
+    word to the hashed scan. K is drawn from three ranges of the table;
+    the test below takes every row at its smallest K."""
     rng = random.Random(seed)
-    s, _ = cover_of(K)
+    s, _ = repeats._sparse_cover(K)
     for r in range(s):
         for l in range(K + extra, K + extra + s):
-            w = _planted(rng, q, s * rng.randrange(3) + r, l, rng.randrange(2 * s))
-            assert not distinct(w, K), (r, l, w)
+            p = s * rng.randrange(3) + r
+            w = _planted(rng, q, p, l, rng.randrange(2 * s))
+            got = _check_block_scan(w, K)
+            assert got is not None and (got is False or got <= (p, l)), (r, l, w)
 
 
-@pytest.mark.parametrize(
-    "plan,K",
-    [("sparse", 2 * s - 1) for s, _ in repeats._SPARSE_COVERS]
-    + [("dense", 3 * s - 2) for s, _ in repeats._COVERS],
-)
-def test_every_row_catches_squares_at_its_smallest_threshold(plan, K):
-    """At the smallest K that picks a row, a sample must fit in the first
+@pytest.mark.parametrize("K", [2 * s - 1 for s, _ in repeats._SPARSE_COVERS], ids="sparse-{}".format)
+def test_every_row_catches_squares_at_its_smallest_threshold(K):
+    """At the smallest K that picks a row, a block must fit in the first
     copy from every start residue: the proof's inequality is tight there.
-    The square starts up to 130 blocks in, so the sparse plan meets it in
-    its 64-block unpacks, in the blocks after them and across the two."""
-    cover_of, distinct = _PLANS[plan]
-    s, _ = cover_of(K)
-    assert K == 1 or cover_of(K - 1)[0] < s
+    The square starts up to 130 blocks in, so the scan meets it in its
+    64-block unpacks, in the blocks after them and across the two."""
+    s, _ = repeats._sparse_cover(K)
+    assert K == 1 or repeats._sparse_cover(K - 1)[0] < s
     rng = random.Random(K)
     for r in range(s):
         for l in range(K, K + s):
-            w = _planted(rng, 4, s * rng.randrange(130) + r, l, rng.randrange(2 * s))
-            assert not distinct(w, K), (r, l, w)
+            p = s * rng.randrange(130) + r
+            w = _planted(rng, 4, p, l, rng.randrange(2 * s))
+            got = _check_block_scan(w, K)
+            assert got is not None and (got is False or got <= (p, l)), (r, l, w)
 
 
 @pytest.mark.parametrize("q", [2, 4])
 def test_the_sparse_plan_vouches_for_most_uniform_words(q):
-    """At the code's own K, the sparse plan alone proves at least 95% of
-    uniform words square-free, and with the dense plan behind it all."""
+    """At the code's own K, the sampled blocks of at least 95% of uniform
+    words are pairwise distinct, and the block scan answers every word,
+    those with a repeated block included."""
     n = 1 << 12
     K = derive_params(q, n).K
     rng = random.Random(40 + q)
     words = [_uniform(rng, q, n) for _ in range(200)]
-    refused = [w for w in words if not _blocks_distinct(w, K)]
-    assert len(refused) <= 10
-    assert all(_samples_distinct(w, K) for w in refused)
+    refused = [w for w in words if _repeated_blocks(w, K)]
+    assert 0 < len(refused) <= 10
+    assert all(_check_block_scan(w, K) is None for w in words)
 
 
 @pytest.mark.parametrize("q", [2, 4, 256])
 def test_random_words_agree_with_the_oracle_under_the_certificate(q):
-    """Mostly square-free words: whenever the oracle finds a square the
-    certificate refuses, and it vouches for most of the words that have none."""
+    """Mostly square-free words: whenever the block scan answers it gives
+    the oracle's square, and it answers most of the words that have none."""
     rng = random.Random(q)
-    vouched = free = 0
+    answered = free = 0
     for _ in range(120):
         K = rng.randint(5, 40)
         w = bytes(rng.randrange(q) for _ in range(rng.randint(2 * K, 300)))
         expect = naive_leftmost(w, K)
-        distinct = _samples_distinct(w, K)
-        assert expect is None or not distinct, (w, K)
+        got = _scan_blocks(w, K)
+        if got is not False:
+            assert _as_tuple(got) == expect, (w, K)
+            answered += expect is None
         free += expect is None
-        vouched += distinct
-    assert vouched >= free // 2 > 0
+    assert answered >= free // 2 > 0
+
+
+def _search_without_numpy(w, K):
+    """find_leftmost_long as it runs in a process that has not loaded numpy."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(repeats, "sys", types.SimpleNamespace(modules={}))
+        return _as_tuple(find_leftmost_long(w, K))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.data())
 def test_search_before_numpy_loads_matches_the_oracle(data):
     """find_leftmost_long as it runs in a process that has not loaded numpy:
-    it tries the certificate first, and takes the hashed scan only past it."""
+    it tries the block scan first, and takes the hashed scan only past it.
+    Uniform, planted-square and run-rich words."""
     q = data.draw(st.sampled_from([2, 4, 256]), label="q")
-    w = data.draw(st.lists(st.integers(0, q - 1), min_size=97, max_size=300), label="word")
     K = data.draw(st.integers(4, 40), label="K")
-    if data.draw(st.booleans(), label="plant"):
+    kind = data.draw(st.sampled_from(["uniform", "planted", "runs"]), label="kind")
+    if kind == "runs":
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        w = list(_runs(rng, q, data.draw(st.integers(97, 300), label="m"), 2 * K))
+    else:
+        w = data.draw(st.lists(st.integers(0, q - 1), min_size=97, max_size=300), label="word")
+    if kind == "planted":
         l = data.draw(st.integers(K, 60), label="l")
         i = data.draw(st.integers(0, max(len(w) - l, 0)), label="i")
         w = w[: i + l] + w[i : i + l] + w[i + l :]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(repeats, "sys", types.SimpleNamespace(modules={}))
-        got = _as_tuple(find_leftmost_long(w, K))
-    assert got == naive_leftmost(w, K)
+    assert _search_without_numpy(w, K) == naive_leftmost(w, K)
+
+
+@pytest.mark.parametrize("s", [s for s, _ in repeats._SPARSE_COVERS])
+def test_search_before_numpy_loads_matches_the_oracle_at_every_row(s):
+    """The same search at the two thresholds K = 2s - 1 and 2s that pick
+    each row of the cover table, on uniform, planted-square and run-rich
+    words over q = 2, 4 and 256."""
+    rng = random.Random(s)
+    for K in (2 * s - 1, 2 * s):
+        assert repeats._sparse_cover(K)[0] == s
+        for q in (2, 4, 256):
+            m = rng.randint(max(97, 2 * K), max(300, 2 * K + 40))
+            l = rng.randint(K, max(K, m // 2 - 10))
+            p = rng.randrange(m - 2 * l + 1)
+            for w in (_uniform(rng, q, m), _planted(rng, q, p, l, m - p - 2 * l), _runs(rng, q, m, 2 * K)):
+                assert _search_without_numpy(w, K) == naive_leftmost(w, K), (w, K)
 
 
 def _naive_period_square(w, l):
