@@ -16,6 +16,48 @@ The word length is n + 1 after every iteration, and the unprocessed
 prefix shrinks by at least K per iteration, so the loop runs at most
 (n + 1) / K times.
 
+After the first cut, each search reads only w[:2*d_len], where d_len is
+the length of the unprocessed prefix D = w[:d_len]; B is the blocks after
+it. This is exact, because every long square (p, l) of the word, l >= K,
+has p + l < d_len, so it ends at p + 2l <= 2*d_len. Every square of
+w[:2*d_len] is a square of w, so the leftmost long square of the prefix
+is w's, and the prefix has none exactly when w has none. The proof of
+p + l < d_len rests on the fillers:
+
+- A cut makes no new L-word in D: each L-word that starts in D after a
+  cut started in D before it. A cut of the square (i, l) joins w[:i] to
+  w[i + l:], and w[i + l:i + l + L] == w[i:i + L] since l >= L, so an
+  L-word across the join equals the one at the same start in the old
+  word; an L-word after the join is the one l symbols later; a batch of
+  front cuts has i = 0 and so no join.
+- So no filler f of B equals an L-word that starts in D or lies in B
+  before f. f was chosen absent from the word it joined. By the first
+  point, applied to each later cut, every L-word that now starts in D
+  started in the D of that word, and there it ended inside the offset
+  digits of the first block after D at the latest, before f. That word
+  also held the blocks before f, which no cut changes, since cuts delete
+  only inside D.
+- Any K = 4L + 1 symbols of B hold a whole filler, since the longest
+  stretch without one is 4L - 1 symbols: the last L - 1 symbols of a
+  filler, a block's length digits and flag, the next block's offset
+  digits, and the first L - 1 symbols of the next filler (0^t, under L
+  symbols, is the only other gap).
+- If p + l >= d_len, the right copy of (p, l) lies in B and, being l >= K
+  symbols long, holds a whole filler f at some s. Its twin w[s - l:s - l + L]
+  equals f and either starts in D or lies in B and ends by s - l + L <= s,
+  since l >= K > L; both contradict the second point.
+
+The same argument applied to the part of the right copy in B puts the end
+of every long square before d_len + K, a tighter bound than 2*d_len that
+the search does not use.
+
+One check is lost on the default path: a leftmost square past 2*d_len
+used to make the encoder raise InternalDefectError at i + c*l <= d_len,
+and the narrowed search cannot see one. The proof above rules that case
+out. self_check, which encode_with_trace forces, still compares each
+narrowed answer with a search of the whole word and raises
+InternalDefectError if they differ.
+
 A square (0, l) at the front of a run of period l long enough for c of
 them is followed by c - 1 more (0, l) squares, and cutting them changes
 no filler, so the encoder cuts all c with one search and one index edit
@@ -216,7 +258,15 @@ def _encode(
             raise InternalDefectError(f"length invariant broken: {len(w)} != {n + 1}")
         if self_check:
             index.audit(w)
-        dup = find_leftmost_long(w, K)
+        # The slice stays a bytearray, so the search keeps its O(K)
+        # all-equal test; see the module docstring for why it is exact.
+        searched = w[: 2 * d_len]
+        dup = find_leftmost_long(searched, K)
+        if self_check and len(searched) < len(w):
+            from .repeats import find_leftmost_long as search_all
+
+            if search_all(w, K) != dup:
+                raise InternalDefectError(f"the search of w[:{len(searched)}] missed the leftmost long square")
     return bytes(w)
 
 
@@ -230,7 +280,9 @@ def encode(
 
     self_check=True re-verifies the window index against the word after
     every index edit: a cut and the blocks written after it, where a batch
-    of cuts at a periodic front is one edit (slow; meant for differential
+    of cuts at a periodic front is one edit. It also searches the whole
+    word after each cut and checks that the search of twice the
+    unprocessed prefix found the same square (slow; meant for differential
     testing).
     """
     return _encode(x, params, self_check, None)
@@ -242,7 +294,8 @@ def encode_with_trace(x: Sequence[int], params: CodeParams) -> tuple[Word, list[
     The records hold what the encoder decided, (i, l, r, t, fillers); the
     word after each iteration follows by replaying them. The trace takes
     O(n) memory. self_check=True is forced, so the window index is audited
-    after every index edit; a batch of cuts at a periodic front is one
+    after every index edit, and every narrowed search is checked against a
+    search of the whole word; a batch of cuts at a periodic front is one
     edit, after which its c records hold no audit between them.
     """
     trace: list[BlockRecord] = []

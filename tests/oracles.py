@@ -87,10 +87,16 @@ def ref_encode(
     x: Sequence[int], q: int, n: int, hits: list[tuple[int, int]] | None = None
 ) -> tuple[int, ...]:
     """List-splicing re-implementation of the encoder. Each square (i, l)
-    it cuts is appended to hits, unless hits is None."""
+    it cuts is appended to hits, unless hits is None.
+
+    It also asserts, on every square it cuts, that the left copy lies in
+    the prefix not yet rewritten (i + l <= d_len), the invariant that lets
+    the package's encoder search only w[:2*d_len] after a cut; the square
+    comes from naive_leftmost on the whole word."""
     L, K = params_for(q, n)
     assert len(x) == n
     w = list(x) + [0]
+    d_len = n + 1  # length of the prefix not yet rewritten
     rounds = 0
     while True:
         hit = naive_leftmost(w, K)
@@ -99,6 +105,8 @@ def ref_encode(
         rounds += 1
         assert rounds <= n + 2, "encoder failed to terminate"
         i, l = hit
+        assert i + l <= d_len, f"square {hit} reaches past the unprocessed prefix of {d_len}"
+        d_len -= l
         if hits is not None:
             hits.append(hit)
         r = (l - 2 * L - 1) // L

@@ -13,6 +13,7 @@ from dupcode import codec, core, repeats, windows
 from dupcode.channel import apply_duplication
 from dupcode.core import (
     CodeParams,
+    InternalDefectError,
     MalformedCodewordError,
     MalformedWordError,
     derive_params,
@@ -24,6 +25,7 @@ from dupcode.repeats import is_dup_free
 from dupcode.seqword import EditableWord
 from dupcode.windows import WindowIndex
 
+from messages import deep, mixed, period2_runs, periodic, shared_runs
 from oracles import CursorTravel, naive_leftmost, ref_decode, ref_encode, replay_trace
 
 
@@ -73,27 +75,57 @@ def test_encode_matches_reference(q, n):
         assert bytes(ref_decode(y, q, n)) == x
 
 
-def _runs_message(q: int, n: int, seed: int) -> bytes:
-    """Seeded runs of length 2K, one random symbol per run."""
-    K = derive_params(q, n).K
-    rng = random.Random(seed)
-    out: list[int] = []
-    while len(out) < n:
-        out += [rng.randrange(q)] * (2 * K)
-    return bytes(out[:n])
+def _message(make, q: int, n: int, seed: int) -> bytes:
+    """The message of length n over q symbols that the family make of
+    tests/messages.py draws from random.Random(seed)."""
+    return bytes(make(random.Random(seed), n, derive_params(q, n).K, q))
 
 
-@pytest.mark.parametrize("q,n", [(4, 300), (2, 256), (3, 200)])
-@pytest.mark.parametrize("family", ["zeros", "runs"])
-def test_encode_matches_reference_over_many_iterations(q, n, family):
+def _searched_lengths(patch, answer=None) -> list[int]:
+    """Wrap codec.find_leftmost_long for the life of `patch` and return the
+    list it fills with the length of every word searched. answer(w, K), if
+    given, replaces the search's answer."""
+    lengths: list[int] = []
+    search = codec.find_leftmost_long
+
+    def counted(w, K):
+        lengths.append(len(w))
+        return search(w, K) if answer is None else answer(w, K)
+
+    patch.setattr(codec, "find_leftmost_long", counted)
+    return lengths
+
+
+_FAMILIES = {"runs": shared_runs, "periodic": periodic, "deep": deep, "period2": period2_runs, "mixed": mixed}
+
+
+@pytest.mark.parametrize(
+    "family,q,n",
+    [
+        *[(family, q, n) for family in ("zeros", "runs") for q, n in [(4, 300), (2, 256), (3, 200), (16, 800)]],
+        *[("periodic", q, n) for q, n in [(4, 300), (2, 256), (16, 800)]],
+        *[("deep", q, n) for q, n in [(4, 300), (3, 200), (16, 800)]],
+        *[("period2", q, n) for q, n in [(2, 256), (3, 200), (4, 800), (16, 400)]],
+        *[("mixed", q, n) for q, n in [(4, 500), (16, 1000), (2, 1200)]],
+    ],
+)
+def test_encode_matches_reference_over_many_iterations(monkeypatch, family, q, n):
     """Messages that force several encoder iterations, so every filler the
-    window index picks is checked against the Counter-based reference."""
+    window index picks, and every square found by a search that after a
+    cut reads only twice the unprocessed prefix, is checked against the
+    reference, whose naive search reads the whole word. Every family but
+    deep and mixed narrows some search here; deep's cuts take less than
+    half the word, so it never narrows."""
     params = derive_params(q, n)
-    x = bytes(n) if family == "zeros" else _runs_message(q, n, q * n)
+    x = bytes(n) if family == "zeros" else _message(_FAMILIES[family], q, n, q * n)
+    lengths = _searched_lengths(monkeypatch)
     y, trace = codec.encode_with_trace(x, params)
     assert len(trace) >= 2
-    assert y == bytes(ref_encode(x, q, n))
+    hits: list[tuple[int, int]] = []
+    assert y == bytes(ref_encode(x, q, n, hits))
+    assert [(rec.i, rec.l) for rec in trace] == hits
     assert bytes(replay_trace(x, trace, q, n)) == y
+    assert family in ("deep", "mixed") or min(lengths) < n + 1
 
 
 @pytest.mark.parametrize("family", ["constant", "runs"])
@@ -132,7 +164,7 @@ def test_roundtrip_at_q256_with_the_top_symbol(family):
 def test_encode_output_is_pinned(q, n, family, digest):
     """Codewords are part of the contract: these digests must not move."""
     params = derive_params(q, n)
-    x = bytes(n) if family == "zeros" else _runs_message(q, n, 11)
+    x = bytes(n) if family == "zeros" else _message(shared_runs, q, n, 11)
     assert hashlib.sha256(bytes(codec.encode(x, params))).hexdigest() == digest
 
 
@@ -142,7 +174,7 @@ def test_runs_that_share_symbols_encode_as_pinned():
     pairs per square. The digest was taken when each pair was verified
     with np.array_equal, 0.9 s of CPU for this encode."""
     params = derive_params(4, 1 << 11)
-    x = _runs_message(4, 1 << 11, 1)
+    x = _message(shared_runs, 4, 1 << 11, 1)
     y = codec.encode(x, params)
     assert hashlib.sha256(y).hexdigest() == "18fc03d345c194da9235872c9e605322dff20ac06e4e728e298258f8bf7ad08b"
     assert codec.decode(y, params) == x
@@ -266,29 +298,16 @@ def test_self_check_audits_every_iteration(monkeypatch):
 
     audited.clear()
     cuts.clear()
-    y, trace = codec.encode_with_trace(_runs_message(4, params.n, 11), params)
+    y, trace = codec.encode_with_trace(_message(shared_runs, 4, params.n, 11), params)
     assert len(trace) >= 1 + len(cuts) > 100
     assert audited == [params.n + 1] * (1 + len(cuts))
 
 
-def _periodic_message(q: int, n: int, seed: int) -> bytes:
-    """x[j] = u[j mod K] for K seeded symbols u."""
-    K = derive_params(q, n).K
-    rng = random.Random(seed)
-    u = [rng.randrange(q) for _ in range(K)]
-    return bytes(u[j % K] for j in range(n))
-
-
-def _encode_counting(monkeypatch, x, params) -> tuple[bytes, list[codec.BlockRecord], int, int]:
-    """encode_with_trace x, with the square searches it makes and the
-    rounds of filler guesses the window index runs."""
-    searches = rounds = 0
-    search, absent = codec.find_leftmost_long, WindowIndex._absent
-
-    def counted_search(w, K):
-        nonlocal searches
-        searches += 1
-        return search(w, K)
+def _encode_counting(monkeypatch, x, params) -> tuple[bytes, list[codec.BlockRecord], list[int], int]:
+    """encode_with_trace x, with the length of every word its square
+    searches read and the rounds of filler guesses the window index runs."""
+    rounds = 0
+    absent = WindowIndex._absent
 
     def counted_round(self, want):
         nonlocal rounds
@@ -296,10 +315,10 @@ def _encode_counting(monkeypatch, x, params) -> tuple[bytes, list[codec.BlockRec
         return absent(self, want)
 
     with monkeypatch.context() as patch:
-        patch.setattr(codec, "find_leftmost_long", counted_search)
+        lengths = _searched_lengths(patch)
         patch.setattr(WindowIndex, "_absent", counted_round)
         y, trace = codec.encode_with_trace(x, params)
-    return y, trace, searches, rounds
+    return y, trace, lengths, rounds
 
 
 def _boundary_message(rng: random.Random) -> tuple[int, int, bytes]:
@@ -381,27 +400,46 @@ def test_a_periodic_front_is_cut_in_few_searches(monkeypatch):
     period, so the encoder cuts them in batches: at most 4 searches where
     one per block made 564. The digest was computed one block per search."""
     params = derive_params(4, 1 << 14)
-    y, _, searches, _ = _encode_counting(monkeypatch, _periodic_message(4, 1 << 14, 1 << 14), params)
-    assert searches <= 4
+    y, _, lengths, _ = _encode_counting(monkeypatch, _message(periodic, 4, 1 << 14, 1 << 14), params)
+    assert len(lengths) <= 4
     assert hashlib.sha256(y).hexdigest() == "4b84347ad963090ce0f06e12620b2848b1f6261e50632f4a761d336ab43565ea"
 
 
 def test_zeros_at_the_benchmark_size_makes_few_searches(monkeypatch):
     """The benchmark's zeros message at 2^17, zeros then K seeded symbols,
-    writes 3,540 blocks of two fillers each, 7,080 in all, with at most 3
-    searches (3,541 one block per search). The window index chooses the
-    fillers in 56 fill calls of at most 64 blocks, one round each unless a
-    guess misses; misses are rare, so there are few more rounds than
-    calls, where one lookup per filler made 7,080."""
+    writes 3,540 blocks of two fillers each, 7,080 in all, with 2 searches
+    (3,541 one block per search). The first reads the whole word; the
+    second, which confirms the codeword, reads only twice the 93 symbols
+    that the one batch of cuts leaves unprocessed. The window index
+    chooses the fillers in 56 fill calls of at most 64 blocks, one round
+    each unless a guess misses; misses are rare, so there are few more
+    rounds than calls, where one lookup per filler made 7,080."""
     n = 1 << 17
     params = derive_params(4, n)
     rng = random.Random(1)
     x = bytes(n - params.K) + bytes(rng.randrange(4) for _ in range(params.K))
-    y, trace, searches, rounds = _encode_counting(monkeypatch, x, params)
-    assert searches <= 3
+    y, trace, lengths, rounds = _encode_counting(monkeypatch, x, params)
+    assert lengths == [n + 1, 186]
     assert len(trace) == 3540 and sum(len(rec.fillers) for rec in trace) == 7080
     assert 56 <= rounds <= 72
     assert codec.decode(y, params) == x
+
+
+def test_self_check_compares_each_narrowed_search_with_the_whole_word(monkeypatch):
+    """A search that answers None on every word shorter than the codeword
+    misses the squares left after the first cut. encode_with_trace, which
+    forces self_check, searches the whole word beside each narrowed search
+    and refuses the difference; the default path trusts the window."""
+    params = derive_params(4, 1 << 12)
+    x = _message(shared_runs, 4, params.n, 11)
+    y = codec.encode(x, params)
+    lengths = _searched_lengths(
+        monkeypatch, lambda w, K: None if len(w) < params.n + 1 else repeats.find_leftmost_long(w, K)
+    )
+    with pytest.raises(InternalDefectError, match="missed the leftmost long square"):
+        codec.encode_with_trace(x, params)
+    assert lengths[0] == params.n + 1 and lengths[-1] < params.n + 1
+    assert codec.encode(x, params) != y
 
 
 def test_codec_writes_and_reads_its_digits_through_core(monkeypatch):
